@@ -18,9 +18,9 @@ Measures the three claims of the backend layer:
 4. **Kernel ladder** — the large-N regime (ring N = 1e4 / 1e5 and a
    ~1e5-rank torus, built edge-native so no dense matrix is ever
    materialised): one single-state and one 8-member batched RHS
-   evaluation under each available coupling kernel (``numpy`` vs.
-   ``tiled`` vs. the fused compiled ``cc``/``numba``), reported as
-   speedups over the ``numpy`` kernel.
+   evaluation under each available coupling kernel (``numpy`` vs. the
+   fused compiled ``cc``), reported as speedups over the ``numpy``
+   kernel.
 
 Run directly (no pytest needed)::
 
@@ -43,7 +43,7 @@ from statistics import median
 import numpy as np
 
 from repro import kernels
-from repro.backends import BatchedBackend, make_backend
+from repro.backends import HeteroBatchedBackend, make_backend
 from repro.core import (
     GaussianJitter,
     PhysicalOscillatorModel,
@@ -112,7 +112,7 @@ def bench_batched_rhs(n: int, r: int, repeats: int) -> dict:
         local_noise=GaussianJitter(std=0.02, refresh=0.5))
     members = [model.realize(10.0, rng=s, backend="sparse")
                for s in range(r)]
-    stacked = BatchedBackend(members)
+    stacked = HeteroBatchedBackend(members)
     thetas = np.random.default_rng(1).normal(0.0, 1.0, (r, n))
 
     ref = np.stack([m.rhs(0.0, thetas[i]) for i, m in enumerate(members)])
@@ -155,13 +155,8 @@ def bench_ensemble(n: int, r: int, t_end: float, repeats: int) -> dict:
 
 
 def _ladder_kernels() -> list[str]:
-    """Kernels to compare: numpy/tiled always, plus what's available."""
-    names = ["numpy", "tiled"]
-    if kernels.numba_available():
-        names.append("numba")
-    if kernels.cc_available():
-        names.append("cc")
-    return names
+    """Kernels to compare: numpy always, cc when a compiler works."""
+    return ["numpy", "cc"] if kernels.cc_available() else ["numpy"]
 
 
 def bench_kernel_case(topology, r: int, repeats: int) -> dict:
@@ -195,8 +190,8 @@ def bench_kernel_case(topology, r: int, repeats: int) -> dict:
     for name in _ladder_kernels():
         single = make_backend(model.realize(10.0, rng=0, backend="sparse"),
                               "sparse", kernel=name)
-        stacked = BatchedBackend(members, kernel=name)
-        # Warm up (first compiled call may JIT/load) + correctness guard.
+        stacked = HeteroBatchedBackend(members, kernel=name)
+        # Warm up (first compiled call loads the library) + correctness guard.
         s_val = single.coupling(0.0, theta)
         b_val = stacked.coupling(0.0, thetas)
         if ref_single is None:

@@ -8,7 +8,7 @@ running the parallel program it models.
 import numpy as np
 import pytest
 
-from repro.backends import BatchedBackend
+from repro.backends import HeteroBatchedBackend
 from repro.core import (
     BottleneckPotential,
     GaussianJitter,
@@ -75,7 +75,8 @@ def test_rhs_batched_super_state(benchmark):
     model = PhysicalOscillatorModel(
         topology=ring(4096, (1, -1)), potential=TanhPotential(),
         t_comp=0.9, t_comm=0.1)
-    stacked = BatchedBackend([model.realize(10.0, rng=s) for s in range(8)])
+    stacked = HeteroBatchedBackend(
+        [model.realize(10.0, rng=s) for s in range(8)])
     thetas = np.random.default_rng(0).normal(0, 1, (8, 4096))
     out = benchmark.pedantic(stacked.rhs, args=(0.0, thetas),
                              rounds=5, iterations=1)

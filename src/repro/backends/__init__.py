@@ -10,13 +10,12 @@ into an evaluator of the Eq. 2 right-hand side.  Three implementations:
   potential only on actual edges and accumulates with a segment sum.
   Orders of magnitude faster for the paper's nearest-neighbour
   topologies at scale.
-* :class:`BatchedBackend` — evaluates R stacked realisations ``(R, N)``
-  in one vectorised call so a whole seed ensemble integrates as a
-  single super-state (used by ``run_ensemble(batched=True)``).
-* :class:`HeteroBatchedBackend` — the heterogeneous generalisation:
-  members may differ in ``v_p``, period, potential, and delay schedule
-  (only the topology is shared), so a whole *parameter grid* integrates
-  as one super-state (used by ``grid_sweep(..., batched=True)`` and
+* :class:`HeteroBatchedBackend` — evaluates R stacked realisations
+  ``(R, N)`` in one vectorised call.  Members may differ in ``v_p``,
+  period, potential, delay schedule and topology (only ``N`` is
+  shared), so a whole seed ensemble or *parameter grid* integrates as
+  one super-state (used by ``run_ensemble(batched=True)``,
+  ``grid_sweep(..., batched=True)`` and
   :func:`repro.core.simulation.simulate_grid`).
 
 Selection
@@ -28,14 +27,12 @@ choice (the declarative knob is ``PhysicalOscillatorModel.backend``, and
 ``simulate(..., backend=...)`` / ``pom model --backend`` override it per
 run).
 
-Batched (multi-member) backends have their own registry:
-``make_batched_backend(members, "auto")`` picks the strict homogeneous
-:class:`BatchedBackend` when all members realise one declarative model
-and falls back to :class:`HeteroBatchedBackend` otherwise.
+Multi-member stacks always compile to :class:`HeteroBatchedBackend`
+(``make_batched_backend(members)``).
 
 Orthogonal to the backend choice, the ``kernel=`` knob selects the
 implementation of the inner coupling loop for the edge-list backends
-(``"auto"`` | ``"numpy"`` | ``"tiled"`` | ``"numba"`` | ``"cc"``, see
+(``"auto"`` | ``"numpy"`` | ``"cc"``, see
 :mod:`repro.kernels`); it threads through ``make_backend`` /
 ``make_batched_backend``, the ``simulate*`` drivers, and the CLI.
 """
@@ -46,7 +43,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..kernels import available_kernels, normalize_kernel_name
 from .base import RHSBackend, frequency_from_period
-from .batched import BatchedBackend
 from .dense import DenseBackend
 from .hetero import HeteroBatchedBackend
 from .sparse import SparseBackend
@@ -58,11 +54,9 @@ __all__ = [
     "RHSBackend",
     "DenseBackend",
     "SparseBackend",
-    "BatchedBackend",
     "HeteroBatchedBackend",
     "frequency_from_period",
     "BACKENDS",
-    "BATCHED_BACKENDS",
     "SPARSE_DENSITY_THRESHOLD",
     "available_backends",
     "available_kernels",
@@ -77,12 +71,6 @@ __all__ = [
 BACKENDS: dict[str, type[RHSBackend]] = {
     DenseBackend.name: DenseBackend,
     SparseBackend.name: SparseBackend,
-}
-
-#: registry of multi-member (stacked super-state) backends
-BATCHED_BACKENDS: dict[str, type[HeteroBatchedBackend]] = {
-    BatchedBackend.name: BatchedBackend,
-    HeteroBatchedBackend.name: HeteroBatchedBackend,
 }
 
 #: edge fraction below which "auto" prefers the edge-list kernel
@@ -155,30 +143,11 @@ def make_backend(realized: "RealizedModel", name: str = "auto",
 
 
 def make_batched_backend(members: Sequence["RealizedModel"],
-                         name: str = "auto",
                          kernel: str | None = "auto",
                          threads: int | None = None) -> HeteroBatchedBackend:
     """Compile a stack of realisations into one multi-member backend.
 
-    ``"auto"`` prefers the strict homogeneous :class:`BatchedBackend`
-    (its validation guarantees every member realises the same
-    declarative model) and falls back to the general
-    :class:`HeteroBatchedBackend` when the members form a parameter
-    grid.  Explicit names force a choice.  ``kernel`` selects the
-    coupling-loop implementation and ``threads`` the in-kernel thread
-    count (both batched backends support them).
+    ``kernel`` selects the coupling-loop implementation and ``threads``
+    the in-kernel thread count.
     """
-    if name == "auto":
-        try:
-            return BatchedBackend(members, kernel=kernel, threads=threads)
-        except ValueError:
-            if len(members) == 0:
-                raise
-            return HeteroBatchedBackend(members, kernel=kernel,
-                                        threads=threads)
-    if name not in BATCHED_BACKENDS:
-        raise ValueError(
-            f"unknown batched backend {name!r}; available: "
-            f"auto, {', '.join(sorted(BATCHED_BACKENDS))}"
-        )
-    return BATCHED_BACKENDS[name](members, kernel=kernel, threads=threads)
+    return HeteroBatchedBackend(members, kernel=kernel, threads=threads)

@@ -1,10 +1,9 @@
-"""Heterogeneous batched RHS backend: R *different* models in one call.
+"""Batched RHS backend: R stacked realisations in one call.
 
-:class:`~repro.backends.batched.BatchedBackend` (PR 1) stacks R
-realisations of the *same* declarative model — a seed ensemble.  This
-module lifts the same-``v_p`` / same-potential / same-delay-schedule
-restrictions so that one stacked ``(R, N)`` solve can integrate an
-entire **parameter grid**: members may disagree on
+Stacking R member states into one ``(R, N)`` super-state lets a whole
+seed ensemble or **parameter grid** integrate as one solve.  The members
+may be realisations of one declarative model (a seed ensemble) or
+disagree on
 
 * the coupling strength ``v_p`` (broadcast as an ``(R, 1)`` column),
 * the cycle period ``T = t_comp + t_comm`` (idem),
@@ -12,8 +11,9 @@ entire **parameter grid**: members may disagree on
   each group is evaluated in one vectorised ``(k, E)`` pass),
 * the one-off delay schedule (evaluated per member, or broadcast when
   all members share one),
-* the noise realisation (stacked when the refresh grids agree, as in
-  the homogeneous backend).
+* the noise realisation (stacked into one ``(n_intervals, R, N)``
+  array when the refresh grids agree, as they always do for members
+  realised from one model).
 
 Only the oscillator count ``N`` must be shared.  Members may even
 disagree on the **topology** (a machine-design sweep over same-N
@@ -33,27 +33,23 @@ one super-state and fan exact per-point trajectories back out.
 The inner coupling loop is delegated to a selectable *kernel*
 (:mod:`repro.kernels`, ``kernel=`` knob):
 
-* ``"numpy"`` — the PR-2 path: preallocated ``(R, E)`` scratch gathers,
-  one family-vectorised potential call, one flattened ``np.bincount``.
+* ``"numpy"`` — preallocated ``(R, E)`` scratch gathers, one
+  family-vectorised potential call, one flattened ``np.bincount``.
+  Works for any potential, including ``CustomPotential`` groups.
   Memory-bound at N ≳ a few thousand (every evaluation streams several
   ``(R, E)`` arrays).
-* ``"tiled"`` — the same arithmetic blocked over row-aligned edge
-  ranges so the scratch stays cache-resident; works for any potential,
-  including ``CustomPotential`` groups.
-* ``"numba"`` / ``"cc"`` — fused compiled kernels that evaluate the
-  potential family inline per edge block (per-member ``(kind, p0, p1)``
+* ``"cc"`` — the fused compiled kernel that evaluates the potential
+  family inline per edge block (per-member ``(kind, p0, p1)``
   coefficients, so members may even mix families), eliminating the
   ``(R, E)`` round-trips entirely.
 
-``"auto"`` prefers a compiled kernel whenever every member's potential
-exposes kernel coefficients; ``CustomPotential`` members fall back to
-the NumPy/tiled per-group paths.
+``"auto"`` picks ``"cc"`` whenever every member's potential exposes
+kernel coefficients and a compiler works; ``CustomPotential`` members
+fall back to the NumPy per-group path.
 
 For mixed-topology batches the ``"numpy"`` kernel uses the padded
-stacked path and ``"tiled"`` a block-diagonal
-:class:`~repro.kernels.tiled.TiledStackedCoupling`; the compiled
-kernels (``"cc"``/``"numba"``) have no mixed edge-list entry point and
-fall back to one compiled sub-backend per topology group (one-time
+stacked path; ``"cc"`` has no mixed edge-list entry point and falls
+back to one compiled sub-backend per topology group (one-time
 :class:`RuntimeWarning`) — still bit-identical, one compiled call per
 group instead of one per batch.
 """
@@ -67,7 +63,6 @@ import numpy as np
 
 from .. import kernels
 from ..kernels import cc as cc_kernels
-from ..kernels import numba_kernels
 from .base import frequency_from_period
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,7 +84,7 @@ def _warn_mixed_compiled(kernel: str) -> None:
         f"compiled kernel {kernel!r} has no mixed-topology entry point; "
         "evaluating this topology-axis batch as one compiled sub-backend "
         "per topology group (bit-identical, one kernel call per group). "
-        'Use kernel="tiled" or kernel="numpy" for a single stacked pass.',
+        'Use kernel="numpy" for a single stacked pass.',
         RuntimeWarning, stacklevel=3)
 
 
@@ -135,8 +130,8 @@ class HeteroBatchedBackend:
     Parameters
     ----------
     members:
-        Frozen realisations sharing the topology and oscillator count;
-        everything else (coupling strength, period, potential, noise,
+        Frozen realisations sharing the oscillator count; everything
+        else (topology, coupling strength, period, potential, noise,
         delay schedule) may vary per member.  States are ``(R, N)``
         arrays with one row per member.
     """
@@ -211,33 +206,26 @@ class HeteroBatchedBackend:
         if len(self._pot_groups) > 1:
             self._pot_stacked = type(self._pots[0]).stack(self._pots) \
                 if hasattr(type(self._pots[0]), "stack") else None
-        # Kernel selection (see repro.kernels): fused compiled kernels
-        # need per-member potential coefficients; tiled/numpy go through
+        # Kernel selection (see repro.kernels): the fused compiled kernel
+        # needs per-member potential coefficients; numpy goes through
         # the Python potential callables above.
         self._kernel_request = kernels.normalize_kernel_name(kernel)
         self._coeffs = kernels.family_coefficients(self._pots)
         self.kernel = kernels.resolve_kernel(
-            kernel, has_coefficients=self._coeffs is not None,
-            n_edges=max(self._edge_sizes))
+            kernel, has_coefficients=self._coeffs is not None)
         self._threads_request = threads
         self.threads = kernels.resolve_threads(threads)
-        self._tiled = None
-        self._stacked = None
         self._subs = None
         self._rows32 = self._cols32 = None
         if mixed:
             self._setup_mixed()
-        elif self.kernel == "tiled":
-            self._tiled = kernels.TiledBatchedCoupling(
-                first.topology, self._edge_potential, self._vps, self._r)
-        elif self.kernel in ("cc", "numba"):
+        elif self.kernel == "cc":
             self._rows32 = np.ascontiguousarray(self._rows, dtype=np.int32)
             self._cols32 = np.ascontiguousarray(self._cols, dtype=np.int32)
             self._vps_flat = np.ascontiguousarray(self._vps.ravel())
             # Distance rings (the paper's halo exchanges) additionally
-            # drop the gathers/scatters for contiguous shifted passes —
-            # both compiled kernels carry the specialisation; 2-D tori
-            # get the column-ring + per-row halo decomposition.
+            # drop the gathers/scatters for contiguous shifted passes;
+            # 2-D tori get the column-ring + per-row halo decomposition.
             self._ring_offsets = cc_kernels.ring_offsets(
                 self._rows, self._cols, self._n)
             self._torus_halo = None
@@ -253,20 +241,14 @@ class HeteroBatchedBackend:
     def _setup_mixed(self) -> None:
         """Dispatch setup for a topology-axis (mixed edge-list) batch.
 
-        ``tiled`` gets the block-diagonal stacked kernel, the compiled
-        kernels fall back to one sub-backend per topology group, and
+        ``cc`` falls back to one sub-backend per topology group, and
         ``numpy`` builds the padded stacked gather/scatter: per-member
         edge lists padded to the widest member ``Emax``; pad slots
         gather the member's own element 0 twice (a guaranteed-finite
         ``d = 0``) and scatter into the discarded overflow bin ``R*N``,
         so padding never touches a real accumulator.
         """
-        if self.kernel == "tiled":
-            self._stacked = kernels.TiledStackedCoupling(
-                self._n, self._per_rows, self._per_cols, self._pots,
-                self._vps)
-            return
-        if self.kernel in ("cc", "numba"):
+        if self.kernel == "cc":
             _warn_mixed_compiled(self.kernel)
             groups: list[tuple[list[int], "RealizedModel"]] = []
             for i, m in enumerate(self.members):
@@ -400,28 +382,23 @@ class HeteroBatchedBackend:
                 for sel, sub in self._subs:
                     out[sel] = sub.coupling(t, theta[sel], None)
                 return out
-            if self._stacked is not None:
-                return self._stacked(theta)
-            if self._tiled is not None:
-                return self._tiled(theta)
             if self._rows32 is not None:
                 kinds, p0, p1 = self._coeffs
                 theta = np.ascontiguousarray(theta, dtype=float)
-                mod = cc_kernels if self.kernel == "cc" else numba_kernels
                 if self._ring_offsets is not None:
-                    return mod.ring_batched(
+                    return cc_kernels.ring_batched(
                         self._ring_offsets, theta,
                         np.empty((self._r, self._n)), kinds, p0, p1,
                         self._vps_flat, threads=self.threads)
                 if self._torus_halo is not None:
-                    return mod.torus_batched(
+                    return cc_kernels.torus_batched(
                         self._torus_halo, theta,
                         np.empty((self._r, self._n)), kinds, p0, p1,
                         self._vps_flat, threads=self.threads)
-                return mod.fused_batched(self._rows32, self._cols32, theta,
-                                         np.empty((self._r, self._n)),
-                                         kinds, p0, p1, self._vps_flat,
-                                         threads=self.threads)
+                return cc_kernels.fused_batched(
+                    self._rows32, self._cols32, theta,
+                    np.empty((self._r, self._n)), kinds, p0, p1,
+                    self._vps_flat, threads=self.threads)
             if self._mixed:
                 # Padded stacked path: gather per-member edges from the
                 # flattened (R*N,) super-state, one family-vectorised

@@ -9,10 +9,9 @@ the row indices, which adds contributions in the same row-major order as
 the dense row sum, so results agree to machine precision).
 
 The inner coupling loop is delegated to a selectable *kernel*
-(:mod:`repro.kernels`): the plain NumPy segment sum (``"numpy"``), the
-CSR-tiled cache-blocked variant (``"tiled"``), or a fused
-gather-potential-scatter kernel compiled with numba (``"numba"``) or the
-system C compiler (``"cc"``).  ``"auto"`` picks the fastest available.
+(:mod:`repro.kernels`): the plain NumPy segment sum (``"numpy"``) or a
+fused gather-potential-scatter kernel compiled with the system C
+compiler (``"cc"``).  ``"auto"`` picks ``"cc"`` when it can run.
 
 The delayed (DDE) path is edge-native and always uses the NumPy kernel:
 the per-edge delay vector ``tau_e`` is gathered once, and each distinct
@@ -28,7 +27,6 @@ import numpy as np
 
 from .. import kernels
 from ..kernels import cc as cc_kernels
-from ..kernels import numba_kernels
 from .base import RHSBackend
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,25 +47,18 @@ class SparseBackend(RHSBackend):
                  threads: int | None = None) -> None:
         super().__init__(realized)
         self._rows, self._cols = self.model.topology.edge_list()
-        pot = self.model.potential
-        coeffs = pot.kernel_coefficients()
+        coeffs = self.model.potential.kernel_coefficients()
         self.kernel = kernels.resolve_kernel(
-            kernel, has_coefficients=coeffs is not None,
-            n_edges=self._rows.size)
+            kernel, has_coefficients=coeffs is not None)
         self.threads = kernels.resolve_threads(threads)
         self._coeffs = coeffs
-        self._tiled = None
         self._rows32 = self._cols32 = None
-        if self.kernel == "tiled":
-            self._tiled = kernels.TiledSingleCoupling(
-                self.model.topology, pot, self._vp_over_n)
-        elif self.kernel in ("cc", "numba"):
+        if self.kernel == "cc":
             self._rows32 = np.ascontiguousarray(self._rows, dtype=np.int32)
             self._cols32 = np.ascontiguousarray(self._cols, dtype=np.int32)
             # Distance rings (the paper's halo exchanges) additionally
-            # drop the gathers/scatters for contiguous shifted passes —
-            # both compiled kernels carry the specialisation; 2-D tori
-            # get the column-ring + per-row halo decomposition.
+            # drop the gathers/scatters for contiguous shifted passes;
+            # 2-D tori get the column-ring + per-row halo decomposition.
             self._ring_offsets = cc_kernels.ring_offsets(
                 self._rows, self._cols, self._n)
             self._torus_halo = None
@@ -78,18 +69,17 @@ class SparseBackend(RHSBackend):
     def _fused_coupling(self, theta: np.ndarray) -> np.ndarray:
         kind, p0, p1 = self._coeffs
         theta = np.ascontiguousarray(theta, dtype=float)
-        mod = cc_kernels if self.kernel == "cc" else numba_kernels
         if self._ring_offsets is not None:
-            return mod.ring_single(self._ring_offsets, theta,
-                                   np.empty(self._n), kind, p0, p1,
-                                   self._vp_over_n, threads=self.threads)
+            return cc_kernels.ring_single(
+                self._ring_offsets, theta, np.empty(self._n), kind, p0, p1,
+                self._vp_over_n, threads=self.threads)
         if self._torus_halo is not None:
-            return mod.torus_single(self._torus_halo, theta,
-                                    np.empty(self._n), kind, p0, p1,
-                                    self._vp_over_n, threads=self.threads)
-        return mod.fused_single(self._rows32, self._cols32, theta,
-                                np.empty(self._n), kind, p0, p1,
-                                self._vp_over_n, threads=self.threads)
+            return cc_kernels.torus_single(
+                self._torus_halo, theta, np.empty(self._n), kind, p0, p1,
+                self._vp_over_n, threads=self.threads)
+        return cc_kernels.fused_single(
+            self._rows32, self._cols32, theta, np.empty(self._n), kind,
+            p0, p1, self._vp_over_n, threads=self.threads)
 
     def coupling(self, t: float, theta: np.ndarray,
                  history: "HistoryBuffer | None" = None) -> np.ndarray:
@@ -98,11 +88,8 @@ class SparseBackend(RHSBackend):
             return np.zeros(self._n)
 
         delayed_path = self.realized.has_delays and history is not None
-        if not delayed_path:
-            if self._tiled is not None:
-                return self._tiled(theta)
-            if self._rows32 is not None:
-                return self._fused_coupling(theta)
+        if not delayed_path and self._rows32 is not None:
+            return self._fused_coupling(theta)
 
         d_edge = theta[cols] - theta[rows]             # (E,)
         if delayed_path:

@@ -323,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     model_p.add_argument("--kernel", default="auto",
                          choices=list(available_kernels()),
                          help="coupling-loop kernel for the edge-list "
-                              "backends (auto: fastest available of "
-                              "numba/cc/tiled/numpy)")
+                              "backends (auto: cc when a compiler works, "
+                              "else numpy)")
     model_p.add_argument("--threads", type=int, default=None,
                          help="in-kernel thread count for the compiled "
                               "kernels (default: POM_NUM_THREADS, else 1; "

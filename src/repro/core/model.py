@@ -91,8 +91,8 @@ class PhysicalOscillatorModel:
         (O(E) edge-list kernel).  See :mod:`repro.backends`.
     kernel:
         Coupling-loop kernel for the edge-list backends: ``"auto"``
-        (default — fastest available), ``"numpy"``, ``"tiled"``,
-        ``"numba"``, or ``"cc"``.  See :mod:`repro.kernels`.
+        (default — ``"cc"`` when it can run, else ``"numpy"``),
+        ``"numpy"``, or ``"cc"``.  See :mod:`repro.kernels`.
     """
 
     topology: Topology

@@ -77,14 +77,14 @@ class Potential(ABC):
     def kernel_coefficients(self) -> tuple[int, float, float] | None:
         """Coefficient triple ``(kind, p0, p1)`` for the fused kernels.
 
-        The compiled kernels (:mod:`repro.kernels`) evaluate the
+        The compiled kernel (:mod:`repro.kernels.cc`) evaluates the
         potential inline per edge block and cannot call back into
         Python, so each shipped family exposes its behaviour as a kind
         id plus up to two parameters (see
         :mod:`repro.kernels.coeffs` for the table).  The base
         implementation returns ``None``: potentials without a
         coefficient representation (e.g. :class:`CustomPotential`) keep
-        the NumPy/tiled paths, which go through ``__call__``.
+        the NumPy paths, which go through ``__call__``.
         """
         return None
 

@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from ..backends import (
-    BatchedBackend,
     HeteroBatchedBackend,
     frequency_from_period,
     make_batched_backend,
@@ -112,8 +111,8 @@ def simulate(
         ``"sparse"``); default: the model's own ``backend`` knob.
     kernel:
         Coupling-loop kernel override (``"auto"`` | ``"numpy"`` |
-        ``"tiled"`` | ``"numba"`` | ``"cc"``, see :mod:`repro.kernels`);
-        default: the model's own ``kernel`` knob.
+        ``"cc"``, see :mod:`repro.kernels`); default: the model's own
+        ``kernel`` knob.
     threads:
         In-kernel thread count for the compiled kernels (bit-identical
         for any value); default: ``POM_NUM_THREADS``, else 1.
@@ -325,8 +324,9 @@ def simulate_batched(
     """Integrate a whole seed ensemble as one ``(R, N)`` super-state.
 
     Realises the model once per seed, stacks the members, evaluates all
-    RHSs through the vectorised :class:`~repro.backends.BatchedBackend`,
-    and runs a *single* solver pass.  This amortises the per-step Python
+    RHSs through the vectorised
+    :class:`~repro.backends.HeteroBatchedBackend`, and runs a *single*
+    solver pass.  This amortises the per-step Python
     overhead over all members and replaces R small coupling kernels with
     one large one.  The members share one (adaptive) time mesh; every
     member individually satisfies the tolerances (per-member error norm,
@@ -348,7 +348,7 @@ def simulate_batched(
         per-seed runs bit for bit (at equal ``dt``).
     kernel:
         Coupling-loop kernel for the batched backend (``"auto"`` |
-        ``"numpy"`` | ``"tiled"`` | ``"numba"`` | ``"cc"``).
+        ``"numpy"`` | ``"cc"``).
     threads:
         In-kernel thread count for the compiled kernels (bit-identical
         for any value); default: ``POM_NUM_THREADS``, else 1.
@@ -369,9 +369,9 @@ def simulate_batched(
 
     members = [model.realize(t_end, rng=seed, backend=backend, kernel=kernel)
                for seed in seeds]
-    stacked = BatchedBackend(members, kernel=kernel
-                             if kernel is not None else model.kernel,
-                             threads=threads)
+    stacked = HeteroBatchedBackend(
+        members, kernel=kernel if kernel is not None else model.kernel,
+        threads=threads)
     theta0s = np.stack([
         (synchronized(model.n) if theta0_factory is None
          else np.asarray(theta0_factory(seed), dtype=float))

@@ -1,45 +1,36 @@
-"""Compiled and tiled coupling kernels for large-N topologies.
+"""Coupling kernels for large-N topologies.
 
 The RHS backends (:mod:`repro.backends`) delegate the hot coupling loop
 — gather partner phases over the edge list, evaluate the interaction
-potential, scatter-accumulate per row — to one of four interchangeable
+potential, scatter-accumulate per row — to one of two interchangeable
 *kernels*, selected by the ``kernel=`` knob threaded through
 ``make_backend`` / ``make_batched_backend``, ``simulate*``, and the CLI:
 
 ``"numpy"``
-    The PR-1/PR-2 vectorised edge-list path (one ``(R, E)`` round-trip
-    per evaluation).  Always available; the reference implementation.
-``"tiled"``
-    CSR-tiled NumPy (:mod:`repro.kernels.tiled`): the same arithmetic
-    blocked over row-aligned edge ranges so the scratch stays
-    cache-resident.  Works for *any* potential, including
-    ``CustomPotential``.
-``"numba"``
-    Numba-jitted fused kernel (:mod:`repro.kernels.numba_kernels`).
-    Requires the optional ``fast`` extra (``pip install -e .[fast]``)
-    and a potential family with kernel coefficients.
+    The vectorised edge-list path (one ``(R, E)`` round-trip per
+    evaluation).  Always available, works for any potential including
+    ``CustomPotential``; the reference implementation.
 ``"cc"``
     Fused kernel compiled on first use with the system C compiler and
-    loaded via ctypes (:mod:`repro.kernels.cc`).  Same requirements as
-    ``"numba"`` minus the Python package: any working ``cc`` will do.
+    loaded via ctypes (:mod:`repro.kernels.cc`).  Needs a working ``cc``
+    and a potential family with kernel coefficients.
 
-``"auto"`` resolves, in order: ``numba`` (when importable), ``cc`` (when
-a compiler is available) — both only if every potential in the batch
-exposes :meth:`~repro.core.potentials.Potential.kernel_coefficients` —
-then ``tiled`` for problems with at least ``TILED_AUTO_MIN_EDGES``
-edges, else ``numpy``.  Delayed (DDE) evaluations always use the NumPy
-edge-patching path regardless of the knob; the kernels cover the
-non-delayed fast path that dominates every paper workload.
+``"auto"`` resolves to ``cc`` when every potential in the batch exposes
+:meth:`~repro.core.potentials.Potential.kernel_coefficients` and a
+compiler works, else to ``numpy``.  Delayed (DDE) evaluations always
+use the NumPy edge-patching path regardless of the knob; the kernels
+cover the non-delayed fast path that dominates every paper workload.
 
 Orthogonal to the kernel choice, :func:`resolve_threads` resolves the
 in-kernel thread count (the ``threads=`` knob on the backends /
 ``simulate*`` / CLI, defaulting to the ``POM_NUM_THREADS`` environment
-variable): the compiled kernels split their work over disjoint output
-rows, bit-identical to the serial pass for any count.
+variable): the ``cc`` kernel splits its work over disjoint output rows,
+bit-identical to the serial pass for any count.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import warnings
 
@@ -53,23 +44,14 @@ from .coeffs import (
     eval_coefficients,
     family_coefficients,
 )
-from .numba_kernels import numba_available
-from .tiled import (
-    TiledBatchedCoupling,
-    TiledSingleCoupling,
-    TiledStackedCoupling,
-    TilePlan,
-)
 
 __all__ = [
     "KERNELS",
-    "TILED_AUTO_MIN_EDGES",
     "THREADS_ENV_VAR",
     "available_kernels",
     "normalize_kernel_name",
     "resolve_kernel",
     "resolve_threads",
-    "compiled_kernel_name",
     "cc_available",
     "openmp_available",
     "numba_available",
@@ -80,19 +62,10 @@ __all__ = [
     "KIND_KURAMOTO",
     "KIND_LINEAR",
     "KIND_NAMES",
-    "TilePlan",
-    "TiledSingleCoupling",
-    "TiledBatchedCoupling",
-    "TiledStackedCoupling",
 ]
 
 #: names accepted by the ``kernel=`` knobs
-KERNELS = ("auto", "numpy", "tiled", "numba", "cc")
-
-#: edge count from which "auto" prefers the tiled over the plain NumPy
-#: path when no compiled kernel is available (below it the single
-#: un-tiled round-trip is already cache-resident)
-TILED_AUTO_MIN_EDGES = 8192
+KERNELS = ("auto", "numpy", "cc")
 
 #: environment default for the in-kernel thread count; an explicit
 #: ``threads=`` knob always wins.  The sharded executor pins this to 1
@@ -107,9 +80,8 @@ def resolve_threads(threads: int | None = None) -> int:
     ``POM_NUM_THREADS`` environment variable, then 1 (serial).  Read at
     *call* time, never cached at import, so the executor's worker
     initializer can pin it after fork.  The count only steers wall
-    clock: the compiled kernels are bit-identical for any value, and
-    silently run serial when the binary lacks OpenMP (``cc``) or numba
-    is capped (``NUMBA_NUM_THREADS``).
+    clock: the ``cc`` kernel is bit-identical for any value, and
+    silently runs serial when its binary lacks OpenMP.
     """
     if threads is not None:
         t = int(threads)
@@ -152,20 +124,19 @@ def normalize_kernel_name(name: str | None) -> str:
     return key
 
 
-def compiled_kernel_name() -> str | None:
-    """The preferred available compiled kernel, or ``None``."""
-    if numba_available():
-        return "numba"
-    if cc_available():
-        return "cc"
-    return None
+def numba_available() -> bool:
+    """Whether numba is importable on this host.
+
+    A host fact for benchmark records only: no kernel uses numba.
+    """
+    return importlib.util.find_spec("numba") is not None
 
 
 _warned_coefficient_fallback = False
 
 
-def _warn_coefficient_fallback(fallback: str) -> None:
-    """One-time note that a compiled kernel was skipped for a potential
+def _warn_coefficient_fallback() -> None:
+    """One-time note that the compiled kernel was skipped for a potential
     without kernel coefficients (``CustomPotential``)."""
     global _warned_coefficient_fallback
     if _warned_coefficient_fallback:
@@ -173,16 +144,18 @@ def _warn_coefficient_fallback(fallback: str) -> None:
     _warned_coefficient_fallback = True
     warnings.warn(
         "a potential without kernel coefficients (e.g. CustomPotential) "
-        f'forced kernel "auto" onto the Python-potential "{fallback}" path '
-        f'although a compiled kernel ("{compiled_kernel_name()}") is '
-        "available; expect a serial slowdown — use a shipped potential "
-        "family (tanh/bottleneck/kuramoto/linear) for the fused kernels",
+        'forced kernel "auto" onto the Python-potential "numpy" path '
+        'although the compiled kernel ("cc") is available; expect a '
+        "serial slowdown — use a shipped potential family "
+        "(tanh/bottleneck/kuramoto/linear) for the fused kernel",
         RuntimeWarning,
         stacklevel=3,
     )
 
 
-def resolve_kernel(name: str | None, *, has_coefficients: bool, n_edges: int) -> str:
+def resolve_kernel(
+    name: str | None, *, has_coefficients: bool, n_edges: int | None = None
+) -> str:
     """Resolve a ``kernel=`` request to a concrete, runnable kernel.
 
     Parameters
@@ -191,53 +164,38 @@ def resolve_kernel(name: str | None, *, has_coefficients: bool, n_edges: int) ->
         The knob value (``None`` means ``"auto"``).
     has_coefficients:
         Whether every potential involved exposes kernel coefficients
-        (compiled kernels evaluate the potential inline and cannot call
-        back into Python).
+        (the compiled kernel evaluates the potential inline and cannot
+        call back into Python).
     n_edges:
-        Edge count of the topology — drives the tiled-vs-numpy choice.
+        Edge count of the topology.  Accepted from callers that pass it;
+        it does not affect the result.
 
-    ``"auto"`` falls back; explicit requests fail loudly when the kernel
+    ``"auto"`` falls back; an explicit ``"cc"`` fails loudly when it
     cannot run, so a benchmark or test never quietly measures the wrong
     code path.  The coefficient-less fallback (``CustomPotential``)
     warns once per process: a campaign silently running the Python-loop
-    potential instead of a compiled kernel is a large, otherwise
+    potential instead of the compiled kernel is a large, otherwise
     invisible slowdown.
     """
     key = normalize_kernel_name(name)
     if key == "auto":
+        if not cc_available():
+            return "numpy"
         if has_coefficients:
-            compiled = compiled_kernel_name()
-            if compiled is not None:
-                return compiled
-        fallback = "tiled" if n_edges >= TILED_AUTO_MIN_EDGES else "numpy"
-        if not has_coefficients and compiled_kernel_name() is not None:
-            _warn_coefficient_fallback(fallback)
-        return fallback
-    if key == "numba":
-        if not numba_available():
-            raise RuntimeError(
-                'kernel "numba" requested but numba is not installed; '
-                "install the fast extra (pip install -e .[fast]) or use "
-                'kernel="cc"/"tiled"/"auto"'
-            )
-        if not has_coefficients:
-            raise ValueError(
-                'kernel "numba" requires potentials with kernel '
-                "coefficients (the shipped tanh/bottleneck/kuramoto/"
-                "linear families); custom potentials need "
-                'kernel="tiled" or "numpy"'
-            )
+            return "cc"
+        _warn_coefficient_fallback()
+        return "numpy"
     if key == "cc":
         if not cc_available():
             raise RuntimeError(
                 'kernel "cc" requested but no working C compiler was '
-                'found; use kernel="numba"/"tiled"/"auto"'
+                'found; use kernel="numpy" or "auto"'
             )
         if not has_coefficients:
             raise ValueError(
                 'kernel "cc" requires potentials with kernel '
                 "coefficients (the shipped tanh/bottleneck/kuramoto/"
                 "linear families); custom potentials need "
-                'kernel="tiled" or "numpy"'
+                'kernel="numpy"'
             )
     return key

@@ -19,7 +19,7 @@ The shared library is built on first use with the system ``cc`` (honouring
 dir, then loaded via :mod:`ctypes` — no build-time dependency, no
 third-party package.  When no working compiler is available the module
 reports unavailability and the ``"auto"`` kernel resolution falls back to
-the tiled/NumPy paths.
+the NumPy path.
 
 Thread parallelism
 ------------------
@@ -527,11 +527,27 @@ def _cpu_tag() -> str:
     return platform.machine() + platform.system() + flags
 
 
+def _compiler_tag(compiler: str | None) -> str:
+    """Compiler identity for the cache key: the resolved binary and its
+    size and mtime, so switching ``$CC`` (or upgrading the compiler
+    behind a stable path) rebuilds the kernel.  Read from the file
+    system rather than from ``--version``: spawning the compiler on
+    every cache lookup would cost each importing process a child.
+    """
+    if compiler is None:
+        return ""
+    real = os.path.realpath(compiler)
+    try:
+        st = os.stat(real)
+    except OSError:
+        return real
+    return f"{real}:{st.st_size}:{st.st_mtime_ns}"
+
+
 def _cache_path() -> str | None:
-    digest = hashlib.sha1(
-        (_SOURCE + sys.version + np.__version__ + _cpu_tag()).encode()
-    )
-    tag = digest.hexdigest()[:16]
+    key = _SOURCE + sys.version + np.__version__ + _cpu_tag()
+    key += _compiler_tag(_compiler()) + repr(_FLAG_SETS)
+    tag = hashlib.sha1(key.encode()).hexdigest()[:16]
     uid = os.getuid() if hasattr(os, "getuid") else "u"
     d = os.path.join(tempfile.gettempdir(), f"pom-cc-kernel-{uid}-{tag}")
     # The directory sits in a world-writable location: create it private
@@ -615,7 +631,7 @@ def load_library() -> ctypes.CDLL | None:
     except Exception:
         # Any failure (no compiler, exotic platform, unloadable binary)
         # must degrade to "cc unavailable" so the auto resolution falls
-        # back to the tiled/NumPy kernels instead of crashing simulate().
+        # back to the NumPy kernel instead of crashing simulate().
         _lib_failed = True
         return None
     return _lib

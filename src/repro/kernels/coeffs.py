@@ -1,8 +1,8 @@
 """Vectorisable potential coefficients for the fused kernels.
 
-The compiled kernels (:mod:`repro.kernels.cc`, :mod:`repro.kernels.numba_kernels`)
-evaluate the interaction potential *inline* per edge block, so they cannot
-call back into an arbitrary Python :class:`~repro.core.potentials.Potential`.
+The compiled kernel (:mod:`repro.kernels.cc`) evaluates the interaction
+potential *inline* per edge block, so it cannot call back into an
+arbitrary Python :class:`~repro.core.potentials.Potential`.
 Instead, every shipped potential family exposes its behaviour as a
 ``(kind, p0, p1)`` coefficient triple via
 :meth:`~repro.core.potentials.Potential.kernel_coefficients` (the compiled
@@ -23,7 +23,7 @@ the NumPy paths, which go through the Python callable (per potential
 group for heterogeneous batches).
 
 :func:`eval_coefficients` is the NumPy reference semantics of the inline
-evaluation; the kernel-equivalence tests pin the compiled kernels against
+evaluation; the kernel-equivalence tests pin the compiled kernel against
 it, and against the original ``Potential.__call__``.
 """
 

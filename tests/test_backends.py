@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.backends import (
     SPARSE_DENSITY_THRESHOLD,
-    BatchedBackend,
     DenseBackend,
+    HeteroBatchedBackend,
     auto_backend_name,
     available_backends,
     make_backend,
@@ -85,7 +85,7 @@ class TestSparseMatchesDense:
                            local_noise=GaussianJitter(std=0.02, refresh=0.5))
         seeds = range(5)
         members = [model.realize(10.0, rng=s) for s in seeds]
-        stacked = BatchedBackend(members)
+        stacked = HeteroBatchedBackend(members)
         thetas = np.random.default_rng(1).normal(0.0, 2.0,
                                                  (len(members), model.n))
         got = stacked.rhs(1.3, thetas)
@@ -124,7 +124,7 @@ class TestDelayedPathEquivalence:
                                lo=0.0, hi=0.3, refresh=1.0))
         seeds = (0, 1, 2)
         members = [model.realize(10.0, rng=s) for s in seeds]
-        stacked = BatchedBackend(members)
+        stacked = HeteroBatchedBackend(members)
         assert stacked.has_delays
 
         rng = np.random.default_rng(4)
@@ -248,54 +248,20 @@ class TestTopologyViews:
 class TestBatchedBackendValidation:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            BatchedBackend([])
+            HeteroBatchedBackend([])
 
     def test_mismatched_n_rejected(self):
         a = make_model(ring(8, (1, -1)), TanhPotential()).realize(5.0, rng=0)
         b = make_model(ring(10, (1, -1)), TanhPotential()).realize(5.0, rng=0)
         with pytest.raises(ValueError, match="disagree on N"):
-            BatchedBackend([a, b])
-
-    def test_mismatched_period_rejected(self):
-        a = make_model(ring(8, (1, -1)), TanhPotential(),
-                       v_p_override=2.0).realize(5.0, rng=0)
-        b = make_model(ring(8, (1, -1)), TanhPotential(), t_comp=0.5,
-                       v_p_override=2.0).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="period"):
-            BatchedBackend([a, b])
-
-    def test_mismatched_topology_rejected(self):
-        a = make_model(ring(8, (1, -1)), TanhPotential(),
-                       v_p_override=2.0).realize(5.0, rng=0)
-        b = make_model(chain(8, (1, -1)), TanhPotential(),
-                       v_p_override=2.0).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="topology"):
-            BatchedBackend([a, b])
-
-    def test_mismatched_potential_rejected(self):
-        a = make_model(ring(8, (1, -1)), TanhPotential()).realize(5.0, rng=0)
-        b = make_model(ring(8, (1, -1)),
-                       BottleneckPotential(sigma=1.0)).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="potential"):
-            BatchedBackend([a, b])
-
-    def test_mismatched_delay_schedule_rejected(self):
-        # intrinsic_frequency broadcasts member 0's schedule, so a
-        # member without the delay must not batch silently.
-        a = make_model(ring(8, (1, -1)), TanhPotential(),
-                       delays=(OneOffDelay(rank=2, t_start=1.0,
-                                           delay=2.0),)).realize(5.0, rng=0)
-        b = make_model(ring(8, (1, -1)),
-                       TanhPotential()).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="delay schedule"):
-            BatchedBackend([a, b])
+            HeteroBatchedBackend([a, b])
 
     def test_shared_delay_schedule_accepted_and_applied(self):
         model = make_model(ring(8, (1, -1)), TanhPotential(),
                            delays=(OneOffDelay(rank=2, t_start=1.0,
                                                delay=2.0),))
         members = [model.realize(5.0, rng=s) for s in range(3)]
-        stacked = BatchedBackend(members)
+        stacked = HeteroBatchedBackend(members)
         freq = stacked.intrinsic_frequency(1.5)    # inside the stall
         assert np.all(freq[:, 2] == 0.0)
         assert np.all(freq[:, [0, 1, 3]] > 0.0)
@@ -304,14 +270,14 @@ class TestBatchedBackendValidation:
         # Two separately-constructed but identical models batch fine.
         a = make_model(ring(8, (1, -1)), TanhPotential()).realize(5.0, rng=0)
         b = make_model(ring(8, (1, -1)), TanhPotential()).realize(5.0, rng=1)
-        assert BatchedBackend([a, b]).n_members == 2
+        assert HeteroBatchedBackend([a, b]).n_members == 2
 
     def test_single_state_backend_compiles_lazily(self):
         # The batched path stacks many realisations and never touches
         # their single-state backends — they must not be compiled.
         model = make_model(ring(8, (1, -1)), TanhPotential())
         members = [model.realize(5.0, rng=s) for s in range(3)]
-        BatchedBackend(members)
+        HeteroBatchedBackend(members)
         assert all(m._backend is None for m in members)
         members[0].rhs(0.0, np.zeros(8))   # first use compiles
         assert members[0]._backend is not None
@@ -320,7 +286,7 @@ class TestBatchedBackendValidation:
         model = make_model(ring(8, (1, -1)), TanhPotential(),
                            local_noise=GaussianJitter(std=0.01, refresh=0.5))
         members = [model.realize(5.0, rng=s) for s in range(3)]
-        stacked = BatchedBackend(members)
+        stacked = HeteroBatchedBackend(members)
         assert stacked._zeta_stack is not None
         got = stacked.intrinsic_frequency(1.3)
         ref = np.stack([m.intrinsic_frequency(1.3) for m in members])

@@ -1,20 +1,22 @@
-"""Kernel-equivalence suite: numpy vs tiled vs compiled coupling kernels.
+"""Kernel-equivalence suite: the numpy reference vs the compiled cc kernel.
 
-Every selectable kernel must produce the same coupling term (to ~1e-12)
-as the reference NumPy edge-list path, on ring/torus/random topologies,
-for the single-state, homogeneous-batched, and heterogeneous-batched
-backends — including the ``CustomPotential`` per-group fallback that the
-coefficient-based compiled kernels cannot express.
+The ``cc`` kernel must produce the same coupling term (to ~1e-12) as the
+reference NumPy edge-list path, on ring/torus/random topologies, for the
+single-state, homogeneous-batched, and heterogeneous-batched backends —
+including the ``CustomPotential`` per-group fallback that the
+coefficient-based compiled kernel cannot express.
 """
 
 from __future__ import annotations
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro import kernels
 from repro.backends import (
-    BatchedBackend,
     HeteroBatchedBackend,
     make_backend,
     make_batched_backend,
@@ -39,14 +41,11 @@ from repro.kernels.coeffs import eval_coefficients, family_coefficients
 
 needs_cc = pytest.mark.skipif(not kernels.cc_available(),
                               reason="no working C compiler")
-needs_numba = pytest.mark.skipif(not kernels.numba_available(),
-                                 reason="numba not installed")
+
 
 def _kernel_params():
-    params = [pytest.param("numpy", id="numpy"), pytest.param("tiled", id="tiled")]
-    params.append(pytest.param("cc", id="cc", marks=needs_cc))
-    params.append(pytest.param("numba", id="numba", marks=needs_numba))
-    return params
+    return [pytest.param("numpy", id="numpy"),
+            pytest.param("cc", id="cc", marks=needs_cc)]
 
 
 TOPOLOGIES = [
@@ -75,46 +74,40 @@ def _model(topo, pot, **kw):
 # ----------------------------------------------------------------------
 class TestResolution:
     def test_available_names(self):
-        assert kernels.available_kernels() == (
-            "auto", "numpy", "tiled", "numba", "cc")
+        assert kernels.available_kernels() == ("auto", "numpy", "cc")
 
     def test_unknown_kernel_rejected_everywhere(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernels.normalize_kernel_name("fortran")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            _model(ring(8), TanhPotential(), kernel="fortran")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            simulate(_model(ring(8), TanhPotential()), 1.0, kernel="fortran")
+        # "tiled" and "numba" were removed kernels; specs naming them
+        # must fail with the same pointed error as any unknown name.
+        listing = "available: auto, numpy, cc"
+        for name in ("fortran", "tiled", "numba"):
+            with pytest.raises(ValueError, match=listing):
+                kernels.normalize_kernel_name(name)
+            with pytest.raises(ValueError, match=listing):
+                _model(ring(8), TanhPotential(), kernel=name)
+            with pytest.raises(ValueError, match=listing):
+                simulate(_model(ring(8), TanhPotential()), 1.0, kernel=name)
 
     def test_auto_prefers_compiled_with_coefficients(self):
         resolved = kernels.resolve_kernel(
             "auto", has_coefficients=True, n_edges=16)
-        if kernels.numba_available():
-            assert resolved == "numba"
-        elif kernels.cc_available():
-            assert resolved == "cc"
-        else:
-            assert resolved == "numpy"
+        assert resolved == ("cc" if kernels.cc_available() else "numpy")
 
     def test_auto_custom_potential_falls_back(self):
-        small = kernels.resolve_kernel(
-            "auto", has_coefficients=False, n_edges=16)
-        large = kernels.resolve_kernel(
-            "auto", has_coefficients=False,
-            n_edges=kernels.TILED_AUTO_MIN_EDGES)
-        assert small == "numpy"
-        assert large == "tiled"
+        # n_edges is accepted but no longer steers the resolution
+        for n_edges in (16, 1 << 20):
+            assert kernels.resolve_kernel(
+                "auto", has_coefficients=False, n_edges=n_edges) == "numpy"
 
     def test_explicit_compiled_without_coefficients_raises(self):
-        for name in ("cc", "numba"):
-            with pytest.raises((ValueError, RuntimeError)):
-                kernels.resolve_kernel(name, has_coefficients=False,
-                                       n_edges=16)
+        with pytest.raises((ValueError, RuntimeError)):
+            kernels.resolve_kernel("cc", has_coefficients=False,
+                                   n_edges=16)
 
     def test_dense_backend_rejects_explicit_kernel(self):
         realized = _model(ring(16), TanhPotential()).realize(1.0, rng=0)
         with pytest.raises(ValueError, match="does not support"):
-            make_backend(realized, "dense", kernel="tiled")
+            make_backend(realized, "dense", kernel="numpy")
         # "auto" composes with every backend
         make_backend(realized, "dense", kernel="auto")
 
@@ -122,18 +115,18 @@ class TestResolution:
         # ring(6) is dense by the density rule; an explicit kernel is a
         # request for the edge-list path and must not crash on it.
         model = _model(ring(6), TanhPotential())
-        realized = model.realize(1.0, rng=0, kernel="tiled")
+        realized = model.realize(1.0, rng=0, kernel="numpy")
         assert realized.backend.name == "sparse"
-        assert realized.backend.kernel == "tiled"
+        assert realized.backend.kernel == "numpy"
         # without a kernel request, density still picks dense
         assert model.realize(1.0, rng=0).backend.name == "dense"
 
     def test_model_field_and_describe(self):
-        model = _model(ring(16), TanhPotential(), kernel="tiled")
-        assert model.describe()["kernel"] == "tiled"
+        model = _model(ring(16), TanhPotential(), kernel="numpy")
+        assert model.describe()["kernel"] == "numpy"
         backend = model.realize(1.0, rng=0, backend="sparse").backend
-        assert backend.kernel == "tiled"
-        assert backend.describe()["kernel"] == "tiled"
+        assert backend.kernel == "numpy"
+        assert backend.describe()["kernel"] == "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +179,7 @@ class TestSingleEquivalence:
         theta = np.random.default_rng(2).normal(0.0, 1.0, 64)
         ref = make_backend(model.realize(5.0, rng=0), "sparse",
                            kernel="numpy").coupling(0.0, theta)
-        if kernel in ("cc", "numba"):
+        if kernel == "cc":
             with pytest.raises(ValueError, match="kernel coefficients"):
                 make_backend(model.realize(5.0, rng=0), "sparse",
                              kernel=kernel)
@@ -213,7 +206,8 @@ class TestBatchedEquivalence:
         thetas = np.random.default_rng(3).normal(0.0, 1.0, (5, topo.n))
         ref = np.stack([m.coupling_term(0.0, thetas[i])
                         for i, m in enumerate(members)])
-        out = BatchedBackend(members, kernel=kernel).coupling(0.0, thetas)
+        out = HeteroBatchedBackend(members, kernel=kernel).coupling(
+            0.0, thetas)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("kernel", _kernel_params())
@@ -232,7 +226,7 @@ class TestBatchedEquivalence:
         np.testing.assert_allclose(backend.coupling(0.0, thetas), ref,
                                    rtol=1e-12, atol=1e-13)
 
-    @pytest.mark.parametrize("kernel", ["auto", "numpy", "tiled"])
+    @pytest.mark.parametrize("kernel", ["auto", "numpy"])
     def test_hetero_custom_potential_fallback(self, kernel):
         """CustomPotential groups (no Potential.stack, no coefficients)."""
         topo = ring(48, (1, -1))
@@ -245,7 +239,7 @@ class TestBatchedEquivalence:
         ref = np.stack([m.coupling_term(0.0, thetas[i])
                         for i, m in enumerate(members)])
         backend = HeteroBatchedBackend(members, kernel=kernel)
-        assert backend.kernel in ("numpy", "tiled")
+        assert backend.kernel == "numpy"
         np.testing.assert_allclose(backend.coupling(0.0, thetas), ref,
                                    rtol=1e-12, atol=1e-13)
 
@@ -253,51 +247,23 @@ class TestBatchedEquivalence:
         topo = ring(48, (1, -1))
         members = [_model(topo, CustomPotential(np.sin, "sin")).realize(
             5.0, rng=0)]
-        for name in ("cc", "numba"):
-            with pytest.raises((ValueError, RuntimeError)):
-                HeteroBatchedBackend(members, kernel=name)
+        with pytest.raises((ValueError, RuntimeError)):
+            HeteroBatchedBackend(members, kernel="cc")
 
     def test_subset_propagates_kernel(self):
         topo = ring(48, (1, -1))
         members = [_model(topo, TanhPotential()).realize(5.0, rng=s)
                    for s in range(4)]
-        backend = HeteroBatchedBackend(members, kernel="tiled")
+        backend = HeteroBatchedBackend(members, kernel="numpy")
         sub = backend.subset([1, 3])
-        assert sub.kernel == "tiled"
+        assert sub.kernel == "numpy"
 
     def test_make_batched_backend_kernel_knob(self):
         topo = ring(48, (1, -1))
         members = [_model(topo, TanhPotential()).realize(5.0, rng=s)
                    for s in range(3)]
-        backend = make_batched_backend(members, kernel="tiled")
-        assert backend.kernel == "tiled"
-
-
-# ----------------------------------------------------------------------
-# tile plan
-# ----------------------------------------------------------------------
-class TestTilePlan:
-    @pytest.mark.parametrize("block_edges", [1, 3, 7, 64, 10_000])
-    def test_blocks_cover_all_edges_row_aligned(self, block_edges):
-        topo = random_topology(40, 0.15, rng=np.random.default_rng(9))
-        indptr, _ = topo.csr()
-        rows, _ = topo.edge_list()
-        plan = kernels.TilePlan(indptr, rows, topo.n, block_edges)
-        covered_edges = 0
-        prev_r1 = 0
-        for e0, e1, r0, r1, local in plan.blocks:
-            assert r0 == prev_r1          # contiguous row coverage
-            assert (e0, e1) == (int(indptr[r0]), int(indptr[r1]))
-            assert local.min() >= 0 and local.max() < r1 - r0
-            covered_edges += e1 - e0
-            prev_r1 = r1
-        assert covered_edges == topo.n_edges
-
-    def test_invalid_block_size(self):
-        topo = ring(16)
-        indptr, _ = topo.csr()
-        with pytest.raises(ValueError):
-            kernels.TilePlan(indptr, topo.edge_list()[0], topo.n, 0)
+        backend = make_batched_backend(members, kernel="numpy")
+        assert backend.kernel == "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +285,44 @@ class TestRingOffsets:
                                      rng=np.random.default_rng(1))):
             rows, cols = topo.edge_list()
             assert cc_kernels.ring_offsets(rows, cols, topo.n) is None
+
+
+# ----------------------------------------------------------------------
+# cc build cache key
+# ----------------------------------------------------------------------
+class TestBuildCache:
+    @pytest.fixture(autouse=True)
+    def _private_tempdir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "cache"))
+        (tmp_path / "cache").mkdir()
+
+    @staticmethod
+    def _fake_compiler(path, banner):
+        path.write_text(f"#!/bin/sh\necho '{banner}'\n")
+        path.chmod(0o755)
+        return str(path)
+
+    def test_compiler_changes_cache_path(self, tmp_path, monkeypatch):
+        paths = []
+        for name in ("cc-a", "cc-b"):
+            exe = self._fake_compiler(tmp_path / name, "cc 1.0")
+            monkeypatch.setattr(cc_kernels, "_compiler", lambda exe=exe: exe)
+            paths.append(cc_kernels._cache_path())
+        assert paths[0] != paths[1]
+
+    def test_replaced_compiler_changes_cache_path(self, tmp_path, monkeypatch):
+        paths = []
+        for mtime, banner in ((1_000_000, "cc 1.0"), (2_000_000, "cc 10.0")):
+            exe = self._fake_compiler(tmp_path / "cc", banner)
+            os.utime(exe, (mtime, mtime))
+            monkeypatch.setattr(cc_kernels, "_compiler", lambda exe=exe: exe)
+            paths.append(cc_kernels._cache_path())
+        assert paths[0] != paths[1]
+
+    def test_flag_sets_change_cache_path(self, monkeypatch):
+        before = cc_kernels._cache_path()
+        monkeypatch.setattr(cc_kernels, "_FLAG_SETS", ((["-O1", "-fPIC"], []),))
+        assert cc_kernels._cache_path() != before
 
 
 # ----------------------------------------------------------------------
@@ -402,18 +406,18 @@ class TestEndToEnd:
         captured = {}
         orig = sim_mod.make_batched_backend
 
-        def spy(members, name="auto", kernel="auto", threads=None):
+        def spy(members, kernel="auto", threads=None):
             captured["kernel"] = kernel
-            return orig(members, name, kernel=kernel, threads=threads)
+            return orig(members, kernel=kernel, threads=threads)
 
         monkeypatch.setattr(sim_mod, "make_batched_backend", spy)
         topo = ring(24)
-        models = [_model(topo, TanhPotential(), kernel="tiled")
+        models = [_model(topo, TanhPotential(), kernel="numpy")
                   for _ in range(3)]
         simulate_grid(models, 5.0, method="rk4")
-        assert captured["kernel"] == "tiled"
+        assert captured["kernel"] == "numpy"
         # disagreeing fields fall back to auto
-        models[1] = _model(topo, TanhPotential(), kernel="numpy")
+        models[1] = _model(topo, TanhPotential(), kernel="auto")
         simulate_grid(models, 5.0, method="rk4")
         assert captured["kernel"] == "auto"
 
@@ -421,9 +425,9 @@ class TestEndToEnd:
         from repro.cli import main
 
         assert main(["model", "--n", "16", "--t-end", "5",
-                     "--kernel", "tiled", "--view", "summary"]) == 0
+                     "--kernel", "numpy", "--view", "summary"]) == 0
         out = capsys.readouterr().out
-        assert "kernel=tiled" in out
+        assert "kernel=numpy" in out
 
     def test_cli_kernel_auto_reports_resolved(self, capsys):
         from repro.cli import main
@@ -432,80 +436,3 @@ class TestEndToEnd:
                      "--view", "summary"]) == 0
         out = capsys.readouterr().out
         assert "kernel=" in out
-
-
-# ----------------------------------------------------------------------
-# ring specialisation (numba kernel — port of the cc fast path)
-# ----------------------------------------------------------------------
-@needs_numba
-class TestNumbaRing:
-    def test_backend_dispatches_ring_path(self):
-        from repro.backends.sparse import SparseBackend
-
-        realized = _model(ring(48, (1, -1)), TanhPotential()).realize(
-            5.0, rng=0)
-        backend = make_backend(realized, "sparse", kernel="numba")
-        assert isinstance(backend, SparseBackend)
-        assert backend._ring_offsets is not None
-
-        # non-ring topologies keep the generic fused path
-        realized = _model(chain(48, (1, -1)), TanhPotential()).realize(
-            5.0, rng=0)
-        backend = make_backend(realized, "sparse", kernel="numba")
-        assert backend._ring_offsets is None
-
-    def test_hetero_dispatches_ring_path(self):
-        topo = ring(48, (1, -1, -2))
-        members = [_model(topo, BottleneckPotential(0.6 * (i + 1))).realize(
-            5.0, rng=0) for i in range(3)]
-        backend = HeteroBatchedBackend(members, kernel="numba")
-        assert backend._ring_offsets is not None
-
-    @pytest.mark.parametrize("make_pot", POTENTIALS)
-    @pytest.mark.parametrize("dists", [(1, -1), (1, -1, -2), (3, 5)])
-    def test_ring_single_matches_numpy(self, make_pot, dists):
-        from repro.kernels import numba_kernels
-
-        topo = ring(53, dists)
-        pot = make_pot()
-        rows, cols = topo.edge_list()
-        offs = cc_kernels.ring_offsets(rows, cols, topo.n)
-        assert offs is not None
-        kind, p0, p1 = pot.kernel_coefficients()
-        theta = np.random.default_rng(6).normal(0.0, 2.0, topo.n)
-        v = np.asarray(pot(theta[cols] - theta[rows]), dtype=float)
-        ref = 0.1 * np.bincount(rows, weights=v, minlength=topo.n)
-        out = numba_kernels.ring_single(offs, theta, np.empty(topo.n),
-                                        kind, p0, p1, 0.1)
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
-
-    def test_ring_batched_matches_single(self):
-        from repro.kernels import numba_kernels
-
-        topo = ring(40, (1, -1))
-        pots = [TanhPotential(0.7), BottleneckPotential(1.2),
-                LinearPotential(0.4)]
-        offs = cc_kernels.ring_offsets(*topo.edge_list(), topo.n)
-        coeffs = np.array([p.kernel_coefficients() for p in pots])
-        kinds = np.ascontiguousarray(coeffs[:, 0], dtype=np.int64)
-        p0 = np.ascontiguousarray(coeffs[:, 1])
-        p1 = np.ascontiguousarray(coeffs[:, 2])
-        vps = np.array([0.1, 0.2, 0.3])
-        thetas = np.random.default_rng(7).normal(0.0, 1.0, (3, 40))
-        out = numba_kernels.ring_batched(offs, thetas, np.empty((3, 40)),
-                                         kinds, p0, p1, vps)
-        for r, pot in enumerate(pots):
-            ref = numba_kernels.ring_single(
-                offs, np.ascontiguousarray(thetas[r]), np.empty(40),
-                int(kinds[r]), float(p0[r]), float(p1[r]), float(vps[r]))
-            np.testing.assert_array_equal(out[r], ref)
-
-    def test_simulate_end_to_end(self):
-        model = _model(ring(32, (1, -1)), BottleneckPotential(1.0),
-                       kernel="numba")
-        ref = simulate(model, 10.0, seed=0, kernel="numpy",
-                       backend="sparse")
-        out = simulate(model, 10.0, seed=0, kernel="numba",
-                       backend="sparse")
-        np.testing.assert_allclose(out.thetas, ref.thetas,
-                                   rtol=1e-9, atol=1e-10)

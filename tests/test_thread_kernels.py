@@ -1,11 +1,10 @@
 """Thread-parallel kernel suite: bit-equality with serial, knob plumbing.
 
 The PR-5 contract: the in-kernel thread count (``threads=`` /
-``POM_NUM_THREADS``) steers wall-clock only — every compiled kernel
-(``cc`` and numba, single and batched, generic edge-list / ring / torus
-paths) must produce *bit-identical* results for any thread count,
-because each thread accumulates disjoint output rows in the serial
-per-row order.  Also covers the 2-D torus halo detection feeding the
+``POM_NUM_THREADS``) steers wall-clock only — the compiled ``cc``
+kernel (single and batched, generic edge-list / ring / torus paths)
+must produce *bit-identical* results for any thread count, because each
+thread accumulates disjoint output rows in the serial per-row order.  Also covers the 2-D torus halo detection feeding the
 specialised compiled path and the one-time ``CustomPotential``
 compiled-kernel fallback warning.
 """
@@ -33,13 +32,7 @@ from repro.kernels import cc as cc_kernels
 
 needs_cc = pytest.mark.skipif(not kernels.cc_available(),
                               reason="no working C compiler")
-needs_numba = pytest.mark.skipif(not kernels.numba_available(),
-                                 reason="numba not installed")
-
-COMPILED = [
-    pytest.param("cc", marks=needs_cc),
-    pytest.param("numba", marks=needs_numba),
-]
+COMPILED = [pytest.param("cc", marks=needs_cc)]
 
 TOPOLOGIES = [
     pytest.param(lambda: ring(96, (1, -1)), id="ring"),
@@ -217,8 +210,7 @@ class TestCoefficientFallbackWarning:
     def _reset_once_flag(self, monkeypatch):
         monkeypatch.setattr(kernels, "_warned_coefficient_fallback", False)
 
-    @pytest.mark.skipif(kernels.compiled_kernel_name() is None,
-                        reason="no compiled kernel available")
+    @needs_cc
     def test_warns_once_per_process(self):
         pot = CustomPotential(np.sin, name="sin")
         with pytest.warns(RuntimeWarning, match="CustomPotential"):

@@ -170,7 +170,8 @@ def _mixed_members(kernel=None, potentials=None):
 
 
 class TestMixedBackendKernels:
-    @pytest.mark.parametrize("kernel", ["numpy", "tiled"])
+    @pytest.mark.parametrize(
+        "kernel", ["numpy", pytest.param("cc", marks=needs_cc)])
     def test_stacked_matches_per_member(self, kernel):
         members = _mixed_members()
         backend = HeteroBatchedBackend(members, kernel=kernel)
@@ -183,16 +184,6 @@ class TestMixedBackendKernels:
             ref = single.coupling(0.0, theta[r][None, :], None)[0]
             np.testing.assert_array_equal(out[r], ref,
                                           err_msg=f"{kernel} row {r}")
-
-    def test_numpy_and_tiled_agree(self):
-        members = _mixed_members()
-        rng = np.random.default_rng(4)
-        theta = rng.normal(0.0, 0.5, size=(len(members), 16))
-        a = HeteroBatchedBackend(members, kernel="numpy").coupling(
-            0.0, theta, None)
-        b = HeteroBatchedBackend(members, kernel="tiled").coupling(
-            0.0, theta, None)
-        np.testing.assert_array_equal(a, b)
 
     @needs_cc
     def test_compiled_falls_back_per_group_with_warning(self, monkeypatch):
