@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from statistics import median
@@ -257,6 +258,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
         },
         "rhs_ring": bench_rhs(rhs_n, repeats),
         "batched_rhs": bench_batched_rhs(rhs_n, 8, repeats),

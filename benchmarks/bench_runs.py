@@ -152,19 +152,20 @@ def bench_kernel_threads(n: int, iters: int, repeats: int,
     cols[1::2] = (np.arange(n) - 1) % n
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
-    offsets = cc_kernels.ring_offsets(rows, cols, n)
-    rows32 = rows.astype(np.int32)
-    cols32 = cols.astype(np.int32)
-    kind, p0, p1 = 1, 1.0, 0.0  # bottleneck, sigma=1
+    coeffs = (1, 1.0, 0.0)  # bottleneck, sigma=1
     vp = 0.5
+    ring_calls = {t: cc_kernels.bind(rows, cols, n, coeffs, vp, threads=t)
+                  for t in (1, threads)}
+    # the same ring through the general edge-list kernel
+    edge_calls = {t: cc_kernels.KernelCall(
+        "fused_single", (rows, cols, rows.size), (*coeffs, vp), (n,), t)
+        for t in (1, threads)}
 
     def ring(t):
-        return cc_kernels.ring_single(offsets, theta, np.empty(n),
-                                      kind, p0, p1, vp, threads=t)
+        return cc_kernels.ring_single(ring_calls[t], theta, np.empty(n))
 
     def edges(t):
-        return cc_kernels.fused_single(rows32, cols32, theta, np.empty(n),
-                                       kind, p0, p1, vp, threads=t)
+        return cc_kernels.fused_single(edge_calls[t], theta, np.empty(n))
 
     out = {"n": n, "iters": iters, "threads": threads}
     for name, fn in (("ring", ring), ("edges", edges)):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from statistics import median
@@ -216,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
         },
         "sweep_sigma": bench_sweep_sigma(sigma_points, 24, t_end, repeats),
         "sweep_beta_kappa": bench_sweep_beta_kappa(bk_points, 24, t_end,

@@ -70,6 +70,10 @@ class RHSBackend(ABC):
         self._n = model.n
         self._period = model.period
         self._vp_over_n = model.v_p / model.n
+        # One-slot intrinsic-frequency memo, ``(key, freq)`` in a single
+        # attribute so a concurrent reader never pairs one entry's key
+        # with another entry's array.
+        self._freq_memo: tuple | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -77,12 +81,31 @@ class RHSBackend(ABC):
         """Number of oscillators."""
         return self._n
 
+    def __getstate__(self) -> dict:
+        # A copied memo array would come back writable; rebuild it lazily.
+        state = self.__dict__.copy()
+        state["_freq_memo"] = None
+        return state
+
     def intrinsic_frequency(self, t: float) -> np.ndarray:
-        """Per-process frequency ``2*pi/(T + zeta_i(t) + delay terms)``."""
+        """Per-process frequency ``2*pi/(T + zeta_i(t) + delay terms)``.
+
+        zeta and the one-off delay schedule are piecewise constant, so
+        the result is memoised on (noise interval, active delays); the
+        expression is unchanged, so a memo hit returns the same bits as
+        a fresh evaluation.  The returned array is read-only.
+        """
         realized = self.realized
+        key = (realized.zeta.interval(t), realized.delay_schedule.active(t))
+        memo = self._freq_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
         denom = (self._period + realized.zeta(t)
                  + realized.delay_schedule(t, self._n))
-        return frequency_from_period(denom)
+        freq = frequency_from_period(denom)
+        freq.setflags(write=False)
+        self._freq_memo = (key, freq)
+        return freq
 
     @abstractmethod
     def coupling(self, t: float, theta: np.ndarray,

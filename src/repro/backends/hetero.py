@@ -180,6 +180,7 @@ class HeteroBatchedBackend:
         self._per_cols = [rc[1] for rc in per]
         self._edge_sizes = [int(r.size) for r in self._per_rows]
         self._total_edges = int(sum(self._edge_sizes))
+        self._zero_coupling = self._total_edges == 0 or not np.any(self._vps)
         self._zeta_stack = self._stack_zeta()
         self._has_delays = any(m.has_delays for m in self.members)
         # Delay schedules: broadcast one evaluation when all members
@@ -216,22 +217,19 @@ class HeteroBatchedBackend:
         self._threads_request = threads
         self.threads = kernels.resolve_threads(threads)
         self._subs = None
-        self._rows32 = self._cols32 = None
+        self._cc_call = None
         if mixed:
             self._setup_mixed()
-        elif self.kernel == "cc":
-            self._rows32 = np.ascontiguousarray(self._rows, dtype=np.int32)
-            self._cols32 = np.ascontiguousarray(self._cols, dtype=np.int32)
-            self._vps_flat = np.ascontiguousarray(self._vps.ravel())
-            # Distance rings (the paper's halo exchanges) additionally
-            # drop the gathers/scatters for contiguous shifted passes;
-            # 2-D tori get the column-ring + per-row halo decomposition.
-            self._ring_offsets = cc_kernels.ring_offsets(
-                self._rows, self._cols, self._n)
-            self._torus_halo = None
-            if self._ring_offsets is None:
-                self._torus_halo = cc_kernels.torus_halo(
-                    self._rows, self._cols, self._n)
+        elif self.kernel == "cc" and not self._zero_coupling:
+            # Static kernel arguments bound once (distance rings and 2-D
+            # tori get their specialised kernels, see cc.bind).
+            self._cc_call = cc_kernels.bind(
+                self._rows, self._cols, self._n, self._coeffs,
+                self._vps.ravel(), members=self._r, threads=self.threads)
+        # One-slot intrinsic-frequency memo, ``(key, freq)`` in a single
+        # attribute so a concurrent reader never pairs one entry's key
+        # with another entry's array.
+        self._freq_memo: tuple | None = None
         # Preallocated (R, E) scratch for the non-delayed numpy kernel.
         if self.kernel == "numpy" and not mixed:
             e = self._rows.size
@@ -338,19 +336,47 @@ class HeteroBatchedBackend:
             return self._scheds[0](t, self._n)[None, :]
         return np.stack([s(t, self._n) for s in self._scheds])
 
+    def _active_delays(self, t: float) -> tuple:
+        """The one-off delays active at ``t`` (the schedule half of the
+        frequency memo key)."""
+        if self._sched_empty:
+            return ()
+        if self._sched_shared:
+            return self._scheds[0].active(t)
+        return tuple(s.active(t) for s in self._scheds)
+
+    def __getstate__(self) -> dict:
+        # A copied memo array would come back writable; rebuild it lazily.
+        state = self.__dict__.copy()
+        state["_freq_memo"] = None
+        return state
+
     def intrinsic_frequency(self, t: float) -> np.ndarray:
-        """Stacked per-process frequencies, shape ``(R, N)``."""
+        """Stacked per-process frequencies, shape ``(R, N)``.
+
+        Memoised on (noise interval, active one-off delays), the only
+        inputs that vary with ``t``; a memo hit returns the same bits as
+        a fresh evaluation.  The returned array is read-only.
+        """
         if self._zeta_stack is not None:
-            k = int(np.floor((t - self.members[0].zeta.t0)
-                             / self.members[0].zeta.dt))
-            k = min(max(k, 0), self._zeta_stack.shape[0] - 1)
+            k = self.members[0].zeta.interval(t)
+        else:
+            k = tuple(m.zeta.interval(t) for m in self.members)
+        key = (k, self._active_delays(t))
+        memo = self._freq_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        if self._zeta_stack is not None:
             zeta = self._zeta_stack[k]                       # (R, N)
         else:
             zeta = np.stack([m.zeta(t) for m in self.members])
         denom = self._periods + zeta
         if not self._sched_empty:
             denom = denom + self._delay_zeta(t)
-        return frequency_from_period(denom)
+        freq = frequency_from_period(denom)
+        freq.setflags(write=False)
+        self._freq_memo = (key, freq)
+        return freq
 
     def _edge_potential(self, d_edge: np.ndarray) -> np.ndarray:
         """Evaluate each member's potential on its ``(E,)`` edge row.
@@ -371,10 +397,17 @@ class HeteroBatchedBackend:
     def coupling(self, t: float, theta: np.ndarray,
                  history: "HistoryBuffer | None" = None) -> np.ndarray:
         """Stacked interaction terms for the super-state ``theta (R, N)``."""
-        if self._total_edges == 0 or not np.any(self._vps):
+        if self._zero_coupling:
             return np.zeros((self._r, self._n))
 
-        if not self.has_delays or history is None:
+        if not self._has_delays or history is None:
+            call = self._cc_call
+            if call is not None:
+                # Looked up on the module at call time, by the entry the
+                # call was bound for (ring_batched, torus_batched, ...).
+                return getattr(cc_kernels, call.entry)(
+                    call, np.ascontiguousarray(theta, dtype=float),
+                    np.empty((self._r, self._n)))
             if self._subs is not None:
                 # Mixed topologies under a compiled kernel: one compiled
                 # sub-backend per topology group, rows scattered back.
@@ -382,23 +415,6 @@ class HeteroBatchedBackend:
                 for sel, sub in self._subs:
                     out[sel] = sub.coupling(t, theta[sel], None)
                 return out
-            if self._rows32 is not None:
-                kinds, p0, p1 = self._coeffs
-                theta = np.ascontiguousarray(theta, dtype=float)
-                if self._ring_offsets is not None:
-                    return cc_kernels.ring_batched(
-                        self._ring_offsets, theta,
-                        np.empty((self._r, self._n)), kinds, p0, p1,
-                        self._vps_flat, threads=self.threads)
-                if self._torus_halo is not None:
-                    return cc_kernels.torus_batched(
-                        self._torus_halo, theta,
-                        np.empty((self._r, self._n)), kinds, p0, p1,
-                        self._vps_flat, threads=self.threads)
-                return cc_kernels.fused_batched(
-                    self._rows32, self._cols32, theta,
-                    np.empty((self._r, self._n)), kinds, p0, p1,
-                    self._vps_flat, threads=self.threads)
             if self._mixed:
                 # Padded stacked path: gather per-member edges from the
                 # flattened (R*N,) super-state, one family-vectorised
@@ -476,11 +492,17 @@ class HeteroBatchedBackend:
         if self.has_delays:
             raise ValueError("batch has interaction delays; EM is ODE-only")
 
+        if self._sched_empty:
+            # Constant without a delay schedule: evaluate it once.
+            freq = frequency_from_period(self._periods)
+
+            def drift(t: float, theta: np.ndarray) -> np.ndarray:
+                return freq + self.coupling(t, theta, None)
+
+            return drift
+
         def drift(t: float, theta: np.ndarray) -> np.ndarray:
-            if self._sched_empty:
-                denom = self._periods
-            else:
-                denom = self._periods + self._delay_zeta(t)
+            denom = self._periods + self._delay_zeta(t)
             return frequency_from_period(denom) + self.coupling(t, theta, None)
 
         return drift

@@ -51,35 +51,13 @@ class SparseBackend(RHSBackend):
         self.kernel = kernels.resolve_kernel(
             kernel, has_coefficients=coeffs is not None)
         self.threads = kernels.resolve_threads(threads)
-        self._coeffs = coeffs
-        self._rows32 = self._cols32 = None
-        if self.kernel == "cc":
-            self._rows32 = np.ascontiguousarray(self._rows, dtype=np.int32)
-            self._cols32 = np.ascontiguousarray(self._cols, dtype=np.int32)
-            # Distance rings (the paper's halo exchanges) additionally
-            # drop the gathers/scatters for contiguous shifted passes;
-            # 2-D tori get the column-ring + per-row halo decomposition.
-            self._ring_offsets = cc_kernels.ring_offsets(
-                self._rows, self._cols, self._n)
-            self._torus_halo = None
-            if self._ring_offsets is None:
-                self._torus_halo = cc_kernels.torus_halo(
-                    self._rows, self._cols, self._n)
-
-    def _fused_coupling(self, theta: np.ndarray) -> np.ndarray:
-        kind, p0, p1 = self._coeffs
-        theta = np.ascontiguousarray(theta, dtype=float)
-        if self._ring_offsets is not None:
-            return cc_kernels.ring_single(
-                self._ring_offsets, theta, np.empty(self._n), kind, p0, p1,
-                self._vp_over_n, threads=self.threads)
-        if self._torus_halo is not None:
-            return cc_kernels.torus_single(
-                self._torus_halo, theta, np.empty(self._n), kind, p0, p1,
-                self._vp_over_n, threads=self.threads)
-        return cc_kernels.fused_single(
-            self._rows32, self._cols32, theta, np.empty(self._n), kind,
-            p0, p1, self._vp_over_n, threads=self.threads)
+        self._cc_call = None
+        if self.kernel == "cc" and self._vp_over_n != 0.0 and self._rows.size:
+            # Static kernel arguments bound once (distance rings and 2-D
+            # tori get their specialised kernels, see cc.bind).
+            self._cc_call = cc_kernels.bind(
+                self._rows, self._cols, self._n, coeffs, self._vp_over_n,
+                threads=self.threads)
 
     def coupling(self, t: float, theta: np.ndarray,
                  history: "HistoryBuffer | None" = None) -> np.ndarray:
@@ -88,8 +66,13 @@ class SparseBackend(RHSBackend):
             return np.zeros(self._n)
 
         delayed_path = self.realized.has_delays and history is not None
-        if not delayed_path and self._rows32 is not None:
-            return self._fused_coupling(theta)
+        call = self._cc_call
+        if not delayed_path and call is not None:
+            # Looked up on the module at call time, by the entry the
+            # call was bound for (ring_single, torus_single, ...).
+            return getattr(cc_kernels, call.entry)(
+                call, np.ascontiguousarray(theta, dtype=float),
+                np.empty(self._n))
 
         d_edge = theta[cols] - theta[rows]             # (E,)
         if delayed_path:

@@ -24,6 +24,7 @@ during the window).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -86,11 +87,18 @@ class ZetaProcess:
         """Number of processes."""
         return int(self.values.shape[1])
 
+    def interval(self, t: float) -> int:
+        """Index of the (clamped) refresh interval that holds ``t``.
+
+        Two times with the same index see the same noise vector, which
+        is what the backends' intrinsic-frequency memo keys on.
+        """
+        k = math.floor((t - self.t0) / self.dt)
+        return min(max(k, 0), self.values.shape[0] - 1)
+
     def __call__(self, t: float) -> np.ndarray:
         """Noise vector at time ``t`` (shape ``(n,)``)."""
-        k = int(np.floor((t - self.t0) / self.dt))
-        k = min(max(k, 0), self.values.shape[0] - 1)
-        return self.values[k]
+        return self.values[self.interval(t)]
 
     def max_abs(self) -> float:
         """Largest |zeta| of the realisation (for stability checks)."""
@@ -337,6 +345,17 @@ class DelaySchedule:
         self.delays = tuple(delays)
         self.period = float(period)
         self._extras = [d.zeta_extra(period) for d in self.delays]
+
+    def active(self, t: float) -> tuple[int, ...]:
+        """Indices of the delays whose window holds ``t``.
+
+        The schedule's value at ``t`` is a function of this set alone,
+        so it keys the backends' intrinsic-frequency memo.
+        """
+        if not self.delays:
+            return ()
+        return tuple(i for i, d in enumerate(self.delays)
+                     if d.t_start <= t < d.t_end)
 
     def __call__(self, t: float, n: int) -> np.ndarray:
         """Additional zeta vector at time ``t`` for ``n`` processes."""

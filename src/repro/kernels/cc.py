@@ -38,6 +38,15 @@ builder metadata): distance rings (:func:`ring_offsets`) replace the
 gather/scatter with contiguous shifted passes, and 2-D tori
 (:func:`torus_halo`) decompose into column ring passes plus per-row halo
 passes — both unit-stride, both row-partitionable.
+
+Prebound calls
+--------------
+A backend evaluates the coupling thousands of times per solve with the
+same topology, coefficients and thread count, so :func:`bind` resolves
+all of those once into a :class:`KernelCall` (raw addresses and plain
+ints, the kernel's static arguments).  Each evaluation through
+:func:`fused_batched` and its siblings then resolves only ``theta``,
+``out`` and the calling thread's scratch.
 """
 
 from __future__ import annotations
@@ -58,6 +67,8 @@ __all__ = [
     "cc_available",
     "openmp_available",
     "load_library",
+    "KernelCall",
+    "bind",
     "ring_offsets",
     "torus_halo",
     "fused_single",
@@ -589,17 +600,17 @@ def _build(path: str) -> bool:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    i32p = ctypes.POINTER(ctypes.c_int32)
+    # Pointers are declared void* and passed as plain address ints: the
+    # typed POINTER(...) casts cost more than the small kernels do.
+    ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    i64p = ctypes.POINTER(ctypes.c_int64)
     f64 = ctypes.c_double
-    f64p = ctypes.POINTER(ctypes.c_double)
-    edge = [i32p, i32p, i64, f64p, f64p]
-    ring = [i64p, i64, f64p, f64p]
-    torus = [i64p, i64, i64p, i64, i64, f64p, f64p]
+    edge = [ptr, ptr, i64, ptr, ptr]
+    ring = [ptr, i64, ptr, ptr]
+    torus = [ptr, i64, ptr, i64, i64, ptr, ptr]
     single = [i64, i64, f64, f64, f64]
-    batched = [i64, i64, i64p, f64p, f64p, f64p]
-    scratch = [f64p, f64p, i64, i64]
+    batched = [i64, i64, ptr, ptr, ptr, ptr]
+    scratch = [ptr, ptr, i64, i64]
     lib.pom_openmp_available.restype = i64
     lib.pom_openmp_available.argtypes = []
     lib.pom_fused_single.restype = None
@@ -654,18 +665,6 @@ def openmp_available() -> bool:
     return bool(lib is not None and lib.pom_openmp_available())
 
 
-def _f64p(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-
-def _i32p(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
-
-
-def _i64p(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-
-
 def _aligned_empty(n: int) -> np.ndarray:
     """A float64 scratch array on a 64-byte boundary.
 
@@ -694,6 +693,8 @@ class _Scratch:
         self.threads = threads
         self.sd = _aligned_empty(threads * BLOCK_EDGES)
         self.sv = _aligned_empty(threads * BLOCK_EDGES)
+        self.sd_addr = self.sd.ctypes.data
+        self.sv_addr = self.sv.ctypes.data
 
 
 _tls = threading.local()
@@ -781,215 +782,193 @@ def torus_halo(
     )
 
 
-def fused_single(
-    rows32: np.ndarray,
-    cols32: np.ndarray,
-    theta: np.ndarray,
-    out: np.ndarray,
-    kind: int,
-    p0: float,
-    p1: float,
-    vp_over_n: float,
-    threads: int = 1,
-) -> np.ndarray:
-    """Coupling term for one contiguous ``(N,)`` state into ``out``."""
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    lib.pom_fused_single(
-        _i32p(rows32),
-        _i32p(cols32),
-        ctypes.c_int64(rows32.size),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(theta.size),
-        ctypes.c_int64(kind),
-        ctypes.c_double(p0),
-        ctypes.c_double(p1),
-        ctypes.c_double(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
-    )
-    return out
+class KernelCall:
+    """One backend's coupling-kernel call with its static arguments bound.
 
+    Holds the arrays behind every address it carries (topology, the
+    per-member coefficients and coupling strengths), so the addresses
+    stay valid for as long as the call lives.  Pickling or copying a
+    call re-derives the addresses from the copied arrays, so a raw
+    address never outlives its buffer.
 
-def fused_batched(
-    rows32: np.ndarray,
-    cols32: np.ndarray,
-    theta: np.ndarray,
-    out: np.ndarray,
-    kinds: np.ndarray,
-    p0: np.ndarray,
-    p1: np.ndarray,
-    vp_over_n: np.ndarray,
-    threads: int = 1,
-) -> np.ndarray:
-    """Coupling terms for a contiguous ``(R, N)`` super-state into ``out``."""
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    r, n = theta.shape
-    lib.pom_fused_batched(
-        _i32p(rows32),
-        _i32p(cols32),
-        ctypes.c_int64(rows32.size),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(r),
-        ctypes.c_int64(n),
-        _i64p(kinds),
-        _f64p(p0),
-        _f64p(p1),
-        _f64p(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
-    )
-    return out
-
-
-def ring_single(
-    offsets: np.ndarray,
-    theta: np.ndarray,
-    out: np.ndarray,
-    kind: int,
-    p0: float,
-    p1: float,
-    vp_over_n: float,
-    threads: int = 1,
-) -> np.ndarray:
-    """Distance-ring coupling for one ``(N,)`` state into ``out``."""
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    lib.pom_fused_ring_single(
-        _i64p(offsets),
-        ctypes.c_int64(offsets.size),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(theta.size),
-        ctypes.c_int64(kind),
-        ctypes.c_double(p0),
-        ctypes.c_double(p1),
-        ctypes.c_double(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
-    )
-    return out
-
-
-def ring_batched(
-    offsets: np.ndarray,
-    theta: np.ndarray,
-    out: np.ndarray,
-    kinds: np.ndarray,
-    p0: np.ndarray,
-    p1: np.ndarray,
-    vp_over_n: np.ndarray,
-    threads: int = 1,
-) -> np.ndarray:
-    """Distance-ring coupling for an ``(R, N)`` super-state into ``out``."""
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    r, n = theta.shape
-    lib.pom_fused_ring_batched(
-        _i64p(offsets),
-        ctypes.c_int64(offsets.size),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(r),
-        ctypes.c_int64(n),
-        _i64p(kinds),
-        _f64p(p0),
-        _f64p(p1),
-        _f64p(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
-    )
-    return out
-
-
-def torus_single(
-    halo: tuple[int, np.ndarray, np.ndarray],
-    theta: np.ndarray,
-    out: np.ndarray,
-    kind: int,
-    p0: float,
-    p1: float,
-    vp_over_n: float,
-    threads: int = 1,
-) -> np.ndarray:
-    """2-D torus halo coupling for one ``(N,)`` state into ``out``.
-
-    ``halo`` is the ``(w, col_offsets, row_dxs)`` decomposition from
-    :func:`torus_halo`.
+    Parameters
+    ----------
+    entry:
+        Module function that runs it: ``"fused_single"``,
+        ``"fused_batched"``, ``"ring_single"``, ``"ring_batched"``,
+        ``"torus_single"`` or ``"torus_batched"``.
+    static:
+        The kernel's leading topology arguments in C order: ``(rows32,
+        cols32, n_edges)``, ``(offsets, n_offsets)`` or ``(col_offsets,
+        n_col, row_dxs, n_dx, w)``; arrays are passed by address.
+    coeffs:
+        ``(kind, p0, p1, vp_over_n)``: scalars for a single state,
+        length-R arrays for a batch.
+    shape:
+        State shape, ``(N,)`` or ``(R, N)``.
+    threads:
+        Requested OpenMP team size (clamped to 1 without OpenMP).
     """
-    w, col_offsets, row_dxs = halo
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    lib.pom_fused_torus_single(
-        _i64p(col_offsets),
-        ctypes.c_int64(col_offsets.size),
-        _i64p(row_dxs),
-        ctypes.c_int64(row_dxs.size),
-        ctypes.c_int64(w),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(theta.size),
-        ctypes.c_int64(kind),
-        ctypes.c_double(p0),
-        ctypes.c_double(p1),
-        ctypes.c_double(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
-    )
-    return out
+
+    def __init__(
+        self,
+        entry: str,
+        static: tuple,
+        coeffs: tuple,
+        shape: tuple[int, ...],
+        threads: int = 1,
+    ) -> None:
+        if entry not in _ENTRY_SYMBOLS:
+            raise ValueError(f"unknown kernel entry {entry!r}")
+        if (len(shape) == 2) != entry.endswith("_batched"):
+            raise ValueError(f"shape {shape} does not fit entry {entry!r}")
+        self.entry = entry
+        index = _INDEX_DTYPES[entry.split("_")[0]]
+        self.static = tuple(
+            int(a) if np.isscalar(a) else np.ascontiguousarray(a, dtype=index)
+            for a in static
+        )
+        kind, p0, p1, vp = coeffs
+        if len(shape) == 2:
+            self.coeffs = (
+                np.ascontiguousarray(kind, dtype=np.int64),
+                np.ascontiguousarray(p0, dtype=np.float64),
+                np.ascontiguousarray(p1, dtype=np.float64),
+                np.ascontiguousarray(vp, dtype=np.float64),
+            )
+            if any(c.shape != (shape[0],) for c in self.coeffs):
+                raise ValueError("batched coefficients must have length R")
+        else:
+            self.coeffs = (int(kind), float(p0), float(p1), float(vp))
+        self.shape = tuple(int(x) for x in shape)
+        self.threads = _clamp_threads(threads)
+        self._resolve()
+
+    def _resolve(self) -> None:
+        lib = load_library()
+        if lib is None:
+            raise RuntimeError("the cc kernel is unavailable")
+        self._fn = getattr(lib, _ENTRY_SYMBOLS[self.entry])
+        self._head = tuple(_address(a) for a in self.static)
+        self._mid = self.shape + tuple(_address(c) for c in self.coeffs)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for derived in ("_fn", "_head", "_mid"):
+            del state[derived]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._resolve()
 
 
-def torus_batched(
-    halo: tuple[int, np.ndarray, np.ndarray],
-    theta: np.ndarray,
-    out: np.ndarray,
-    kinds: np.ndarray,
-    p0: np.ndarray,
-    p1: np.ndarray,
-    vp_over_n: np.ndarray,
+#: C element type of the index arrays of each layout's static arguments
+_INDEX_DTYPES = {"fused": np.int32, "ring": np.int64, "torus": np.int64}
+
+#: module function name -> exported C symbol
+_ENTRY_SYMBOLS = {
+    "fused_single": "pom_fused_single",
+    "fused_batched": "pom_fused_batched",
+    "ring_single": "pom_fused_ring_single",
+    "ring_batched": "pom_fused_ring_batched",
+    "torus_single": "pom_fused_torus_single",
+    "torus_batched": "pom_fused_torus_batched",
+}
+
+
+def _address(a):
+    """An array's data address; any other argument passes through."""
+    return a.ctypes.data if isinstance(a, np.ndarray) else a
+
+
+def bind(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    n: int,
+    coeffs: tuple,
+    vp_over_n,
+    members: int | None = None,
     threads: int = 1,
-) -> np.ndarray:
-    """2-D torus halo coupling for an ``(R, N)`` super-state into ``out``."""
-    w, col_offsets, row_dxs = halo
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    r, n = theta.shape
-    lib.pom_fused_torus_batched(
-        _i64p(col_offsets),
-        ctypes.c_int64(col_offsets.size),
-        _i64p(row_dxs),
-        ctypes.c_int64(row_dxs.size),
-        ctypes.c_int64(w),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(r),
-        ctypes.c_int64(n),
-        _i64p(kinds),
-        _f64p(p0),
-        _f64p(p1),
-        _f64p(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
+) -> KernelCall:
+    """The fastest :class:`KernelCall` for one edge list.
+
+    Distance rings get the ring kernel, 2-D tori the torus kernel, and
+    anything else the general edge-list kernel.  ``coeffs`` is the
+    ``(kind, p0, p1)`` triple: length-R arrays when ``members`` is the
+    batch size R, scalars for a single state.
+    """
+    offsets = ring_offsets(rows, cols, n)
+    halo = torus_halo(rows, cols, n) if offsets is None else None
+    if offsets is not None:
+        layout, static = "ring", (offsets, offsets.size)
+    elif halo is not None:
+        w, col_offsets, row_dxs = halo
+        layout = "torus"
+        static = (col_offsets, col_offsets.size, row_dxs, row_dxs.size, w)
+    else:
+        layout, static = "fused", (rows, cols, rows.size)
+    coeffs = (*coeffs, vp_over_n)
+    if members is None:
+        return KernelCall(f"{layout}_single", static, coeffs, (n,), threads)
+    return KernelCall(f"{layout}_batched", static, coeffs, (members, n), threads)
+
+
+_F64 = np.dtype(np.float64)
+
+
+def _fits(a: np.ndarray, shape: tuple[int, ...]) -> bool:
+    return a.shape == shape and a.dtype == _F64 and a.flags.c_contiguous
+
+
+def _run(call: KernelCall, entry: str, theta: np.ndarray, out: np.ndarray):
+    """Run ``call`` on contiguous float64 ``theta`` into ``out``."""
+    if call.entry != entry:
+        raise ValueError(f"{entry} got a call bound for {call.entry}")
+    if not (_fits(theta, call.shape) and _fits(out, call.shape)):
+        raise ValueError(
+            "states must be C-contiguous float64 arrays of the bound shape "
+            f"{call.shape}, got {theta.shape} -> {out.shape}"
+        )
+    scratch = _scratch_buffers(call.threads)
+    call._fn(
+        *call._head,
+        theta.ctypes.data,
+        out.ctypes.data,
+        *call._mid,
+        scratch.sd_addr,
+        scratch.sv_addr,
+        BLOCK_EDGES,
+        call.threads,
     )
     return out
+
+
+def fused_single(call: KernelCall, theta: np.ndarray, out: np.ndarray):
+    """Coupling term for one contiguous ``(N,)`` state into ``out``."""
+    return _run(call, "fused_single", theta, out)
+
+
+def fused_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
+    """Coupling terms for a contiguous ``(R, N)`` super-state into ``out``."""
+    return _run(call, "fused_batched", theta, out)
+
+
+def ring_single(call: KernelCall, theta: np.ndarray, out: np.ndarray):
+    """Distance-ring coupling for one ``(N,)`` state into ``out``."""
+    return _run(call, "ring_single", theta, out)
+
+
+def ring_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
+    """Distance-ring coupling for an ``(R, N)`` super-state into ``out``."""
+    return _run(call, "ring_batched", theta, out)
+
+
+def torus_single(call: KernelCall, theta: np.ndarray, out: np.ndarray):
+    """2-D torus halo coupling for one ``(N,)`` state into ``out``."""
+    return _run(call, "torus_single", theta, out)
+
+
+def torus_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
+    """2-D torus halo coupling for an ``(R, N)`` super-state into ``out``."""
+    return _run(call, "torus_batched", theta, out)

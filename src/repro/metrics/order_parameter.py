@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .streaming import mean_cos_sin
+
 __all__ = [
     "order_parameter",
     "order_parameter_series",
@@ -35,8 +37,7 @@ def order_parameter(theta: np.ndarray) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] == 0:
         raise ValueError("theta must be a non-empty 1-D array")
-    z = np.exp(1j * theta).mean()
-    return float(np.abs(z))
+    return float(np.hypot(*mean_cos_sin(theta)))
 
 
 def mean_phase(theta: np.ndarray) -> float:
@@ -44,8 +45,8 @@ def mean_phase(theta: np.ndarray) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] == 0:
         raise ValueError("theta must be a non-empty 1-D array")
-    z = np.exp(1j * theta).mean()
-    return float(np.angle(z))
+    c, s = mean_cos_sin(theta)
+    return float(np.arctan2(s, c))
 
 
 def order_parameter_series(thetas: np.ndarray) -> np.ndarray:
@@ -63,8 +64,7 @@ def order_parameter_series(thetas: np.ndarray) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:
         raise ValueError("thetas must be 2-D (n_t, n)")
-    z = np.exp(1j * thetas).mean(axis=1)
-    return np.abs(z)
+    return np.hypot(*mean_cos_sin(thetas))
 
 
 def splay_order_parameter(n: int, gap: float) -> float:

@@ -293,6 +293,41 @@ class TestBatchedBackendValidation:
         np.testing.assert_allclose(got, ref, **TIGHT)
 
 
+#: refresh-interval crossings (refresh 0.5), entering and leaving the
+#: stall window [1.2, 2.8) inside one refresh interval, the noise
+#: horizon, and backward steps (dopri rejections)
+MEMO_TIMES = (0.0, 0.2, 0.49, 0.5, 0.51, 1.0, 1.1, 1.3, 2.6, 2.75, 2.85,
+              2.7, 1.25, 1.15, 0.1, 9.99, 12.0, 2.0)
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+class TestSingleFrequencyMemo:
+    def realize(self, backend):
+        model = make_model(ring(10, (1, -1)), TanhPotential(),
+                           local_noise=GaussianJitter(std=0.05, refresh=0.5),
+                           delays=(OneOffDelay(rank=4, t_start=1.2,
+                                               delay=1.6),))
+        return model, model.realize(10.0, rng=2, backend=backend)
+
+    def test_bits_equal_fresh_evaluation(self, backend):
+        from repro.backends import frequency_from_period
+        model, realized = self.realize(backend)
+        for t in MEMO_TIMES:
+            ref = frequency_from_period(model.period + realized.zeta(t)
+                                        + realized.delay_schedule(t, model.n))
+            np.testing.assert_array_equal(
+                realized.backend.intrinsic_frequency(t), ref,
+                err_msg=f"t={t}")
+
+    def test_returned_array_is_read_only(self, backend):
+        _, realized = self.realize(backend)
+        freq = realized.backend.intrinsic_frequency(1.5)
+        assert freq[4] == 0.0                       # inside the stall
+        with pytest.raises(ValueError, match="read-only"):
+            freq[4] = 1.0
+        assert realized.backend.intrinsic_frequency(1.5)[4] == 0.0
+
+
 class TestShapeAgnosticIntegration:
     def test_error_norm_reduces_per_member(self):
         from repro.integrate import error_norm

@@ -199,3 +199,137 @@ class TestBatchedBackendFactory:
     def test_empty_members_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             make_batched_backend([])
+
+
+#: times that cross refresh-interval boundaries (refresh 0.5), enter and
+#: leave the stall windows [1.2, 2.7) and [2.1, 2.6) inside one refresh
+#: interval, run past the noise horizon, and step backwards the way
+#: dopri rejections and subset() re-steps do
+MEMO_TIMES = (0.0, 0.1, 0.49, 0.5, 0.51, 0.99, 1.0, 1.1, 1.2, 1.3, 1.7,
+              2.0, 2.05, 2.1, 2.2, 2.55, 2.6, 2.65, 2.7, 2.75, 2.62, 2.58,
+              1.25, 1.15, 0.3, 9.99, 12.0, 2.1, 0.0)
+
+
+def memo_members(stack_zeta: bool, shared_schedule: bool):
+    """Jittered members with one-off delays on a shared ring."""
+    topo = ring(12, (1, -1))
+    stall = (OneOffDelay(rank=3, t_start=1.2, delay=1.5),
+             OneOffDelay(rank=5, t_start=2.1, delay=0.25, window=0.5))
+    models = []
+    for i in range(3):
+        refresh = 0.5 if stack_zeta or i == 0 else 0.3 + 0.1 * i
+        delays = stall if shared_schedule or i == 1 else ()
+        models.append(make_model(
+            topology=topo, t_comp=0.9 + 0.05 * i, delays=delays,
+            local_noise=GaussianJitter(std=0.05, refresh=refresh)))
+    return models, [m.realize(10.0, rng=i) for i, m in enumerate(models)]
+
+
+def fresh_frequency(models, members, t):
+    """``2*pi/(T + zeta + schedule)`` per member, evaluated from scratch."""
+    from repro.backends import frequency_from_period
+    return np.stack([
+        frequency_from_period(mod.period + m.zeta(t)
+                              + m.delay_schedule(t, mod.n))
+        for mod, m in zip(models, members)])
+
+
+class TestFrequencyMemo:
+    @pytest.mark.parametrize("stack_zeta", [True, False],
+                             ids=["stacked-zeta", "per-member-zeta"])
+    @pytest.mark.parametrize("shared_schedule", [True, False],
+                             ids=["shared-schedule", "per-member-schedule"])
+    def test_bits_equal_fresh_evaluation(self, stack_zeta, shared_schedule):
+        models, members = memo_members(stack_zeta, shared_schedule)
+        stacked = HeteroBatchedBackend(members)
+        assert (stacked._zeta_stack is not None) == stack_zeta
+        for t in MEMO_TIMES:
+            np.testing.assert_array_equal(
+                stacked.intrinsic_frequency(t),
+                fresh_frequency(models, members, t), err_msg=f"t={t}")
+
+    def test_stall_window_entered_and_left(self):
+        _, members = memo_members(True, True)
+        stacked = HeteroBatchedBackend(members)
+        # 1.1/1.3 and 2.6/2.8 share a refresh interval each.
+        assert np.all(stacked.intrinsic_frequency(1.1)[:, 3] > 0.0)
+        assert np.all(stacked.intrinsic_frequency(1.3)[:, 3] == 0.0)
+        assert np.all(stacked.intrinsic_frequency(2.6)[:, 3] == 0.0)
+        assert np.all(stacked.intrinsic_frequency(2.8)[:, 3] > 0.0)
+        assert np.all(stacked.intrinsic_frequency(1.3)[:, 3] == 0.0)
+
+    def test_repeat_call_hits_the_memo(self):
+        _, members = memo_members(True, True)
+        stacked = HeteroBatchedBackend(members)
+        a = stacked.intrinsic_frequency(1.05)
+        assert stacked.intrinsic_frequency(1.15) is a      # same interval
+        assert stacked.intrinsic_frequency(1.25) is not a  # stall begins
+
+    def test_returned_array_is_read_only(self):
+        _, members = memo_members(True, False)
+        stacked = HeteroBatchedBackend(members)
+        freq = stacked.intrinsic_frequency(0.7)
+        assert not freq.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            freq[0, 0] = 1.0
+
+    def test_subset_re_steps_see_fresh_bits(self):
+        models, members = memo_members(False, False)
+        stacked = HeteroBatchedBackend(members)
+        sub = stacked.subset((2, 0))
+        for t in MEMO_TIMES:
+            stacked.intrinsic_frequency(t)
+            np.testing.assert_array_equal(
+                sub.intrinsic_frequency(t),
+                fresh_frequency([models[2], models[0]],
+                                [members[2], members[0]], t))
+
+    def test_copies_keep_bits_and_read_only_result(self):
+        import copy
+        import pickle
+        models, members = memo_members(True, False)
+        stacked = HeteroBatchedBackend(members)
+        stacked.intrinsic_frequency(1.5)
+        for clone in (copy.deepcopy(stacked),
+                      pickle.loads(pickle.dumps(stacked))):
+            freq = clone.intrinsic_frequency(1.5)
+            assert not freq.flags.writeable
+            np.testing.assert_array_equal(
+                freq, fresh_frequency(models, members, 1.5))
+
+    def test_dopri_solve_matches_unmemoised_rhs(self):
+        from repro.integrate import solve_dopri45
+        models, members = memo_members(True, True)
+        stacked = HeteroBatchedBackend(members)
+        y0 = np.random.default_rng(4).normal(0.0, 0.5, (3, 12))
+
+        def fresh_rhs(t, y):
+            return (fresh_frequency(models, members, t)
+                    + stacked.coupling(t, y, None))
+
+        args = dict(rtol=1e-8, atol=1e-10, dense_output=False)
+        got = solve_dopri45(stacked.make_ode_rhs(), (0.0, 4.0), y0, **args)
+        ref = solve_dopri45(fresh_rhs, (0.0, 4.0), y0, **args)
+        assert got.stats.n_rejected > 0   # the mesh stepped backwards
+        np.testing.assert_array_equal(got.ts, ref.ts)
+        np.testing.assert_array_equal(got.ys, ref.ys)
+
+    @pytest.mark.parametrize("with_delays", [True, False])
+    def test_em_drift_bits_unchanged(self, with_delays):
+        from repro.backends import frequency_from_period
+        models, members = memo_members(True, with_delays)
+        if not with_delays:
+            models, members = models[:1] + models[2:], members[:1] + members[2:]
+        stacked = HeteroBatchedBackend(members)
+        drift = stacked.make_em_drift()
+        thetas = np.random.default_rng(6).normal(
+            0.0, 1.0, (len(members), models[0].n))
+        for t in MEMO_TIMES:
+            ref = np.stack([
+                frequency_from_period(mod.period
+                                      + m.delay_schedule(t, mod.n))
+                if with_delays else frequency_from_period(
+                    np.array([mod.period]))
+                for mod, m in zip(models, members)])
+            ref = ref + stacked.coupling(t, thetas, None)
+            np.testing.assert_array_equal(drift(t, thetas), ref)

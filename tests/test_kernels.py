@@ -290,6 +290,81 @@ class TestRingOffsets:
 # ----------------------------------------------------------------------
 # cc build cache key
 # ----------------------------------------------------------------------
+class TestPreboundCalls:
+    """Backends bind their static kernel arguments once, as raw addresses."""
+
+    @staticmethod
+    def _backends(topo):
+        single = make_backend(
+            _model(topo, BottleneckPotential(0.8)).realize(5.0, rng=0),
+            "sparse", kernel="cc")
+        batched = HeteroBatchedBackend(
+            [_model(topo, TanhPotential(1.3), v_p_override=1.0 + i)
+             .realize(5.0, rng=i) for i in range(3)], kernel="cc")
+        return single, batched
+
+    @needs_cc
+    @pytest.mark.parametrize("make_topo", TOPOLOGIES)
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_give_same_bits(self, make_topo, how):
+        import copy
+        import gc
+        import pickle
+
+        topo = make_topo()
+        rng = np.random.default_rng(8)
+        for backend in self._backends(topo):
+            shape = (3, topo.n) if backend.name == "hetero" else (topo.n,)
+            thetas = [rng.normal(0.0, 2.0, shape) for _ in range(3)]
+            ref = [backend.coupling(0.0, th) for th in thetas]
+            clone = (copy.deepcopy(backend) if how == "deepcopy"
+                     else pickle.loads(pickle.dumps(backend)))
+            # The clone's addresses point into its own arrays ...
+            call = clone._cc_call
+            assert call._head[0] == call.static[0].ctypes.data
+            assert call._head[0] != backend._cc_call._head[0]
+            # ... so it stays valid once the original's buffers are gone.
+            del backend
+            gc.collect()
+            for th, want in zip(thetas, ref):
+                np.testing.assert_array_equal(clone.coupling(0.0, th), want)
+
+    @needs_cc
+    def test_specialised_entries_are_bound(self):
+        entries = {name: self._backends(make_topo())
+                   for name, make_topo in (
+                       ("ring", lambda: ring(40, (1, -1))),
+                       ("torus", lambda: torus2d(6, 5)),
+                       ("fused", lambda: random_topology(
+                           30, 0.2, rng=np.random.default_rng(1))))}
+        for layout, (single, batched) in entries.items():
+            assert single._cc_call.entry == f"{layout}_single"
+            assert batched._cc_call.entry == f"{layout}_batched"
+
+    @needs_cc
+    def test_mismatched_call_rejected(self):
+        single, batched = self._backends(ring(40, (1, -1)))
+        theta = np.zeros((3, 40))
+        with pytest.raises(ValueError, match="bound for ring_batched"):
+            cc_kernels.fused_batched(batched._cc_call, theta,
+                                     np.empty_like(theta))
+        with pytest.raises(ValueError, match="bound shape"):
+            cc_kernels.ring_batched(batched._cc_call, theta[:2],
+                                    np.empty((2, 40)))
+        with pytest.raises(ValueError, match="bound shape"):
+            cc_kernels.ring_single(single._cc_call, np.zeros(41),
+                                   np.empty(41))
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            cc_kernels.ring_batched(batched._cc_call, theta.astype(np.float32),
+                                    np.empty_like(theta))
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            cc_kernels.ring_batched(batched._cc_call, np.zeros((40, 3)).T,
+                                    np.empty_like(theta))
+        with pytest.raises(ValueError, match="unknown kernel entry"):
+            cc_kernels.KernelCall("ring_stacked", (), (0, 1.0, 0.0, 1.0),
+                                  (40,))
+
+
 class TestBuildCache:
     @pytest.fixture(autouse=True)
     def _private_tempdir(self, tmp_path, monkeypatch):

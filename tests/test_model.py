@@ -123,6 +123,21 @@ class TestRHS:
         f2 = realized.intrinsic_frequency(3.3)
         np.testing.assert_array_equal(f1, f2)
 
+    def test_frequency_is_read_only_and_memoised(self):
+        m = make_model(local_noise=GaussianJitter(std=0.05, refresh=0.5))
+        realized = m.realize(10.0, rng=42)
+        f1 = realized.intrinsic_frequency(3.3)
+        assert not f1.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f1 += 1.0
+        # Same refresh interval: the memoised array itself.
+        assert realized.intrinsic_frequency(3.4) is f1
+        # Stepping back into an earlier interval and forward again
+        # re-evaluates to the same bits.
+        f0 = realized.intrinsic_frequency(0.2)
+        assert not np.array_equal(f0, f1)
+        np.testing.assert_array_equal(realized.intrinsic_frequency(3.3), f1)
+
     def test_same_seed_same_realization(self):
         m = make_model(local_noise=GaussianJitter(std=0.05, refresh=0.5))
         a = m.realize(10.0, rng=7).intrinsic_frequency(1.0)

@@ -260,12 +260,17 @@ class TestKilledWorkerResume:
         without outside help."""
         monkeypatch.setenv("POM_FAULTS", "kill:shard=1")
         monkeypatch.setenv("POM_FAULTS_STATE", str(tmp_path / "faults"))
-        res = run_spec(grid_spec(), jobs=2, shard_members=2,
+        # A replacement is spawned only while queued work outnumbers the
+        # live workers at the orchestrator's next poll (every 0.2 s), so
+        # the surviving worker's shards must take longer than that: ~0.2 s
+        # each on a 2-core host.
+        spec = grid_spec(t_end=24.0)
+        res = run_spec(spec, jobs=2, shard_members=2,
                        queue=tmp_path / "q.db",
                        lease_ttl=1.0, backoff=0.05)
         monkeypatch.delenv("POM_FAULTS")
         monkeypatch.delenv("POM_FAULTS_STATE")
-        ref = run_spec(grid_spec(), jobs=1, shard_members=2)
+        ref = run_spec(spec, jobs=1, shard_members=2)
         for a, b in zip(ref.members, res.members):
             np.testing.assert_array_equal(a.thetas, b.thetas)
         assert res.queue["spawned"] >= 3   # at least one respawn

@@ -150,6 +150,20 @@ class TestBitIdentity:
                     streamed, b.metrics[name],
                     err_msg=f"{method}/{name}: capture mode changed bits")
 
+    @pytest.mark.parametrize("method", ["rk4", "dopri"])
+    def test_order_parameter_series_equals_streamed(self, method):
+        # One order-parameter reduction: the post-hoc helper of
+        # repro.metrics.order_parameter reproduces the streamed bits.
+        from repro.metrics import order_parameter, order_parameter_series
+        spec = metric_spec(method=method, n=37, metrics=["order_parameter"],
+                           name=f"r-series-{method}")
+        run = run_plan(compile_plan(spec))
+        for m in run.members:
+            streamed = m.metrics["order_parameter"]
+            np.testing.assert_array_equal(
+                order_parameter_series(m.thetas), streamed)
+            assert order_parameter(m.thetas[-1]) == streamed[-1]
+
     def test_batched_vs_looped_shards(self):
         spec = metric_spec(trajectories="none", name="bits-shards")
         fused = run_plan(compile_plan(spec))

@@ -19,6 +19,7 @@ from repro.backends import make_backend, make_batched_backend
 from repro.core import (
     BottleneckPotential,
     CustomPotential,
+    GaussianJitter,
     KuramotoPotential,
     LinearPotential,
     PhysicalOscillatorModel,
@@ -185,6 +186,60 @@ class TestThreadInvariance:
         np.testing.assert_allclose(compiled.coupling(0.0, theta),
                                    reference.coupling(0.0, theta),
                                    rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("kernel", COMPILED)
+    def test_concurrent_python_threads_match_serial(self, kernel):
+        # ctypes releases the GIL during a kernel call, so Python threads
+        # run kernels at once: each needs its own scratch.  Two threads
+        # share each backend and step through different noise intervals,
+        # so they also race on its one-slot frequency memo.
+        import sys
+        import threading
+
+        def members(topo, pot):
+            return [_model(topo, pot, local_noise=GaussianJitter(
+                std=0.05, refresh=0.5)).realize(10.0, rng=i)
+                for i in range(2)]
+
+        backends = [
+            make_batched_backend(members(ring(2000, (1, -1, 3)),
+                                         TanhPotential()), kernel=kernel),
+            make_batched_backend(members(random_topology(
+                400, 0.05, rng=np.random.default_rng(3)),
+                BottleneckPotential(0.8)), kernel=kernel),
+        ]
+        rng = np.random.default_rng(23)
+        jobs = []   # (backend, [(t, theta, serial rhs)]) per thread
+        for k in range(4):
+            be = backends[k % 2]
+            cases = []
+            for _ in range(6):
+                t = float(rng.uniform(0.0, 10.0))
+                th = rng.uniform(-np.pi, np.pi, (2, be.n))
+                cases.append((t, th, be.rhs(t, th).copy()))
+            jobs.append((be, cases))
+        start = threading.Barrier(len(jobs))
+        mismatches = []
+
+        def worker(be, cases):
+            start.wait()
+            for _ in range(30):
+                for t, th, want in cases:
+                    if not np.array_equal(be.rhs(t, th), want):
+                        mismatches.append(t)
+
+        threads = [threading.Thread(target=worker, args=job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert mismatches == []
 
     @needs_cc
     def test_simulate_end_to_end_bits(self):
