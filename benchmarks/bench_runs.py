@@ -90,10 +90,10 @@ def bench_sharded_jobs(spec: ScenarioSpec, shard_members: int,
                        jobs: int, repeats: int) -> dict:
     """jobs=1 vs jobs=N wall-clock on the same shard decomposition.
 
-    Wall-clock is decomposed into in-worker solve time and (for the
-    shared-memory transport) measured result-transport time; the
-    remainder is pool/orchestration overhead.  Workers are pinned to
-    one in-kernel thread each (the executor default), recorded in the
+    Wall-clock is decomposed into in-worker solve time; the remainder
+    is pool/orchestration overhead, including the result pipe
+    (``transport`` reads ``"pickle"``).  Workers are pinned to one
+    in-kernel thread each (the executor default), recorded in the
     ``threads`` column.
     """
     plan = compile_plan(spec, shard_members=shard_members)
@@ -122,7 +122,6 @@ def bench_sharded_jobs(spec: ScenarioSpec, shard_members: int,
         f"jobs{jobs}_s": tn,
         "jobs1_solve_s": r1.solve_s,
         f"jobs{jobs}_solve_s": rn.solve_s,
-        f"jobs{jobs}_transport_s": rn.transport_s,
         f"speedup_jobs{jobs}_vs_jobs1": t1 / tn,
         "max_abs_diff_vs_jobs1": max_diff,
     }
@@ -463,8 +462,7 @@ def main(argv: list[str] | None = None) -> int:
           f"=> {s[f'speedup_jobs{jobs}_vs_jobs1']:.2f}x "
           f"(max |diff|: {s['max_abs_diff_vs_jobs1']:g}, "
           f"transport={s['transport']}, "
-          f"solve {s[f'jobs{jobs}_solve_s']:.2f} s + transport "
-          f"{s[f'jobs{jobs}_transport_s']:.3f} s)")
+          f"solve {s[f'jobs{jobs}_solve_s']:.2f} s)")
     k = result["kernel_threads"]
     if "skipped" in k:
         print(f"kernel threads: skipped ({k['skipped']})")

@@ -46,13 +46,11 @@ from .cache import (
     shard_key,
 )
 from .executor import (
-    TRANSPORTS,
     MemberResult,
     RunResult,
     collect_cached,
     drain_queue,
     execute_shard,
-    reclaim_stale_segments,
     run_plan,
     run_plan_queue,
     run_spec,
@@ -84,7 +82,6 @@ __all__ = [
     "RunResult",
     "ScenarioSpec",
     "Shard",
-    "TRANSPORTS",
     "WorkQueue",
     "collect_cached",
     "compile_plan",
@@ -97,7 +94,6 @@ __all__ = [
     "numerics_fingerprint",
     "parse_faults",
     "potential_from_spec",
-    "reclaim_stale_segments",
     "run_plan",
     "run_plan_queue",
     "run_spec",

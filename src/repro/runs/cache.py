@@ -191,8 +191,8 @@ class ResultCache:
         """Persist a solved shard (atomic; safe against kills).
 
         Stores every ndarray value of ``data`` under its key plus the
-        ``seconds`` wall-clock; transient non-array entries (transport
-        timings, worker diagnostics) are dropped.
+        ``seconds`` wall-clock; transient non-array entries (worker
+        diagnostics such as ``worker_omp``) are dropped.
         """
         arrays = {k: v for k, v in data.items()
                   if isinstance(v, np.ndarray)}

@@ -17,22 +17,15 @@ Runs a compiled :class:`~repro.runs.plan.Plan`:
 3. **assembly** — member results are ordered by their global member
    index, independent of shard completion order.
 
-Two executor properties make the sharding actually pay (PR 5):
-
-* **worker thread pinning** — pool workers start through an initializer
-  that pins ``OMP_NUM_THREADS`` / the BLAS thread knobs / the kernels'
-  own ``POM_NUM_THREADS`` to the per-shard ``threads`` count (default
-  1), so ``jobs x threads`` never oversubscribes the machine.  The
-  compiled kernels read ``POM_NUM_THREADS`` at call time, so the pin is
-  effective even under the fork start method.
-* **shared-memory transport** — with ``transport="shm"`` (the default)
-  a worker writes its ``(R, n_t, N)`` trajectory stack into a
-  ``multiprocessing.shared_memory`` segment named after the shard key
-  and returns only a tiny layout descriptor through the pool; the
-  parent maps the segment, copies the arrays out, and unlinks it.  That
-  replaces pickling hundreds of megabytes through the result pipe.
-  ``transport="pickle"`` keeps the plain round-trip (the
-  cross-checking/debug path).  Transport never changes the bits.
+Pool workers start through an initializer that pins
+``OMP_NUM_THREADS`` / the BLAS thread knobs / the kernels' own
+``POM_NUM_THREADS`` to the per-shard ``threads`` count (default 1), so
+``jobs x threads`` never oversubscribes the machine.  The compiled
+kernels read ``POM_NUM_THREADS`` at call time, so the pin is effective
+even under the fork start method.  Executed shard results return to the
+parent through the pool's own result pipe (pickled); a worker that dies
+abnormally breaks the pool, and the parent re-solves the unfinished
+shards inline.
 
 ``progress`` receives one event dict per completed shard (``cached``
 True/False), which the CLI renders as a live campaign log.
@@ -47,7 +40,6 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 from typing import Callable
 
@@ -61,12 +53,8 @@ from .faults import FaultInjector, ensure_shared_state_dir, injector_from_env
 from .plan import Plan, compile_plan
 from .spec import MemberSpec, ScenarioSpec
 
-__all__ = ["MemberResult", "RunResult", "TRANSPORTS", "collect_cached",
-           "drain_queue", "execute_shard", "reclaim_stale_segments",
-           "run_plan", "run_plan_queue", "run_spec"]
-
-#: shard-result transports accepted by ``run_plan(transport=...)``
-TRANSPORTS = ("shm", "pickle")
+__all__ = ["MemberResult", "RunResult", "collect_cached", "drain_queue",
+           "execute_shard", "run_plan", "run_plan_queue", "run_spec"]
 
 #: thread-count environment knobs pinned inside pool workers
 _PIN_ENV_VARS = (
@@ -76,9 +64,6 @@ _PIN_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-
-#: shared-memory array alignment (matches the compiled kernels' scratch)
-_SHM_ALIGN = 64
 
 
 def _worker_env(threads: int | None) -> dict[str, str]:
@@ -148,184 +133,19 @@ def execute_shard(payload: dict, threads: int | None = None) -> dict:
     return out
 
 
-def _shm_layout(arrays: dict) -> tuple[dict, int]:
-    """Aligned offsets for packing ``arrays`` into one segment."""
-    layout = {}
-    offset = 0
-    for name, arr in arrays.items():
-        offset = -(-offset // _SHM_ALIGN) * _SHM_ALIGN
-        layout[name] = {"dtype": arr.dtype.str, "shape": arr.shape,
-                        "offset": offset}
-        offset += arr.nbytes
-    return layout, max(offset, 1)
-
-
-def _unregister_shm(seg: shared_memory.SharedMemory) -> None:
-    """Detach a freshly *created* ``seg`` from the resource tracker.
-
-    The parent owns the segment lifetime (it unlinks after assembly);
-    without this, the worker-side tracker would destroy or complain
-    about segments that outlive the worker by design.
-    """
-    try:
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without tracker registration.
-
-    Attaching never registers on Python < 3.13; newer versions grew a
-    ``track`` knob (and register by default), so pass it when accepted.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
-
-
 def _execute_shard_pickle(payload: dict, index: int) -> dict:
-    """Pool-worker entry for the pickle transport (with fault hooks)."""
+    """Pool-worker entry: fault hooks, the solve, and the pinning witness.
+
+    The result dict travels back through the pool's own result pipe.
+    ``worker_omp`` is the only non-array entry it adds, and
+    :meth:`ResultCache.save` drops non-array entries, so the cached
+    bytes equal an inline solve's.  The ``POM_FAULTS`` chaos hooks fire
+    here (worker side), never in the orchestrating parent.
+    """
     injector_from_env().fire("shard-start", shard=index)
-    return execute_shard(payload)
-
-
-def _execute_shard_shm(payload: dict, shm_name: str,
-                       index: int | None = None) -> dict:
-    """Pool-worker entry for the shared-memory transport.
-
-    Solves the shard, writes the result arrays into a fresh shared
-    segment ``shm_name``, and returns only the layout descriptor — the
-    parent maps the segment instead of unpickling the arrays.  The
-    ``POM_FAULTS`` chaos hooks fire here (worker side), never in the
-    orchestrating parent.
-    """
-    faults = injector_from_env()
-    faults.fire("shard-start", shard=index)
     data = execute_shard(payload)
-    # Pack whatever arrays the shard produced — trajectory stacks,
-    # streamed metric arrays, or both.
-    arrays = {k: np.ascontiguousarray(v) for k, v in data.items()
-              if isinstance(v, np.ndarray)}
-    layout, size = _shm_layout(arrays)
-    t0 = time.perf_counter()
-    try:
-        seg = shared_memory.SharedMemory(name=shm_name, create=True,
-                                         size=size)
-    except FileExistsError:
-        # Stale segment from a killed earlier run with the same name:
-        # reclaim it.
-        stale = _attach_shm(shm_name)
-        stale.close()
-        stale.unlink()
-        seg = shared_memory.SharedMemory(name=shm_name, create=True,
-                                         size=size)
-    try:
-        for k, arr in arrays.items():
-            spec = layout[k]
-            dst = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf,
-                             offset=spec["offset"])
-            dst[...] = arr
-    finally:
-        if faults and faults.fire("shm-written", shard=index):
-            # ``drop-shm`` chaos: the segment vanishes between the
-            # worker's write and the parent's collect — the parent must
-            # degrade to an inline re-solve, not crash the campaign.
-            # (Unlink while still tracker-registered: one clean
-            # unregister, no tracker noise.)
-            seg.unlink()
-        else:
-            _unregister_shm(seg)
-        seg.close()
-    return {
-        "shm": shm_name,
-        "layout": layout,
-        "seconds": data["seconds"],
-        "write_s": time.perf_counter() - t0,
-        "worker_omp": os.environ.get("OMP_NUM_THREADS"),
-    }
-
-
-def _collect_shm(meta: dict) -> dict:
-    """Parent side of the shared-memory transport: map, copy, unlink."""
-    t0 = time.perf_counter()
-    seg = _attach_shm(meta["shm"])
-    try:
-        data = {}
-        for k, spec in meta["layout"].items():
-            src = np.ndarray(tuple(spec["shape"]),
-                             dtype=np.dtype(spec["dtype"]),
-                             buffer=seg.buf, offset=spec["offset"])
-            # Own copy — the segment is unlinked below.
-            data[k] = np.array(src)
-    finally:
-        seg.close()
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
-    data["seconds"] = meta["seconds"]
-    data["transport_s"] = (meta.get("write_s", 0.0)
-                           + (time.perf_counter() - t0))
-    data["worker_omp"] = meta.get("worker_omp")
+    data["worker_omp"] = os.environ.get("OMP_NUM_THREADS")
     return data
-
-
-def _cleanup_shm(names) -> None:
-    """Best-effort unlink of leftover segments after a failed run."""
-    for name in names:
-        try:
-            seg = _attach_shm(name)
-        except FileNotFoundError:
-            continue
-        seg.close()
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
-
-
-def reclaim_stale_segments(shm_dir: str = "/dev/shm") -> list[str]:
-    """Unlink ``pom-*`` segments whose owning process is dead.
-
-    Segment names embed the orchestrating PID (``pom-<pid>-<shard>-
-    <key>``), so a run whose parent was SIGKILLed mid-transfer leaves
-    segments no later run would ever collect by name.  Every pool run
-    starts with this sweep; returns the reclaimed names.  A no-op on
-    hosts without a POSIX shm directory.
-    """
-    reclaimed: list[str] = []
-    try:
-        names = os.listdir(shm_dir)
-    except OSError:  # pragma: no cover - non-Linux
-        return reclaimed
-    for name in names:
-        parts = name.split("-")
-        if parts[0] != "pom" or len(parts) < 4:
-            continue
-        try:
-            pid = int(parts[1])
-        except ValueError:
-            continue
-        try:
-            os.kill(pid, 0)
-            continue  # owner alive: in use by a concurrent run
-        except ProcessLookupError:
-            pass
-        except PermissionError:  # pragma: no cover - other-user process
-            continue
-        try:
-            seg = _attach_shm(name)
-        except FileNotFoundError:
-            continue
-        seg.close()
-        try:
-            seg.unlink()
-            reclaimed.append(name)
-        except FileNotFoundError:  # pragma: no cover - lost a race
-            pass
-    return reclaimed
 
 
 @dataclass
@@ -395,13 +215,10 @@ class RunResult:
         End-to-end wall-clock of :func:`run_plan`.
     solve_s:
         Summed in-worker solve time of the executed shards.
-    transport_s:
-        Summed measured result-transport time (shared-memory write +
-        map/copy); 0 for the inline and pickle paths, where the
-        transport cost hides in ``wall_s - solve_s``.
     transport:
-        The transport that moved executed shard results across the pool
-        (``"shm"`` | ``"pickle"``), or ``None`` when no pool ran.
+        A report of how executed shard results reached the parent:
+        ``"pickle"`` (the pool's result pipe) when a pool ran, ``None``
+        when everything ran inline or came from the cache.
     worker_omp:
         ``OMP_NUM_THREADS`` as reported from inside a pool worker (the
         pinning witness asserted by CI), or ``None`` when no pool ran.
@@ -420,7 +237,6 @@ class RunResult:
     n_cached: int = 0
     wall_s: float = 0.0
     solve_s: float = 0.0
-    transport_s: float = 0.0
     transport: str | None = None
     worker_omp: str | None = None
     queue: dict | None = field(default=None)
@@ -551,22 +367,20 @@ class _ShardOutcome:
 def _assemble_members(
         plan: Plan,
         outcomes: dict[int, _ShardOutcome]) -> tuple[list[MemberResult],
-                                                     float, float]:
+                                                     float]:
     """Fan shard outcomes back out to ordered member results.
 
     Member order is the expansion order, never completion order — the
     bit-for-bit anchor across ``jobs=`` settings and executors.
     Members are rebuilt from the shard payloads (no second grid
-    expansion).  Returns ``(members, solve_s, transport_s)``.
+    expansion).  Returns ``(members, solve_s)``.
     """
     results: list[MemberResult] = []
     solve_s = 0.0
-    transport_s = 0.0
     for shard in plan.shards:
         out = outcomes[shard.index]
         if not out.cached:
             solve_s += float(out.data.get("seconds", 0.0))
-            transport_s += float(out.data.get("transport_s", 0.0))
         ts = out.data.get("ts")
         thetas = out.data.get("thetas")
         metrics_ts = out.data.get("metrics_ts")
@@ -584,7 +398,7 @@ def _assemble_members(
                 metrics_ts=metrics_ts,
                 metrics=metrics))
     results.sort(key=lambda m: m.index)
-    return results, solve_s, transport_s
+    return results, solve_s
 
 
 def collect_cached(plan: Plan, cache: ResultCache) -> RunResult | None:
@@ -604,7 +418,7 @@ def collect_cached(plan: Plan, cache: ResultCache) -> RunResult | None:
         if data is None:
             return None
         outcomes[shard.index] = _ShardOutcome(data=data, cached=True)
-    results, solve_s, _ = _assemble_members(plan, outcomes)
+    results, solve_s = _assemble_members(plan, outcomes)
     return RunResult(
         spec=plan.spec,
         members=results,
@@ -621,7 +435,6 @@ def run_plan(plan: Plan, *,
              cache: ResultCache | str | Path | None = None,
              resume: bool = True,
              threads: int | None = None,
-             transport: str = "shm",
              progress: Callable[[dict], None] | None = None) -> RunResult:
     """Execute a compiled plan; see the module docstring for semantics.
 
@@ -630,7 +443,9 @@ def run_plan(plan: Plan, *,
     plan:
         Output of :func:`~repro.runs.plan.compile_plan`.
     jobs:
-        Worker processes; ``1`` runs inline (no pool).
+        Worker processes; ``1`` runs inline (no pool).  Pool results
+        come back through the pool's result pipe; the bits equal an
+        inline run's.
     cache:
         Result cache (directory path or :class:`ResultCache`); solved
         shards are stored there and — with ``resume`` — reused.
@@ -643,19 +458,11 @@ def run_plan(plan: Plan, *,
         workers to 1 thread each (``jobs x threads`` never
         oversubscribes) and lets the inline path resolve
         ``POM_NUM_THREADS``.  Never affects results or cache keys.
-    transport:
-        How executed shard results cross the pool: ``"shm"`` (default,
-        shared-memory segments) or ``"pickle"`` (the plain round-trip).
-        Bit-identical by construction.
     progress:
         Callback receiving one event dict per completed shard.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; available: "
-            f"{', '.join(TRANSPORTS)}")
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
 
@@ -690,7 +497,7 @@ def run_plan(plan: Plan, *,
             done += 1
             _notify(shard, outcomes[shard.index].data, True)
 
-    transport_used: str | None = None
+    transport: str | None = None
     worker_omp: str | None = None
     if pending:
         if jobs == 1 or len(pending) == 1:
@@ -703,60 +510,30 @@ def run_plan(plan: Plan, *,
                 done += 1
                 _notify(shard, data, False)
         else:
-            transport_used = transport
-            reclaim_stale_segments()
+            transport = "pickle"
             if injector_from_env():
                 # Chaos run: all workers (and any inline fallback here)
                 # must share one fire-count budget.
                 ensure_shared_state_dir(
                     tempfile.mkdtemp(prefix="pom-faults-"))
-            shm_names = {}
-            if transport == "shm":
-                shm_names = {
-                    s.index: f"pom-{os.getpid()}-{s.index}-{s.key[:8]}"
-                    for s in pending
-                }
             try:
                 with ProcessPoolExecutor(
                         max_workers=min(jobs, len(pending)),
                         initializer=_init_worker,
                         initargs=(_worker_env(threads),)) as pool:
-                    if transport == "shm":
-                        futures = {
-                            pool.submit(_execute_shard_shm, s.payload,
-                                        shm_names[s.index], s.index): s
-                            for s in pending
-                        }
-                    else:
-                        futures = {
-                            pool.submit(_execute_shard_pickle, s.payload,
-                                        s.index): s
-                            for s in pending
-                        }
+                    futures = {
+                        pool.submit(_execute_shard_pickle, s.payload,
+                                    s.index): s
+                        for s in pending
+                    }
                     remaining = set(futures)
                     while remaining:
                         finished, remaining = wait(
                             remaining, return_when=FIRST_COMPLETED)
                         for fut in finished:
                             shard = futures[fut]
-                            if transport == "shm":
-                                try:
-                                    data = _collect_shm(fut.result())
-                                    worker_omp = data.get("worker_omp")
-                                except FileNotFoundError:
-                                    # Segment vanished between write and
-                                    # collect (dropped/reclaimed): the
-                                    # solve is pure, so re-run it here.
-                                    warnings.warn(
-                                        f"shard {shard.index}: shared-"
-                                        "memory result segment lost; "
-                                        "re-solving inline",
-                                        RuntimeWarning)
-                                    data = execute_shard(shard.payload,
-                                                         threads=threads)
-                                shm_names.pop(shard.index, None)
-                            else:
-                                data = fut.result()
+                            data = fut.result()
+                            worker_omp = data["worker_omp"]
                             # Persist immediately: a kill after this point
                             # loses at most the in-flight shards.
                             if cache is not None:
@@ -774,8 +551,6 @@ def run_plan(plan: Plan, *,
                 warnings.warn(
                     f"worker process died; re-solving {len(missing)} "
                     "unfinished shard(s) inline", RuntimeWarning)
-                _cleanup_shm([shm_names.pop(s.index)
-                              for s in missing if s.index in shm_names])
                 for shard in missing:
                     data = execute_shard(shard.payload, threads=threads)
                     if cache is not None:
@@ -784,12 +559,8 @@ def run_plan(plan: Plan, *,
                                                           cached=False)
                     done += 1
                     _notify(shard, data, False)
-            finally:
-                # Uncollected segments (a worker crash, a parent
-                # exception mid-assembly) must not outlive the run.
-                _cleanup_shm(shm_names.values())
 
-    results, solve_s, transport_s = _assemble_members(plan, outcomes)
+    results, solve_s = _assemble_members(plan, outcomes)
 
     return RunResult(
         spec=plan.spec,
@@ -799,8 +570,7 @@ def run_plan(plan: Plan, *,
         n_cached=total - len(pending),
         wall_s=time.perf_counter() - t0,
         solve_s=solve_s,
-        transport_s=transport_s,
-        transport=transport_used,
+        transport=transport,
         worker_omp=worker_omp,
     )
 
@@ -1121,9 +891,18 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
             if unfinished == 0:
                 # Drained.  Verify the result tier before declaring
                 # victory: `done` in the queue means nothing unless the
-                # cached shard actually loads.
-                bad = [r for r in rows
-                       if r.state == "done" and cache.load(r.key) is None]
+                # cached shard actually loads.  The loaded arrays are
+                # kept for assembly, so each shard is read once here.
+                loaded: dict[str, dict] = {}
+                bad = []
+                for r in rows:
+                    if r.state != "done":
+                        continue
+                    data = cache.load(r.key)
+                    if data is None:
+                        bad.append(r)
+                    else:
+                        loaded[r.key] = data
                 if not bad:
                     break
                 verify_rounds += 1
@@ -1182,15 +961,12 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
             f"quarantined ({details}); inspect with `pom queue "
             f"{queue_path}` and requeue with --requeue-quarantined")
 
-    outcomes = {}
-    for shard in plan.shards:
-        data = cache.load(shard.key)
-        if data is None:  # pragma: no cover - excluded by verify loop
-            raise RuntimeError(
-                f"shard {shard.index} missing from cache after drain")
-        outcomes[shard.index] = _ShardOutcome(
-            data=data, cached=shard.key in done_at_start)
-    results, solve_s, _ = _assemble_members(plan, outcomes)
+    outcomes = {
+        shard.index: _ShardOutcome(data=loaded[shard.key],
+                                   cached=shard.key in done_at_start)
+        for shard in plan.shards
+    }
+    results, solve_s = _assemble_members(plan, outcomes)
 
     return RunResult(
         spec=plan.spec,
@@ -1211,7 +987,6 @@ def run_spec(spec: ScenarioSpec, *,
              cache: ResultCache | str | Path | None = None,
              resume: bool = True,
              threads: int | None = None,
-             transport: str = "shm",
              queue: str | Path | None = None,
              progress: Callable[[dict], None] | None = None,
              **queue_kwargs) -> RunResult:
@@ -1236,5 +1011,4 @@ def run_spec(spec: ScenarioSpec, *,
             f"unexpected arguments {sorted(queue_kwargs)} "
             "(queue-only options need queue=)")
     return run_plan(plan, jobs=jobs, cache=cache, resume=resume,
-                    threads=threads, transport=transport,
-                    progress=progress)
+                    threads=threads, progress=progress)

@@ -1,12 +1,12 @@
 """Deterministic fault injection for the campaign execution layers.
 
 The robustness claims of the queue executor (lease expiry -> retry,
-quarantine, cache-integrity recovery, shm reclaim) are only testable if
+quarantine, cache-integrity recovery, pool fallback) are only testable if
 the failures themselves are reproducible.  This module provides seeded,
 countable fault injectors enabled through the ``POM_FAULTS`` environment
 variable, so CI chaos legs can run them against the *real* binaries —
-``pom run --queue`` / ``pom worker`` subprocesses and the PR-5 process
-pool — rather than mocked internals.
+``pom run --queue`` / ``pom worker`` subprocesses and the in-process
+pool of ``run_plan(jobs=N)`` — rather than mocked internals.
 
 Syntax
 ------
@@ -38,9 +38,6 @@ Kinds and their firing sites:
 ``raise``
     Raise :class:`InjectedFault` at shard start — an ordinary solve
     failure, exercising the retry/backoff/quarantine ladder.
-``drop-shm``
-    Unlink a worker's shared-memory result segment after it is
-    written — a lost transport the pool executor must re-execute.
 ``corrupt-cache``
     Truncate a freshly written cache entry — a torn write the
     checksummed store must detect and recompute.
@@ -78,7 +75,6 @@ SITES = {
     "kill": "shard-start",
     "stall": "shard-start",
     "raise": "shard-start",
-    "drop-shm": "shm-written",
     "corrupt-cache": "cache-saved",
 }
 
@@ -207,9 +203,8 @@ class FaultInjector:
 
         Side-effect kinds act here: ``kill`` SIGKILLs the process (does
         not return), ``raise`` raises :class:`InjectedFault`.  Context
-        kinds (``stall``, ``drop-shm``, ``corrupt-cache``) are returned
-        to the caller, which owns the segment name / cache path / sleep
-        needed to apply them.
+        kinds (``stall``, ``corrupt-cache``) are returned to the caller,
+        which owns the cache path / sleep needed to apply them.
         """
         fired: list[FaultSpec] = []
         for i, spec in enumerate(self.specs):

@@ -13,6 +13,7 @@ from repro.core import (
 from repro.runs import (
     ResultCache,
     ScenarioSpec,
+    collect_cached,
     compile_plan,
     run_plan,
     run_spec,
@@ -193,28 +194,32 @@ class TestRunResult:
 
 
 class TestTransportAndPinning:
-    """PR-5: shared-memory shard transport and worker thread pinning."""
+    """Pool results through the result pipe, and worker thread pinning."""
 
     def test_shm_bits_match_inline(self):
+        # Named for the shared-memory transport the result pipe
+        # replaced: pooled shards must still match the inline solve.
         spec = grid_spec()
         inline = run_spec(spec, jobs=1, shard_members=2)
-        shm = run_spec(spec, jobs=2, shard_members=2, transport="shm")
-        assert shm.transport == "shm"
-        for a, b in zip(inline.members, shm.members):
+        pooled = run_spec(spec, jobs=2, shard_members=2)
+        assert pooled.transport == "pickle"
+        for a, b in zip(inline.members, pooled.members):
+            np.testing.assert_array_equal(a.ts, b.ts)
             np.testing.assert_array_equal(a.thetas, b.thetas)
 
-    def test_pickle_bits_match_shm(self):
+    def test_pickle_bits_match_shm(self, tmp_path):
+        # Arrays pickled through the result pipe must match the stored
+        # shard blobs bit for bit, dtype included.
         spec = grid_spec()
-        shm = run_spec(spec, jobs=2, shard_members=2, transport="shm")
-        pickled = run_spec(spec, jobs=2, shard_members=2,
-                           transport="pickle")
+        cache = ResultCache(tmp_path / "cache")
+        pickled = run_spec(spec, jobs=2, shard_members=2, cache=cache)
         assert pickled.transport == "pickle"
-        for a, b in zip(shm.members, pickled.members):
+        stored = collect_cached(compile_plan(spec, shard_members=2), cache)
+        assert stored is not None
+        for a, b in zip(pickled.members, stored.members):
+            assert a.thetas.dtype == b.thetas.dtype
+            np.testing.assert_array_equal(a.ts, b.ts)
             np.testing.assert_array_equal(a.thetas, b.thetas)
-
-    def test_bad_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            run_spec(grid_spec(), jobs=2, transport="carrier-pigeon")
 
     def test_workers_pinned_to_one_thread_by_default(self):
         res = run_spec(grid_spec(), jobs=2, shard_members=2)
@@ -234,26 +239,27 @@ class TestTransportAndPinning:
         cache = ResultCache(tmp_path / "cache")
         first = run_spec(spec, jobs=2, shard_members=2, cache=cache)
         assert first.n_executed == 4
-        # A different jobs/threads/transport configuration must replay
-        # the same campaign as a pure cache hit.
+        # A different jobs/threads configuration must replay the same
+        # campaign as a pure cache hit.
         replay = run_spec(spec, jobs=1, shard_members=2, cache=cache,
-                          threads=2, transport="pickle")
+                          threads=2)
         assert replay.n_executed == 0
         assert replay.n_cached == 4
         for a, b in zip(first.members, replay.members):
             np.testing.assert_array_equal(a.thetas, b.thetas)
 
-    def test_shm_resume_from_partial_cache(self, tmp_path):
+    def test_pool_resume_from_partial_cache(self, tmp_path):
         spec = grid_spec()
         cache = ResultCache(tmp_path / "cache")
         full = run_spec(spec, jobs=2, shard_members=2, cache=cache)
-        # Drop one stored shard; the rerun must solve exactly that one
-        # (through the shm pool path is impossible with a single pending
-        # shard — it runs inline — so drop two to keep the pool).
+        # Drop stored shards; the rerun must solve exactly those.  A
+        # single pending shard runs inline, so drop two to keep the
+        # pool.
         plan = compile_plan(spec, shard_members=2)
         for shard in plan.shards[:2]:
             cache.store.delete(shard.key)
         resumed = run_spec(spec, jobs=2, shard_members=2, cache=cache)
+        assert resumed.transport == "pickle"
         assert resumed.n_executed == 2
         assert resumed.n_cached == 2
         for a, b in zip(full.members, resumed.members):
@@ -283,66 +289,7 @@ def _pom_segments():
 
 
 class TestPoolChaos:
-    """Satellite: the PR-5 process pool survives injected faults."""
-
-    def test_reclaim_stale_segments(self):
-        from multiprocessing import shared_memory
-
-        from repro.runs import reclaim_stale_segments
-
-        # A segment whose embedded owner pid is dead: the crashed-worker
-        # leftover that resource_tracker never saw.
-        import os
-        import subprocess
-
-        dead = subprocess.Popen(["true"])
-        dead.wait()
-        name = f"pom-{dead.pid}-0-deadbeef"
-        seg = shared_memory.SharedMemory(name=name, create=True, size=16)
-        seg.close()
-        try:
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(f"/{name}", "shared_memory")
-        except Exception:  # pragma: no cover - tracker API drift
-            pass
-        assert os.path.exists(f"/dev/shm/{name}")
-        reclaimed = reclaim_stale_segments()
-        assert name in reclaimed
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_reclaim_leaves_live_segments_alone(self):
-        import os
-        from multiprocessing import shared_memory
-
-        from repro.runs import reclaim_stale_segments
-
-        name = f"pom-{os.getpid()}-9-aaaaaaaa"
-        seg = shared_memory.SharedMemory(name=name, create=True, size=16)
-        try:
-            assert name not in reclaim_stale_segments()
-            assert os.path.exists(f"/dev/shm/{name}")
-        finally:
-            seg.close()
-            seg.unlink()
-
-    def test_dropped_shm_segment_is_resolved_inline(self, monkeypatch,
-                                                    tmp_path):
-        """A worker's result segment vanishing (tmpfs purge, crash) must
-        not lose the shard: the parent re-solves it inline."""
-        import os
-
-        monkeypatch.setenv("POM_FAULTS", "drop-shm:shard=0")
-        monkeypatch.setenv("POM_FAULTS_STATE", str(tmp_path / "faults"))
-        with pytest.warns(RuntimeWarning, match="re-solving inline"):
-            chaos = run_spec(grid_spec(), jobs=2, shard_members=2,
-                             transport="shm")
-        monkeypatch.delenv("POM_FAULTS")
-        monkeypatch.delenv("POM_FAULTS_STATE")
-        ref = run_spec(grid_spec(), jobs=1, shard_members=2)
-        for a, b in zip(ref.members, chaos.members):
-            np.testing.assert_array_equal(a.thetas, b.thetas)
-        assert not [s for s in _pom_segments()
-                    if s.startswith(f"pom-{os.getpid()}-")]
+    """The ``run_plan(jobs=N)`` process pool survives injected faults."""
 
     def test_sigkilled_pool_worker_falls_back_inline(self, monkeypatch,
                                                      tmp_path):

@@ -28,16 +28,17 @@ class TestParse:
         assert specs[3].p == 0.5 and specs[3].seed == 7
 
     def test_bare_kind(self):
-        (spec,) = parse_faults("drop-shm")
-        assert spec.kind == "drop-shm"
+        (spec,) = parse_faults("corrupt-cache")
+        assert spec.kind == "corrupt-cache"
         assert spec.shard is None and spec.times == 1
 
     def test_empty_segments_ignored(self):
         assert len(parse_faults("kill; ;stall:shard=0;")) == 2
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            parse_faults("meteor-strike")
+        for text in ("meteor-strike", "drop-shm"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                parse_faults(text)
 
     def test_unknown_argument(self):
         with pytest.raises(ValueError, match="unknown fault argument"):
@@ -130,5 +131,5 @@ class TestSpec:
         assert FaultSpec(kind="kill").ident(3) == "3-kill-any"
 
     def test_site_mapping(self):
-        assert FaultSpec(kind="drop-shm").site == "shm-written"
+        assert FaultSpec(kind="kill").site == "shard-start"
         assert FaultSpec(kind="corrupt-cache").site == "cache-saved"

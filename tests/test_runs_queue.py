@@ -181,6 +181,23 @@ class TestQueueExecutor:
         for a, b in zip(first.members, replay.members):
             np.testing.assert_array_equal(a.thetas, b.thetas)
 
+    def test_parent_loads_each_shard_once(self, tmp_path, monkeypatch):
+        # The final verify pass keeps its arrays for assembly.  Loads in
+        # forked workers land in their own memory and are not counted.
+        counts: dict[str, int] = {}
+        real_load = ResultCache.load
+
+        def counting_load(self, key):
+            counts[key] = counts.get(key, 0) + 1
+            return real_load(self, key)
+
+        monkeypatch.setattr(ResultCache, "load", counting_load)
+        plan = compile_plan(grid_spec(), shard_members=2)
+        res = run_plan_queue(plan, tmp_path / "q.db", jobs=2)
+        assert plan.n_shards == 4
+        assert res.n_executed == 4
+        assert counts == {s.key: 1 for s in plan.shards}
+
     def test_unwritable_queue_degrades_to_inline(self, tmp_path):
         blocker = tmp_path / "a-file"
         blocker.write_text("x")
