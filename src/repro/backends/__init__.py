@@ -1,22 +1,26 @@
 """Pluggable RHS compute backends for the oscillator model.
 
 A backend compiles a frozen :class:`~repro.core.model.RealizedModel`
-into an evaluator of the Eq. 2 right-hand side.  Three implementations:
+into an evaluator of the Eq. 2 right-hand side.  Two coupling
+implementations:
 
 * :class:`DenseBackend` — the O(N^2) dense-matrix reference (the
   behaviour of the original implementation and of the paper's MATLAB
   artifact); optimal for genuinely dense topologies.
-* :class:`SparseBackend` — O(E) edge-list kernel; evaluates the
+* :class:`HeteroBatchedBackend` — the O(E) edge-list coupling over R
+  stacked realisations ``(R, N)`` in one vectorised call; evaluates the
   potential only on actual edges and accumulates with a segment sum.
-  Orders of magnitude faster for the paper's nearest-neighbour
-  topologies at scale.
-* :class:`HeteroBatchedBackend` — evaluates R stacked realisations
-  ``(R, N)`` in one vectorised call.  Members may differ in ``v_p``,
-  period, potential, delay schedule and topology (only ``N`` is
-  shared), so a whole seed ensemble or *parameter grid* integrates as
-  one super-state (used by ``run_ensemble(batched=True)``,
-  ``grid_sweep(..., batched=True)`` and
+  Members may differ in ``v_p``, period, potential, delay schedule and
+  topology (only ``N`` is shared), so a whole seed ensemble or
+  *parameter grid* integrates as one super-state (used by
+  ``run_ensemble(batched=True)``, ``grid_sweep(..., batched=True)`` and
   :func:`repro.core.simulation.simulate_grid`).
+
+:class:`SparseBackend` is the single-state view of the edge-list
+coupling: a one-member :class:`HeteroBatchedBackend` evaluated on the
+``(1, N)`` reshape of the state, with the 1-D intrinsic frequency.
+Orders of magnitude faster than dense for the paper's nearest-neighbour
+topologies at scale.
 
 Selection
 ---------

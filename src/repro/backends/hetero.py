@@ -17,25 +17,24 @@ disagree on
 
 Only the oscillator count ``N`` must be shared.  Members may even
 disagree on the **topology** (a machine-design sweep over same-N
-candidate networks): mixed batches run through a padded stacked
-edge-list path — per-member edge lists concatenated with per-member
-offsets, padded to the widest member, pads scattered into a discarded
-overflow bin — whose per-row accumulation order is identical to
-solving each topology group separately, so topology-axis fusion is
-bit-for-bit identical to per-group shards.  Because the per-row
-accumulation order is identical to the sparse edge-list backend's, each
-row of the batched result matches the corresponding single-member
-evaluation to machine precision; this is what lets
+candidate networks).  Each row of the batched result accumulates its
+edges in the same row-major order as a one-member evaluation, so it
+matches that evaluation bit for bit; this is what lets
 ``grid_sweep(..., batched=True)`` and
 :func:`repro.core.simulation.simulate_grid` integrate all grid points as
-one super-state and fan exact per-point trajectories back out.
+one super-state and fan exact per-point trajectories back out, and what
+makes topology-axis fusion bit-identical to per-group shards.  A single
+solve (the ``"sparse"`` backend) is this backend at ``R = 1``.
 
 The inner coupling loop is delegated to a selectable *kernel*
 (:mod:`repro.kernels`, ``kernel=`` knob):
 
-* ``"numpy"`` — preallocated ``(R, E)`` scratch gathers, one
-  family-vectorised potential call, one flattened ``np.bincount``.
-  Works for any potential, including ``CustomPotential`` groups.
+* ``"numpy"`` — one gather from the flattened ``(R*N,)`` super-state
+  through per-member edge indices offset by ``r*N`` (padded to the
+  widest member only when the members' edge lists differ), one
+  family-vectorised potential call over ``(R, Emax)``, and one
+  ``np.bincount`` whose overflow bin ``R*N`` swallows the pads.  Works
+  for any potential, including ``CustomPotential`` groups.
   Memory-bound at N ≳ a few thousand (every evaluation streams several
   ``(R, E)`` arrays).
 * ``"cc"`` — the fused compiled kernel that evaluates the potential
@@ -45,11 +44,10 @@ The inner coupling loop is delegated to a selectable *kernel*
 
 ``"auto"`` picks ``"cc"`` whenever every member's potential exposes
 kernel coefficients and a compiler works; ``CustomPotential`` members
-fall back to the NumPy per-group path.
+fall back to the NumPy path.
 
-For mixed-topology batches the ``"numpy"`` kernel uses the padded
-stacked path; ``"cc"`` has no mixed edge-list entry point and falls
-back to one compiled sub-backend per topology group (one-time
+``"cc"`` has no mixed edge-list entry point: a mixed-topology batch
+falls back to one compiled sub-backend per topology group (one-time
 :class:`RuntimeWarning`) — still bit-identical, one compiled call per
 group instead of one per batch.
 """
@@ -164,18 +162,11 @@ class HeteroBatchedBackend:
             [m.model.v_p / self._n for m in members], dtype=float)[:, None]
         # Per-member edge lists: identical (shared) arrays for a
         # homogeneous batch, one list per member for a topology-axis
-        # batch.  The delayed path always iterates these.
+        # batch.
         if mixed:
             per = [m.model.topology.edge_list() for m in self.members]
-            self._rows = self._cols = None
-            self._flat_rows = None
         else:
             per = [first.topology.edge_list()] * self._r
-            self._rows, self._cols = first.topology.edge_list()
-            # Flattened segment indices for the one-shot bincount: member
-            # r's row i accumulates at r*N + i.
-            offsets = np.arange(self._r, dtype=np.intp) * self._n
-            self._flat_rows = (offsets[:, None] + self._rows[None, :]).ravel()
         self._per_rows = [rc[0] for rc in per]
         self._per_cols = [rc[1] for rc in per]
         self._edge_sizes = [int(r.size) for r in self._per_rows]
@@ -218,81 +209,87 @@ class HeteroBatchedBackend:
         self.threads = kernels.resolve_threads(threads)
         self._subs = None
         self._cc_call = None
-        if mixed:
+        if mixed and self.kernel == "cc":
             self._setup_mixed()
-        elif self.kernel == "cc" and not self._zero_coupling:
-            # Static kernel arguments bound once (distance rings and 2-D
-            # tori get their specialised kernels, see cc.bind).
-            self._cc_call = cc_kernels.bind(
-                self._rows, self._cols, self._n, self._coeffs,
-                self._vps.ravel(), members=self._r, threads=self.threads)
+        elif not self._zero_coupling:
+            if self.kernel == "cc":
+                # Static kernel arguments bound once (distance rings and
+                # 2-D tori get their specialised kernels, see cc.bind).
+                self._cc_call = cc_kernels.bind(
+                    self._per_rows[0], self._per_cols[0], self._n,
+                    self._coeffs, self._vps.ravel(), members=self._r,
+                    threads=self.threads)
+            else:
+                self._setup_gather()
         # One-slot intrinsic-frequency memo, ``(key, freq)`` in a single
         # attribute so a concurrent reader never pairs one entry's key
         # with another entry's array.
         self._freq_memo: tuple | None = None
-        # Preallocated (R, E) scratch for the non-delayed numpy kernel.
-        if self.kernel == "numpy" and not mixed:
-            e = self._rows.size
-            self._d_edge = np.empty((self._r, e))
-            self._th_rows = np.empty((self._r, e))
+
+    def _setup_gather(self) -> None:
+        """Flat gather/scatter indices for the numpy kernel.
+
+        Member ``r``'s edges index the flattened ``(R*N,)`` super-state
+        at offset ``r*N``.  When the members' edge lists differ in
+        length (a topology-axis batch) each row is padded to the widest
+        member ``Emax``: pad slots gather the member's own element 0
+        twice (a guaranteed-finite ``d = 0``) and scatter into the
+        discarded overflow bin ``R*N``, so padding never touches a real
+        accumulator and every row accumulates in its own edge order.
+        """
+        r_count, n = self._r, self._n
+        emax = max(self._edge_sizes)
+        grows = np.empty((r_count, emax), dtype=np.intp)
+        gcols = np.empty((r_count, emax), dtype=np.intp)
+        scatter = np.full((r_count, emax), r_count * n, dtype=np.intp)
+        for r in range(r_count):
+            e, off = self._edge_sizes[r], r * n
+            grows[r, :e] = off + self._per_rows[r]
+            gcols[r, :e] = off + self._per_cols[r]
+            grows[r, e:] = gcols[r, e:] = off
+            scatter[r, :e] = grows[r, :e]
+        self._grows, self._gcols = grows, gcols
+        self._scatter = scatter.ravel()
 
     def _setup_mixed(self) -> None:
-        """Dispatch setup for a topology-axis (mixed edge-list) batch.
+        """One compiled sub-backend per topology group.
 
-        ``cc`` falls back to one sub-backend per topology group, and
-        ``numpy`` builds the padded stacked gather/scatter: per-member
-        edge lists padded to the widest member ``Emax``; pad slots
-        gather the member's own element 0 twice (a guaranteed-finite
-        ``d = 0``) and scatter into the discarded overflow bin ``R*N``,
-        so padding never touches a real accumulator.
+        The ``cc`` kernel has no mixed edge-list entry point, so a
+        topology-axis batch evaluates each group of members sharing a
+        topology through its own bound call (bit-identical to per-group
+        shards).
         """
-        if self.kernel == "cc":
-            _warn_mixed_compiled(self.kernel)
-            groups: list[tuple[list[int], "RealizedModel"]] = []
-            for i, m in enumerate(self.members):
-                for idx, rep in groups:
-                    if same_topology(m.model.topology, rep.model.topology):
-                        idx.append(i)
-                        break
-                else:
-                    groups.append(([i], m))
-            self._subs = []
-            for idx, _ in groups:
-                # Topology-axis members arrive grouped (the planner
-                # sorts by global index with topology as the outer
-                # axis), so each group is usually a contiguous row
-                # range — a slice keeps theta[sel] a view instead of a
-                # fancy-index copy per RK4 stage.
-                sel = (slice(idx[0], idx[-1] + 1)
-                       if idx == list(range(idx[0], idx[-1] + 1))
-                       else np.asarray(idx, dtype=np.intp))
-                self._subs.append(
-                    (sel,
-                     HeteroBatchedBackend([self.members[i] for i in idx],
-                                          kernel=self.kernel,
-                                          threads=self._threads_request)))
-            return
-        emax = max(self._edge_sizes)
-        offsets = np.arange(self._r, dtype=np.intp) * self._n
-        grows = np.empty((self._r, emax), dtype=np.intp)
-        gcols = np.empty((self._r, emax), dtype=np.intp)
-        scat = np.full((self._r, emax), self._r * self._n, dtype=np.intp)
-        for r in range(self._r):
-            e = self._edge_sizes[r]
-            grows[r, :e] = offsets[r] + self._per_rows[r]
-            gcols[r, :e] = offsets[r] + self._per_cols[r]
-            grows[r, e:] = offsets[r]
-            gcols[r, e:] = offsets[r]
-            scat[r, :e] = offsets[r] + self._per_rows[r]
-        self._grows, self._gcols = grows, gcols
-        self._scatter_pad = scat.ravel()
-        self._d_edge = np.empty((self._r, emax))
-        self._th_rows = np.empty((self._r, emax))
+        _warn_mixed_compiled(self.kernel)
+        groups: list[tuple[list[int], "RealizedModel"]] = []
+        for i, m in enumerate(self.members):
+            for idx, rep in groups:
+                if same_topology(m.model.topology, rep.model.topology):
+                    idx.append(i)
+                    break
+            else:
+                groups.append(([i], m))
+        self._subs = []
+        for idx, _ in groups:
+            # Topology-axis members arrive grouped (the planner
+            # sorts by global index with topology as the outer
+            # axis), so each group is usually a contiguous row
+            # range — a slice keeps theta[sel] a view instead of a
+            # fancy-index copy per RK4 stage.
+            sel = (slice(idx[0], idx[-1] + 1)
+                   if idx == list(range(idx[0], idx[-1] + 1))
+                   else np.asarray(idx, dtype=np.intp))
+            self._subs.append(
+                (sel,
+                 HeteroBatchedBackend([self.members[i] for i in idx],
+                                      kernel=self.kernel,
+                                      threads=self._threads_request)))
 
     def _stack_zeta(self) -> np.ndarray | None:
         """Stack member zeta realisations when they share a refresh grid."""
         procs = [m.zeta for m in self.members]
         z0 = procs[0]
+        if len(procs) == 1:
+            return z0.values[:, None, :]  # a view: no copy of the noise
         if all(z.dt == z0.dt and z.t0 == z0.t0
                and z.values.shape == z0.values.shape for z in procs):
             return np.stack([z.values for z in procs], axis=1)  # (m, R, N)
@@ -415,31 +412,16 @@ class HeteroBatchedBackend:
                 for sel, sub in self._subs:
                     out[sel] = sub.coupling(t, theta[sel], None)
                 return out
-            if self._mixed:
-                # Padded stacked path: gather per-member edges from the
-                # flattened (R*N,) super-state, one family-vectorised
-                # potential pass over (R, Emax), one bincount whose
-                # overflow bin swallows every pad slot.  Per-row
-                # accumulation order equals the per-group path's.
-                flat = np.ascontiguousarray(theta).reshape(-1)
-                np.take(flat, self._gcols, out=self._d_edge)
-                np.take(flat, self._grows, out=self._th_rows)
-                np.subtract(self._d_edge, self._th_rows, out=self._d_edge)
-                v_edge = self._edge_potential(self._d_edge)
-                acc = np.bincount(self._scatter_pad, weights=v_edge.ravel(),
-                                  minlength=self._r * self._n + 1)
-                out = acc[:self._r * self._n].reshape(self._r, self._n)
-                out *= self._vps
-                return out
-            # Gather into the preallocated scratch; d_edge = theta[:, cols]
-            # - theta[:, rows] without per-call allocations.
-            np.take(theta, self._cols, axis=1, out=self._d_edge)
-            np.take(theta, self._rows, axis=1, out=self._th_rows)
-            np.subtract(self._d_edge, self._th_rows, out=self._d_edge)
-            v_edge = self._edge_potential(self._d_edge)
-            acc = np.bincount(self._flat_rows, weights=v_edge.ravel(),
-                              minlength=self._r * self._n)
-            out = acc.reshape(self._r, self._n)
+            # One gather from the flattened (R*N,) super-state, one
+            # family-vectorised potential pass over (R, Emax), one
+            # bincount whose overflow bin swallows every pad slot.
+            flat = theta.reshape(-1)
+            d_edge = flat[self._gcols] - flat[self._grows]
+            v_edge = self._edge_potential(d_edge)
+            rn = self._r * self._n
+            acc = np.bincount(self._scatter, weights=v_edge.ravel(),
+                              minlength=rn + 1)
+            out = acc[:rn].reshape(self._r, self._n)
             out *= self._vps
             return out
 

@@ -760,8 +760,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
         coeffs = potential.kernel_coefficients()
         kernel_note = " kernel=" + resolve_kernel(
-            args.kernel, has_coefficients=coeffs is not None,
-            n_edges=model.topology.n_edges)
+            args.kernel, has_coefficients=coeffs is not None)
     print(f"N={args.n} potential={potential.name} beta*kappa="
           f"{model.beta_kappa:g} v_p={model.v_p:g} backend={resolved}"
           f"{kernel_note}")

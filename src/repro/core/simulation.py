@@ -27,6 +27,7 @@ from ..backends import (
     HeteroBatchedBackend,
     frequency_from_period,
     make_batched_backend,
+    normalize_backend_name,
 )
 from ..integrate import (
     HistoryBuffer,
@@ -323,10 +324,10 @@ def simulate_batched(
 ) -> list[OscillatorTrajectory]:
     """Integrate a whole seed ensemble as one ``(R, N)`` super-state.
 
-    Realises the model once per seed, stacks the members, evaluates all
-    RHSs through the vectorised
-    :class:`~repro.backends.HeteroBatchedBackend`, and runs a *single*
-    solver pass.  This amortises the per-step Python
+    :func:`simulate_grid` over ``[model] * len(seeds)``: realises the
+    model once per seed, stacks the members, evaluates all RHSs through
+    the vectorised :class:`~repro.backends.HeteroBatchedBackend`, and
+    runs a *single* solver pass.  This amortises the per-step Python
     overhead over all members and replaces R small coupling kernels with
     one large one.  The members share one (adaptive) time mesh; every
     member individually satisfies the tolerances (per-member error norm,
@@ -366,31 +367,17 @@ def simulate_batched(
         raise ValueError("t_end must be positive")
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
+    normalize_backend_name(backend)  # validated; the stack is always batched
 
-    members = [model.realize(t_end, rng=seed, backend=backend, kernel=kernel)
-               for seed in seeds]
-    stacked = HeteroBatchedBackend(
-        members, kernel=kernel if kernel is not None else model.kernel,
-        threads=threads)
-    theta0s = np.stack([
-        (synchronized(model.n) if theta0_factory is None
-         else np.asarray(theta0_factory(seed), dtype=float))
-        for seed in seeds
-    ])
-    if theta0s.shape != (len(seeds), model.n):
-        raise ValueError(
-            f"stacked theta0 has shape {theta0s.shape}, "
-            f"expected ({len(seeds)}, {model.n})"
-        )
-    if dt is None:
-        dt = default_dt(model)
-
-    models = [model] * len(seeds)
-    sol = _solve_stacked(stacked, models, t_end, theta0s, method, dt,
-                         rtol, atol, seeds, per_member_adaptive)
-    if not sol.success:
-        raise RuntimeError(f"batched integration failed: {sol.message}")
-    return _fan_out(sol, models, seeds, n_samples)
+    theta0s = None
+    if theta0_factory is not None:
+        theta0s = np.stack([np.asarray(theta0_factory(seed), dtype=float)
+                            for seed in seeds])
+    return simulate_grid(
+        [model] * len(seeds), t_end, seeds=seeds, theta0s=theta0s,
+        method=method, dt=dt, rtol=rtol, atol=atol, n_samples=n_samples,
+        kernel=kernel, threads=threads,
+        per_member_adaptive=per_member_adaptive)
 
 
 def simulate_grid(

@@ -21,6 +21,13 @@ third-party package.  When no working compiler is available the module
 reports unavailability and the ``"auto"`` kernel resolution falls back to
 the NumPy path.
 
+Entry points
+------------
+Three entries, one per topology layout, all on a stacked ``(R, N)``
+super-state with per-member coefficients: :func:`fused_batched` (any
+edge list), :func:`ring_batched` and :func:`torus_batched`.  A single
+state is the ``R = 1`` stack ``(1, N)``.
+
 Thread parallelism
 ------------------
 Every kernel takes a trailing ``threads`` argument.  With ``threads > 1``
@@ -71,11 +78,8 @@ __all__ = [
     "bind",
     "ring_offsets",
     "torus_halo",
-    "fused_single",
     "fused_batched",
-    "ring_single",
     "ring_batched",
-    "torus_single",
     "torus_batched",
 ]
 
@@ -111,7 +115,7 @@ int64_t pom_openmp_available(void) {
  * element value: (1) the block is padded up to a PAD_BLOCK multiple
  * (padding lanes read/write scratch only), so no scalar epilogue ever
  * executes for a real element; (2) the function is noinline, so every
- * call site — serial or parallel, single or batched — runs the same
+ * call site — serial or parallel, any layout — runs the same
  * machine code.  This is what makes threads=K bit-identical to
  * threads=1. */
 #define PAD_BLOCK 64
@@ -194,31 +198,6 @@ static void fused_span(const int32_t *rows, const int32_t *cols,
     }
     for (i = r0; i < r1; ++i)
         out[i] *= vp;
-}
-
-/* Fused coupling for one (N,) state.  out[i] = vp * sum_e V(d_e) over
- * the rows, accumulated in row-major edge order (== np.bincount). */
-void pom_fused_single(const int32_t *rows, const int32_t *cols,
-                      int64_t n_edges, const double *theta, double *out,
-                      int64_t n, int64_t kind, double p0, double p1,
-                      double vp, double *sd, double *sv, int64_t block,
-                      int64_t threads) {
-#ifdef _OPENMP
-    if (threads > 1) {
-#pragma omp parallel num_threads((int)threads)
-        {
-            int64_t nt = (int64_t)omp_get_num_threads();
-            int64_t tid = (int64_t)omp_get_thread_num();
-            fused_span(rows, cols, n_edges, theta, out, n * tid / nt,
-                       n * (tid + 1) / nt, kind, p0, p1, vp,
-                       sd + tid * block, sv + tid * block, block);
-        }
-        return;
-    }
-#endif
-    (void)threads;
-    fused_span(rows, cols, n_edges, theta, out, 0, n, kind, p0, p1, vp,
-               sd, sv, block);
 }
 
 /* Fused coupling for a stacked (R, N) super-state with per-member
@@ -310,29 +289,6 @@ static void ring_chunk(const int64_t *offsets, int64_t n_offsets,
         out[i] *= vp;
 }
 
-void pom_fused_ring_single(const int64_t *offsets, int64_t n_offsets,
-                           const double *theta, double *out, int64_t n,
-                           int64_t kind, double p0, double p1, double vp,
-                           double *sd, double *sv, int64_t block,
-                           int64_t threads) {
-#ifdef _OPENMP
-    if (threads > 1) {
-#pragma omp parallel num_threads((int)threads)
-        {
-            int64_t nt = (int64_t)omp_get_num_threads();
-            int64_t tid = (int64_t)omp_get_thread_num();
-            ring_chunk(offsets, n_offsets, theta, out, n, n * tid / nt,
-                       n * (tid + 1) / nt, kind, p0, p1, vp,
-                       sd + tid * block, sv + tid * block, block);
-        }
-        return;
-    }
-#endif
-    (void)threads;
-    ring_chunk(offsets, n_offsets, theta, out, n, 0, n, kind, p0, p1, vp,
-               sd, sv, block);
-}
-
 void pom_fused_ring_batched(const int64_t *offsets, int64_t n_offsets,
                             const double *theta, double *out,
                             int64_t r_count, int64_t n, const int64_t *kinds,
@@ -405,31 +361,6 @@ static void torus_chunk(const int64_t *col_offs, int64_t n_col,
     }
     for (i = i0; i < i1; ++i)
         out[i] *= vp;
-}
-
-void pom_fused_torus_single(const int64_t *col_offs, int64_t n_col,
-                            const int64_t *row_dxs, int64_t n_dx,
-                            int64_t w, const double *theta, double *out,
-                            int64_t n, int64_t kind, double p0, double p1,
-                            double vp, double *sd, double *sv,
-                            int64_t block, int64_t threads) {
-    int64_t h = n / w;
-#ifdef _OPENMP
-    if (threads > 1) {
-#pragma omp parallel num_threads((int)threads)
-        {
-            int64_t nt = (int64_t)omp_get_num_threads();
-            int64_t tid = (int64_t)omp_get_thread_num();
-            torus_chunk(col_offs, n_col, row_dxs, n_dx, w, theta, out, n,
-                        h * tid / nt, h * (tid + 1) / nt, kind, p0, p1, vp,
-                        sd + tid * block, sv + tid * block, block);
-        }
-        return;
-    }
-#endif
-    (void)threads;
-    torus_chunk(col_offs, n_col, row_dxs, n_dx, w, theta, out, n, 0, h,
-                kind, p0, p1, vp, sd, sv, block);
 }
 
 void pom_fused_torus_batched(const int64_t *col_offs, int64_t n_col,
@@ -604,25 +535,17 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # typed POINTER(...) casts cost more than the small kernels do.
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    f64 = ctypes.c_double
     edge = [ptr, ptr, i64, ptr, ptr]
     ring = [ptr, i64, ptr, ptr]
     torus = [ptr, i64, ptr, i64, i64, ptr, ptr]
-    single = [i64, i64, f64, f64, f64]
     batched = [i64, i64, ptr, ptr, ptr, ptr]
     scratch = [ptr, ptr, i64, i64]
     lib.pom_openmp_available.restype = i64
     lib.pom_openmp_available.argtypes = []
-    lib.pom_fused_single.restype = None
-    lib.pom_fused_single.argtypes = edge + single + scratch
     lib.pom_fused_batched.restype = None
     lib.pom_fused_batched.argtypes = edge + batched + scratch
-    lib.pom_fused_ring_single.restype = None
-    lib.pom_fused_ring_single.argtypes = ring + single + scratch
     lib.pom_fused_ring_batched.restype = None
     lib.pom_fused_ring_batched.argtypes = ring + batched + scratch
-    lib.pom_fused_torus_single.restype = None
-    lib.pom_fused_torus_single.argtypes = torus + single + scratch
     lib.pom_fused_torus_batched.restype = None
     lib.pom_fused_torus_batched.argtypes = torus + batched + scratch
     return lib
@@ -794,18 +717,16 @@ class KernelCall:
     Parameters
     ----------
     entry:
-        Module function that runs it: ``"fused_single"``,
-        ``"fused_batched"``, ``"ring_single"``, ``"ring_batched"``,
-        ``"torus_single"`` or ``"torus_batched"``.
+        Module function that runs it: ``"fused_batched"``,
+        ``"ring_batched"`` or ``"torus_batched"``.
     static:
         The kernel's leading topology arguments in C order: ``(rows32,
         cols32, n_edges)``, ``(offsets, n_offsets)`` or ``(col_offsets,
         n_col, row_dxs, n_dx, w)``; arrays are passed by address.
     coeffs:
-        ``(kind, p0, p1, vp_over_n)``: scalars for a single state,
-        length-R arrays for a batch.
+        ``(kind, p0, p1, vp_over_n)`` as length-R arrays.
     shape:
-        State shape, ``(N,)`` or ``(R, N)``.
+        State shape ``(R, N)``; a single state is ``(1, N)``.
     threads:
         Requested OpenMP team size (clamped to 1 without OpenMP).
     """
@@ -820,8 +741,8 @@ class KernelCall:
     ) -> None:
         if entry not in _ENTRY_SYMBOLS:
             raise ValueError(f"unknown kernel entry {entry!r}")
-        if (len(shape) == 2) != entry.endswith("_batched"):
-            raise ValueError(f"shape {shape} does not fit entry {entry!r}")
+        if len(shape) != 2:
+            raise ValueError(f"shape {shape} is not an (R, N) state shape")
         self.entry = entry
         index = _INDEX_DTYPES[entry.split("_")[0]]
         self.static = tuple(
@@ -829,17 +750,14 @@ class KernelCall:
             for a in static
         )
         kind, p0, p1, vp = coeffs
-        if len(shape) == 2:
-            self.coeffs = (
-                np.ascontiguousarray(kind, dtype=np.int64),
-                np.ascontiguousarray(p0, dtype=np.float64),
-                np.ascontiguousarray(p1, dtype=np.float64),
-                np.ascontiguousarray(vp, dtype=np.float64),
-            )
-            if any(c.shape != (shape[0],) for c in self.coeffs):
-                raise ValueError("batched coefficients must have length R")
-        else:
-            self.coeffs = (int(kind), float(p0), float(p1), float(vp))
+        self.coeffs = (
+            np.ascontiguousarray(kind, dtype=np.int64),
+            np.ascontiguousarray(p0, dtype=np.float64),
+            np.ascontiguousarray(p1, dtype=np.float64),
+            np.ascontiguousarray(vp, dtype=np.float64),
+        )
+        if any(c.shape != (shape[0],) for c in self.coeffs):
+            raise ValueError("coefficients must have length R")
         self.shape = tuple(int(x) for x in shape)
         self.threads = _clamp_threads(threads)
         self._resolve()
@@ -868,11 +786,8 @@ _INDEX_DTYPES = {"fused": np.int32, "ring": np.int64, "torus": np.int64}
 
 #: module function name -> exported C symbol
 _ENTRY_SYMBOLS = {
-    "fused_single": "pom_fused_single",
     "fused_batched": "pom_fused_batched",
-    "ring_single": "pom_fused_ring_single",
     "ring_batched": "pom_fused_ring_batched",
-    "torus_single": "pom_fused_torus_single",
     "torus_batched": "pom_fused_torus_batched",
 }
 
@@ -888,15 +803,16 @@ def bind(
     n: int,
     coeffs: tuple,
     vp_over_n,
-    members: int | None = None,
+    members: int,
     threads: int = 1,
 ) -> KernelCall:
-    """The fastest :class:`KernelCall` for one edge list.
+    """The fastest :class:`KernelCall` for one edge list shared by
+    ``members`` stacked states.
 
     Distance rings get the ring kernel, 2-D tori the torus kernel, and
     anything else the general edge-list kernel.  ``coeffs`` is the
-    ``(kind, p0, p1)`` triple: length-R arrays when ``members`` is the
-    batch size R, scalars for a single state.
+    ``(kind, p0, p1)`` triple and ``vp_over_n`` the coupling strength,
+    each as length-``members`` arrays.
     """
     offsets = ring_offsets(rows, cols, n)
     halo = torus_halo(rows, cols, n) if offsets is None else None
@@ -909,8 +825,6 @@ def bind(
     else:
         layout, static = "fused", (rows, cols, rows.size)
     coeffs = (*coeffs, vp_over_n)
-    if members is None:
-        return KernelCall(f"{layout}_single", static, coeffs, (n,), threads)
     return KernelCall(f"{layout}_batched", static, coeffs, (members, n), threads)
 
 
@@ -944,29 +858,14 @@ def _run(call: KernelCall, entry: str, theta: np.ndarray, out: np.ndarray):
     return out
 
 
-def fused_single(call: KernelCall, theta: np.ndarray, out: np.ndarray):
-    """Coupling term for one contiguous ``(N,)`` state into ``out``."""
-    return _run(call, "fused_single", theta, out)
-
-
 def fused_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
     """Coupling terms for a contiguous ``(R, N)`` super-state into ``out``."""
     return _run(call, "fused_batched", theta, out)
 
 
-def ring_single(call: KernelCall, theta: np.ndarray, out: np.ndarray):
-    """Distance-ring coupling for one ``(N,)`` state into ``out``."""
-    return _run(call, "ring_single", theta, out)
-
-
 def ring_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
     """Distance-ring coupling for an ``(R, N)`` super-state into ``out``."""
     return _run(call, "ring_batched", theta, out)
-
-
-def torus_single(call: KernelCall, theta: np.ndarray, out: np.ndarray):
-    """2-D torus halo coupling for one ``(N,)`` state into ``out``."""
-    return _run(call, "torus_single", theta, out)
 
 
 def torus_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):

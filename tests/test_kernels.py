@@ -338,8 +338,12 @@ class TestPreboundCalls:
                        ("fused", lambda: random_topology(
                            30, 0.2, rng=np.random.default_rng(1))))}
         for layout, (single, batched) in entries.items():
-            assert single._cc_call.entry == f"{layout}_single"
+            # A single state runs the batched entry as a (1, N) stack.
+            n = single.n
+            assert single._cc_call.entry == f"{layout}_batched"
+            assert single._cc_call.shape == (1, n)
             assert batched._cc_call.entry == f"{layout}_batched"
+            assert batched._cc_call.shape == (3, n)
 
     @needs_cc
     def test_mismatched_call_rejected(self):
@@ -352,8 +356,8 @@ class TestPreboundCalls:
             cc_kernels.ring_batched(batched._cc_call, theta[:2],
                                     np.empty((2, 40)))
         with pytest.raises(ValueError, match="bound shape"):
-            cc_kernels.ring_single(single._cc_call, np.zeros(41),
-                                   np.empty(41))
+            cc_kernels.ring_batched(single._cc_call, np.zeros((1, 41)),
+                                    np.empty((1, 41)))
         with pytest.raises(ValueError, match="C-contiguous float64"):
             cc_kernels.ring_batched(batched._cc_call, theta.astype(np.float32),
                                     np.empty_like(theta))
