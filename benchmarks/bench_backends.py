@@ -21,6 +21,11 @@ Measures the three claims of the backend layer:
    evaluation under each available coupling kernel (``numpy`` vs. the
    fused compiled ``cc``), reported as speedups over the ``numpy``
    kernel.
+5. **Kernel call cost** — microseconds per small ``cc`` ring call
+   (``ring_batched`` plus the ``np.empty`` output a backend allocates),
+   at the paper's ring N = 24 and at a campaign shard's (R, N) =
+   (2, 256), where the fixed per-call cost rivals the arithmetic.
+   Plain host numbers: no ratio, so no gate.
 
 Run directly (no pytest needed)::
 
@@ -223,6 +228,29 @@ def bench_kernel_case(topology, r: int, repeats: int) -> dict:
     return case
 
 
+def bench_kernel_call(repeats: int) -> dict:
+    """Microseconds per ``cc.ring_batched`` call at two small shapes."""
+    if not kernels.cc_available():
+        return {"skipped": "cc kernel unavailable (no compiler or Python.h)"}
+    from repro.kernels import cc as cc_kernels
+
+    out: dict = {"cpu_count": os.cpu_count()}
+    calls = 2000
+    for r, n in ((1, 24), (2, 256)):
+        rows, cols = ring_edges(n, (1, -1)).edge_list()
+        # bottleneck, sigma=1, per member
+        call = cc_kernels.bind(rows, cols, n, ([1] * r, [1.0] * r, [0.0] * r),
+                               [0.5] * r, members=r)
+        theta = np.random.default_rng(0).uniform(-np.pi, np.pi, (r, n))
+
+        def loop():
+            for _ in range(calls):
+                cc_kernels.ring_batched(call, theta, np.empty((r, n)))
+
+        out[f"ring_{r}x{n}"] = _time_best(loop, repeats) / calls * 1e6
+    return out
+
+
 def bench_kernel_ladder(quick: bool, repeats: int) -> list[dict]:
     """The ring/torus large-N ladder (edge-backed topologies)."""
     if quick:
@@ -266,6 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         "ensemble": bench_ensemble(ens_n, 8, ens_t, 3),
         "kernels_available": _ladder_kernels(),
         "kernel_ladder": bench_kernel_ladder(args.quick, repeats),
+        "kernel_call_us": bench_kernel_call(repeats),
     }
 
     with open(args.out, "w") as fh:
@@ -297,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"kernel ladder {case['topology']} N={case['n']} "
                   f"{mode}: " + ", ".join(parts)
                   + " | vs numpy: " + ", ".join(ratios))
+    kc = result["kernel_call_us"]
+    if "skipped" not in kc:
+        print("cc ring call: " + ", ".join(
+            f"{k} {v:.2f} us" for k, v in kc.items() if k.startswith("ring_")))
     print(f"written: {args.out}")
     return 0
 

@@ -11,9 +11,9 @@ potential, scatter-accumulate per row — to one of two interchangeable
     evaluation).  Always available, works for any potential including
     ``CustomPotential``; the reference implementation.
 ``"cc"``
-    Fused kernel compiled on first use with the system C compiler and
-    loaded via ctypes (:mod:`repro.kernels.cc`).  Needs a working ``cc``
-    and a potential family with kernel coefficients.
+    Fused kernel compiled on first use with the system C compiler into a
+    CPython extension (:mod:`repro.kernels.cc`).  Needs a working ``cc``,
+    the Python headers and a potential family with kernel coefficients.
 
 ``"auto"`` resolves to ``cc`` when every potential in the batch exposes
 :meth:`~repro.core.potentials.Potential.kernel_coefficients` and a
@@ -39,7 +39,6 @@ from .coeffs import (
     KIND_BOTTLENECK,
     KIND_KURAMOTO,
     KIND_LINEAR,
-    KIND_NAMES,
     KIND_TANH,
     eval_coefficients,
     family_coefficients,
@@ -61,7 +60,6 @@ __all__ = [
     "KIND_BOTTLENECK",
     "KIND_KURAMOTO",
     "KIND_LINEAR",
-    "KIND_NAMES",
 ]
 
 #: names accepted by the ``kernel=`` knobs
@@ -93,14 +91,10 @@ def resolve_threads(threads: int | None = None) -> int:
         try:
             t = int(env)
         except ValueError:
-            raise ValueError(
-                f"invalid {THREADS_ENV_VAR}={env!r}: expected a positive "
-                "integer"
-            ) from None
+            t = 0
         if t < 1:
             raise ValueError(
-                f"invalid {THREADS_ENV_VAR}={env!r}: expected a positive "
-                "integer"
+                f"invalid {THREADS_ENV_VAR}={env!r}: expected a positive integer"
             )
         return t
     return 1
@@ -188,8 +182,8 @@ def resolve_kernel(
     if key == "cc":
         if not cc_available():
             raise RuntimeError(
-                'kernel "cc" requested but no working C compiler was '
-                'found; use kernel="numpy" or "auto"'
+                'kernel "cc" requested but it does not build here (it needs '
+                'a C compiler and Python.h); use kernel="numpy" or "auto"'
             )
         if not has_coefficients:
             raise ValueError(

@@ -14,19 +14,26 @@ list once per member in cache-resident blocks:
    the NumPy ``bincount`` path, so results agree to the last few ulps
    (the only differences come from the SIMD transcendentals).
 
-The shared library is built on first use with the system ``cc`` (honouring
-``$CC``) into a content-addressed cache directory under the user's temp
-dir, then loaded via :mod:`ctypes` — no build-time dependency, no
-third-party package.  When no working compiler is available the module
-reports unavailability and the ``"auto"`` kernel resolution falls back to
-the NumPy path.
+The kernel is built on first use as a CPython extension module, with
+the system ``cc`` (honouring ``$CC``) and the interpreter's headers, into
+a content-addressed cache directory under the user's temp dir — no
+build-time dependency, no third-party package.  Without a working
+compiler or ``Python.h`` the module reports unavailability and the
+``"auto"`` kernel resolution falls back to the NumPy path.
 
-Entry points
-------------
+Entry points and prebound calls
+-------------------------------
 Three entries, one per topology layout, all on a stacked ``(R, N)``
 super-state with per-member coefficients: :func:`fused_batched` (any
 edge list), :func:`ring_batched` and :func:`torus_batched`.  A single
-state is the ``R = 1`` stack ``(1, N)``.
+state is the ``R = 1`` stack ``(1, N)``.  A backend evaluates the
+coupling thousands of times per solve with the same topology,
+coefficients and thread count, so :func:`bind` resolves all of those
+once into a :class:`KernelCall`, whose capsule holds the kernel's
+static arguments as raw pointers together with the arrays that own
+them.  Each evaluation is then one C call: it checks ``theta`` and
+``out`` through the buffer protocol, takes the calling OS thread's
+scratch and runs the kernel with the GIL released.
 
 Thread parallelism
 ------------------
@@ -45,28 +52,20 @@ builder metadata): distance rings (:func:`ring_offsets`) replace the
 gather/scatter with contiguous shifted passes, and 2-D tori
 (:func:`torus_halo`) decompose into column ring passes plus per-row halo
 passes — both unit-stride, both row-partitionable.
-
-Prebound calls
---------------
-A backend evaluates the coupling thousands of times per solve with the
-same topology, coefficients and thread count, so :func:`bind` resolves
-all of those once into a :class:`KernelCall` (raw addresses and plain
-ints, the kernel's static arguments).  Each evaluation through
-:func:`fused_batched` and its siblings then resolves only ``theta``,
-``out`` and the calling thread's scratch.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.util
 import os
 import platform
 import shutil
 import subprocess
 import sys
+import sysconfig
 import tempfile
-import threading
+from importlib.machinery import ExtensionFileLoader
 
 import numpy as np
 
@@ -84,7 +83,10 @@ __all__ = [
 ]
 
 _SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #ifdef _OPENMP
 #include <omp.h>
@@ -93,15 +95,9 @@ _SOURCE = r"""
 /* Potential kinds: keep in sync with repro/kernels/coeffs.py. */
 enum { KIND_TANH = 0, KIND_BOTTLENECK = 1, KIND_KURAMOTO = 2, KIND_LINEAR = 3 };
 
-/* Whether this binary was compiled with OpenMP (the flag-set fallback
- * chain may have landed on a serial build). */
-int64_t pom_openmp_available(void) {
-#ifdef _OPENMP
-    return 1;
-#else
-    return 0;
-#endif
-}
+/* Edge-block length (doubles); two scratch blocks per thread stay
+ * L2-resident. */
+#define BLOCK_EDGES 16384
 
 /* Evaluate one coefficient family on a block of phase differences.
  * Each case is a flat loop over the block so the compiler can
@@ -397,46 +393,184 @@ void pom_fused_torus_batched(const int64_t *col_offs, int64_t n_col,
                     out + r * n, n, 0, h, kinds[r], p0[r], p1[r], vp[r],
                     sd, sv, block);
 }
-"""
 
-#: edge-block length (doubles); two scratch blocks per thread stay
-#: L2-resident
-BLOCK_EDGES = 16384
+/* ---- CPython binding: bind() once per KernelCall, run() per call. ---- */
+static const char *const ENTRIES[] = {"fused_batched", "ring_batched", "torus_batched"};
+
+typedef struct {
+    int layout;          /* index into ENTRIES */
+    const void *arr[6];  /* static index arrays (C order), kind, p0, p1, vp */
+    long long num[3];    /* static counts (and the torus width) */
+    Py_ssize_t r, n;
+    long long threads;
+    PyObject *owner;     /* bind()'s arguments: they own every array */
+} pom_call;
+
+static void call_free(PyObject *cap) {
+    pom_call *c = PyCapsule_GetPointer(cap, "pom_call");
+    Py_XDECREF(c->owner);
+    PyMem_Free(c);
+}
+
+/* O& converters: the data pointer of a C-contiguous 4- or 8-byte array. */
+static int data_of(PyObject *obj, const void **p, Py_ssize_t itemsize) {
+    Py_buffer v;
+    if (PyObject_GetBuffer(obj, &v, PyBUF_C_CONTIGUOUS) < 0)
+        return 0;
+    *p = v.buf;
+    PyBuffer_Release(&v);
+    if (v.itemsize != itemsize)
+        PyErr_SetString(PyExc_TypeError, "kernel array of the wrong dtype");
+    return v.itemsize == itemsize;
+}
+static int i32(PyObject *obj, void *p) { return data_of(obj, p, 4); }
+static int i64(PyObject *obj, void *p) { return data_of(obj, p, 8); }
+
+/* bind(layout, (R, N), threads, static, (kind, p0, p1, vp)) -> capsule */
+static PyObject *py_bind(PyObject *self, PyObject *args) {
+    PyObject *st, *cap;
+    pom_call *c = PyMem_Calloc(1, sizeof *c);
+    const void **a = c ? c->arr : NULL;
+    long long *k = c ? c->num : NULL;
+    if (!c)
+        return PyErr_NoMemory();
+    if (PyArg_ParseTuple(args, "i(nn)LO!(O&O&O&O&)", &c->layout, &c->r, &c->n,
+                         &c->threads, &PyTuple_Type, &st, i64, &a[2], i64, &a[3],
+                         i64, &a[4], i64, &a[5]) && c->threads > 0 &&
+        (c->layout == 0 ? PyArg_ParseTuple(st, "O&O&L", i32, a, i32, a + 1, k)
+         : c->layout == 1 ? PyArg_ParseTuple(st, "O&L", i64, a, k)
+         : c->layout == 2 && PyArg_ParseTuple(st, "O&LO&LL", i64, a, k, i64, a + 1,
+                                              k + 1, k + 2)) &&
+        (cap = PyCapsule_New(c, "pom_call", call_free))) {
+        Py_INCREF(args);
+        c->owner = args;
+        return cap;
+    }
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_ValueError, "malformed kernel call");
+    PyMem_Free(c);
+    return NULL;
+}
+
+/* Export `obj` into `v` if it is a C-contiguous float64 (R, N) array. */
+static int state_view(PyObject *obj, Py_buffer *v, const pom_call *c, const char *arg) {
+    if (!PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
+        if (v->ndim == 2 && v->shape[0] == c->r && v->shape[1] == c->n &&
+            !strcmp(v->format, "d"))
+            return 0;
+        PyBuffer_Release(v);
+    }
+    PyErr_Format(PyExc_ValueError, "states must be C-contiguous float64 arrays of the "
+                 "bound shape (%zd, %zd); %s is not", c->r, c->n, arg);
+    return -1;
+}
+
+/* The calling OS thread's scratch (run() releases the GIL), freed at
+ * thread exit: two threads * BLOCK_EDGES doubles behind a 64-byte
+ * capacity header.  OpenMP thread tid works in slice tid of each block.
+ * 64-byte alignment: a compiler that peels iterations until a pointer
+ * is aligned peels the same count on every call. */
+static pthread_key_t scratch_key;
+
+static double *scratch(long long threads) {
+    long long *s = pthread_getspecific(scratch_key);
+    if (!s || s[0] < threads) {
+        free(s);
+        s = aligned_alloc(64, 64 + threads * BLOCK_EDGES * 2 * sizeof(double));
+        pthread_setspecific(scratch_key, s);
+        if (!s)
+            return NULL;
+        s[0] = threads;
+    }
+    return (double *)s + 8;
+}
+
+/* run(call, theta, out, layout) -> out */
+static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    const pom_call *c;
+    Py_buffer th, ou;
+    long want;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "run() takes 4 arguments");
+    if (!(c = PyCapsule_GetPointer(args[0], "pom_call")) ||
+        ((want = PyLong_AsLong(args[3])) == -1 && PyErr_Occurred()))
+        return NULL;
+    if (want != c->layout)
+        return PyErr_Format(PyExc_ValueError, "%s got a call bound for %s",
+                            (unsigned long)want < 3 ? ENTRIES[want] : "?",
+                            ENTRIES[c->layout]);
+    if (state_view(args[1], &th, c, "theta"))
+        return NULL;
+    if (state_view(args[2], &ou, c, "out"))
+        return PyBuffer_Release(&th), NULL;
+    const void *const *a = c->arr;
+    const long long *k = c->num;
+    double *t = th.buf, *o = ou.buf, *sd = NULL;
+    if (ou.readonly || (o < t + th.len / 8 && t < o + ou.len / 8))
+        PyErr_SetString(PyExc_ValueError,
+                        ou.readonly ? "out is read-only" : "out overlaps theta");
+    else if (!(sd = scratch(c->threads)))
+        PyErr_NoMemory();
+    if (sd) {
+        double *sv = sd + c->threads * BLOCK_EDGES;
+        Py_BEGIN_ALLOW_THREADS
+        if (c->layout == 0)
+            pom_fused_batched(a[0], a[1], k[0], t, o, c->r, c->n, a[2], a[3], a[4],
+                              a[5], sd, sv, BLOCK_EDGES, c->threads);
+        else if (c->layout == 1)
+            pom_fused_ring_batched(a[0], k[0], t, o, c->r, c->n, a[2], a[3], a[4],
+                                   a[5], sd, sv, BLOCK_EDGES, c->threads);
+        else
+            pom_fused_torus_batched(a[0], k[0], a[1], k[1], k[2], t, o, c->r, c->n,
+                                    a[2], a[3], a[4], a[5], sd, sv, BLOCK_EDGES,
+                                    c->threads);
+        Py_END_ALLOW_THREADS
+    }
+    PyBuffer_Release(&th);
+    PyBuffer_Release(&ou);
+    if (!sd)
+        return NULL;
+    Py_INCREF(args[2]);
+    return args[2];
+}
+
+/* Whether this binary has OpenMP (the flag-set chain may end serial). */
+static PyObject *py_openmp(PyObject *self, PyObject *unused) {
+#ifdef _OPENMP
+    Py_RETURN_TRUE;
+#endif
+    Py_RETURN_FALSE;
+}
+
+static PyMethodDef methods[] = {
+    {"bind", py_bind, METH_VARARGS, NULL},
+    {"run", (PyCFunction)(void (*)(void))py_run, METH_FASTCALL, NULL},
+    {"openmp_available", py_openmp, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL}};
+
+static PyModuleDef module = {PyModuleDef_HEAD_INIT, "_pom_kernel", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit__pom_kernel(void) {
+    if (pthread_key_create(&scratch_key, free))
+        return PyErr_NoMemory();
+    return PyModule_Create(&module);
+}
+"""
 
 #: (compile flags, extra link flags) tried in order until one builds.
 #: NOTE: the object is compiled with -ffast-math (needed for the libmvec
 #: SIMD transcendentals) but LINKED without it — linking a shared
 #: library with -ffast-math pulls in crtfastmath.o, whose constructor
-#: flips the process-wide FTZ/DAZ bits at dlopen time and silently
+#: flips the process-wide FTZ/DAZ bits at import time and silently
 #: breaks subnormal arithmetic for the whole interpreter.  -fopenmp *is*
 #: needed on the link line (libgomp); it does not pull crtfastmath.o.
+_NATIVE = ["-O3", "-march=native", "-mprefer-vector-width=512", "-ffast-math"]
 _FLAG_SETS = (
     # glibc + x86: vectorised libm via libmvec, widest SIMD available,
     # OpenMP row-parallel loops
-    (
-        [
-            "-O3",
-            "-march=native",
-            "-mprefer-vector-width=512",
-            "-ffast-math",
-            "-fopenmp-simd",
-            "-fopenmp",
-            "-fPIC",
-        ],
-        ["-fopenmp"],
-    ),
+    (_NATIVE + ["-fopenmp-simd", "-fopenmp", "-fPIC"], ["-fopenmp"]),
     # same without OpenMP (serial kernels, threads knob is a no-op)
-    (
-        [
-            "-O3",
-            "-march=native",
-            "-mprefer-vector-width=512",
-            "-ffast-math",
-            "-fopenmp-simd",
-            "-fPIC",
-        ],
-        [],
-    ),
+    (_NATIVE + ["-fopenmp-simd", "-fPIC"], []),
     # portable optimised builds
     (["-O3", "-ffast-math", "-fopenmp", "-fPIC"], ["-fopenmp"]),
     (["-O3", "-ffast-math", "-fPIC"], []),
@@ -444,7 +578,11 @@ _FLAG_SETS = (
     (["-O2", "-fPIC"], []),
 )
 
-_lib: ctypes.CDLL | None = None
+#: the directory of ``Python.h``, and the file suffix of extension modules
+_INCLUDE = sysconfig.get_paths()["include"]
+_EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+
+_lib = None  # the loaded extension module
 _lib_failed = False
 
 
@@ -488,30 +626,30 @@ def _compiler_tag(compiler: str | None) -> str:
 
 def _cache_path() -> str | None:
     key = _SOURCE + sys.version + np.__version__ + _cpu_tag()
-    key += _compiler_tag(_compiler()) + repr(_FLAG_SETS)
+    key += _compiler_tag(_compiler()) + repr(_FLAG_SETS) + _INCLUDE + _EXT_SUFFIX
     tag = hashlib.sha1(key.encode()).hexdigest()[:16]
     uid = os.getuid() if hasattr(os, "getuid") else "u"
     d = os.path.join(tempfile.gettempdir(), f"pom-cc-kernel-{uid}-{tag}")
     # The directory sits in a world-writable location: create it private
     # and refuse to trust it unless we own it, so another local user
-    # cannot pre-plant a malicious pom_kernel.so at the predictable path.
+    # cannot pre-plant a malicious extension module at the predictable path.
     os.makedirs(d, mode=0o700, exist_ok=True)
     if hasattr(os, "getuid") and os.stat(d).st_uid != os.getuid():
         return None
-    return os.path.join(d, "pom_kernel.so")
+    return os.path.join(d, "_pom_kernel" + _EXT_SUFFIX)
 
 
 def _build(path: str) -> bool:
     compiler = _compiler()
-    if compiler is None:
+    if compiler is None or not os.path.exists(os.path.join(_INCLUDE, "Python.h")):
         return False
-    src = path[:-3] + ".c"
+    src = os.path.join(os.path.dirname(path), "_pom_kernel.c")
     with open(src, "w") as fh:
         fh.write(_SOURCE)
     for flags, link_extra in _FLAG_SETS:
         obj = f"{path}.o{os.getpid()}"
         tmp = f"{path}.tmp{os.getpid()}"
-        compile_cmd = [compiler, "-c", *flags, "-o", obj, src]
+        compile_cmd = [compiler, "-c", *flags, "-I", _INCLUDE, "-o", obj, src]
         link_cmd = [compiler, "-shared", *link_extra, "-o", tmp, obj, "-lm"]
         try:
             proc = subprocess.run(compile_cmd, capture_output=True, timeout=120)
@@ -530,29 +668,8 @@ def _build(path: str) -> bool:
     return False
 
 
-def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    # Pointers are declared void* and passed as plain address ints: the
-    # typed POINTER(...) casts cost more than the small kernels do.
-    ptr = ctypes.c_void_p
-    i64 = ctypes.c_int64
-    edge = [ptr, ptr, i64, ptr, ptr]
-    ring = [ptr, i64, ptr, ptr]
-    torus = [ptr, i64, ptr, i64, i64, ptr, ptr]
-    batched = [i64, i64, ptr, ptr, ptr, ptr]
-    scratch = [ptr, ptr, i64, i64]
-    lib.pom_openmp_available.restype = i64
-    lib.pom_openmp_available.argtypes = []
-    lib.pom_fused_batched.restype = None
-    lib.pom_fused_batched.argtypes = edge + batched + scratch
-    lib.pom_fused_ring_batched.restype = None
-    lib.pom_fused_ring_batched.argtypes = ring + batched + scratch
-    lib.pom_fused_torus_batched.restype = None
-    lib.pom_fused_torus_batched.argtypes = torus + batched + scratch
-    return lib
-
-
-def load_library() -> ctypes.CDLL | None:
-    """Build (once) and load the kernel library; ``None`` if unavailable."""
+def load_library():
+    """Build (once) and import the kernel extension; ``None`` if unavailable."""
     global _lib, _lib_failed
     if _lib is not None or _lib_failed:
         return _lib
@@ -561,7 +678,9 @@ def load_library() -> ctypes.CDLL | None:
         if path is None or (not os.path.exists(path) and not _build(path)):
             _lib_failed = True
             return None
-        _lib = _bind(ctypes.CDLL(path))
+        loader = ExtensionFileLoader("_pom_kernel", path)
+        spec = importlib.util.spec_from_loader("_pom_kernel", loader)
+        _lib = importlib.util.module_from_spec(spec)
     except Exception:
         # Any failure (no compiler, exotic platform, unloadable binary)
         # must degrade to "cc unavailable" so the auto resolution falls
@@ -585,57 +704,7 @@ def openmp_available() -> bool:
     path.
     """
     lib = load_library()
-    return bool(lib is not None and lib.pom_openmp_available())
-
-
-def _aligned_empty(n: int) -> np.ndarray:
-    """A float64 scratch array on a 64-byte boundary.
-
-    Pinning the alignment removes the last trip-count-adjacent source
-    of SIMD variance: a compiler that peels iterations until a pointer
-    is aligned peels the *same* count on every call.  (BLOCK_EDGES * 8
-    is a multiple of 64, so the per-OpenMP-thread slices inherit the
-    alignment.)
-    """
-    raw = np.empty(n + 8, dtype=np.float64)
-    off = (-raw.ctypes.data % 64) // 8
-    return raw[off:off + n]
-
-
-class _Scratch:
-    """Reused per-call scratch: two ``threads * BLOCK_EDGES`` doubles.
-
-    One pair per *Python thread*: ctypes releases the GIL for the
-    duration of the C call, so concurrent evaluations from different
-    threads must not share write buffers.  Inside one call, OpenMP
-    thread ``tid`` works in the disjoint slice ``[tid * BLOCK_EDGES,
-    (tid + 1) * BLOCK_EDGES)``.
-    """
-
-    def __init__(self, threads: int) -> None:
-        self.threads = threads
-        self.sd = _aligned_empty(threads * BLOCK_EDGES)
-        self.sv = _aligned_empty(threads * BLOCK_EDGES)
-        self.sd_addr = self.sd.ctypes.data
-        self.sv_addr = self.sv.ctypes.data
-
-
-_tls = threading.local()
-
-
-def _scratch_buffers(threads: int = 1) -> "_Scratch":
-    scratch = getattr(_tls, "scratch", None)
-    if scratch is None or scratch.threads < threads:
-        scratch = _tls.scratch = _Scratch(threads)
-    return scratch
-
-
-def _clamp_threads(threads: int) -> int:
-    """Effective OpenMP team size: 1 unless the binary supports more."""
-    t = int(threads)
-    if t <= 1:
-        return 1
-    return t if openmp_available() else 1
+    return bool(lib is not None and lib.openmp_available())
 
 
 def ring_offsets(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray | None:
@@ -698,21 +767,17 @@ def torus_halo(
     dxs, dcounts = np.unique((pc - pr) % w, return_counts=True)
     if dxs.size == 0 or dxs[0] == 0 or not np.all(dcounts == n):
         return None
-    return (
-        w,
-        np.ascontiguousarray(full, dtype=np.int64),
-        np.ascontiguousarray(dxs, dtype=np.int64),
-    )
+    return w, full, dxs
 
 
 class KernelCall:
     """One backend's coupling-kernel call with its static arguments bound.
 
-    Holds the arrays behind every address it carries (topology, the
-    per-member coefficients and coupling strengths), so the addresses
-    stay valid for as long as the call lives.  Pickling or copying a
-    call re-derives the addresses from the copied arrays, so a raw
-    address never outlives its buffer.
+    Its capsule holds raw pointers into the call's arrays (topology,
+    per-member coefficients and coupling strengths) and a strong
+    reference to them.  Pickling or copying a call rebuilds it on the
+    copied arrays with a new capsule, so a raw pointer never outlives
+    its buffer or crosses a process.
 
     Parameters
     ----------
@@ -722,7 +787,7 @@ class KernelCall:
     static:
         The kernel's leading topology arguments in C order: ``(rows32,
         cols32, n_edges)``, ``(offsets, n_offsets)`` or ``(col_offsets,
-        n_col, row_dxs, n_dx, w)``; arrays are passed by address.
+        n_col, row_dxs, n_dx, w)``.
     coeffs:
         ``(kind, p0, p1, vp_over_n)`` as length-R arrays.
     shape:
@@ -739,7 +804,7 @@ class KernelCall:
         shape: tuple[int, ...],
         threads: int = 1,
     ) -> None:
-        if entry not in _ENTRY_SYMBOLS:
+        if entry not in _LAYOUTS:
             raise ValueError(f"unknown kernel entry {entry!r}")
         if len(shape) != 2:
             raise ValueError(f"shape {shape} is not an (R, N) state shape")
@@ -749,52 +814,32 @@ class KernelCall:
             int(a) if np.isscalar(a) else np.ascontiguousarray(a, dtype=index)
             for a in static
         )
-        kind, p0, p1, vp = coeffs
-        self.coeffs = (
-            np.ascontiguousarray(kind, dtype=np.int64),
-            np.ascontiguousarray(p0, dtype=np.float64),
-            np.ascontiguousarray(p1, dtype=np.float64),
-            np.ascontiguousarray(vp, dtype=np.float64),
+        dtypes = (np.int64, np.float64, np.float64, np.float64)  # kind, p0, p1, vp
+        self.coeffs = tuple(
+            np.ascontiguousarray(c, dtype=t) for c, t in zip(coeffs, dtypes)
         )
         if any(c.shape != (shape[0],) for c in self.coeffs):
             raise ValueError("coefficients must have length R")
         self.shape = tuple(int(x) for x in shape)
-        self.threads = _clamp_threads(threads)
-        self._resolve()
-
-    def _resolve(self) -> None:
+        threads = int(threads)  # serial unless the binary has OpenMP
+        self.threads = threads if threads > 1 and openmp_available() else 1
         lib = load_library()
         if lib is None:
             raise RuntimeError("the cc kernel is unavailable")
-        self._fn = getattr(lib, _ENTRY_SYMBOLS[self.entry])
-        self._head = tuple(_address(a) for a in self.static)
-        self._mid = self.shape + tuple(_address(c) for c in self.coeffs)
+        self._capsule = lib.bind(
+            _LAYOUTS[entry], self.shape, self.threads, self.static, self.coeffs
+        )
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for derived in ("_fn", "_head", "_mid"):
-            del state[derived]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._resolve()
+    def __reduce__(self):
+        args = (self.entry, self.static, self.coeffs, self.shape, self.threads)
+        return KernelCall, args
 
 
 #: C element type of the index arrays of each layout's static arguments
 _INDEX_DTYPES = {"fused": np.int32, "ring": np.int64, "torus": np.int64}
 
-#: module function name -> exported C symbol
-_ENTRY_SYMBOLS = {
-    "fused_batched": "pom_fused_batched",
-    "ring_batched": "pom_fused_ring_batched",
-    "torus_batched": "pom_fused_torus_batched",
-}
-
-
-def _address(a):
-    """An array's data address; any other argument passes through."""
-    return a.ctypes.data if isinstance(a, np.ndarray) else a
+#: module function name -> its index in the C ``ENTRIES`` table
+_LAYOUTS = {"fused_batched": 0, "ring_batched": 1, "torus_batched": 2}
 
 
 def bind(
@@ -828,46 +873,16 @@ def bind(
     return KernelCall(f"{layout}_batched", static, coeffs, (members, n), threads)
 
 
-_F64 = np.dtype(np.float64)
-
-
-def _fits(a: np.ndarray, shape: tuple[int, ...]) -> bool:
-    return a.shape == shape and a.dtype == _F64 and a.flags.c_contiguous
-
-
-def _run(call: KernelCall, entry: str, theta: np.ndarray, out: np.ndarray):
-    """Run ``call`` on contiguous float64 ``theta`` into ``out``."""
-    if call.entry != entry:
-        raise ValueError(f"{entry} got a call bound for {call.entry}")
-    if not (_fits(theta, call.shape) and _fits(out, call.shape)):
-        raise ValueError(
-            "states must be C-contiguous float64 arrays of the bound shape "
-            f"{call.shape}, got {theta.shape} -> {out.shape}"
-        )
-    scratch = _scratch_buffers(call.threads)
-    call._fn(
-        *call._head,
-        theta.ctypes.data,
-        out.ctypes.data,
-        *call._mid,
-        scratch.sd_addr,
-        scratch.sv_addr,
-        BLOCK_EDGES,
-        call.threads,
-    )
-    return out
-
-
 def fused_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
     """Coupling terms for a contiguous ``(R, N)`` super-state into ``out``."""
-    return _run(call, "fused_batched", theta, out)
+    return _lib.run(call._capsule, theta, out, 0)
 
 
 def ring_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
     """Distance-ring coupling for an ``(R, N)`` super-state into ``out``."""
-    return _run(call, "ring_batched", theta, out)
+    return _lib.run(call._capsule, theta, out, 1)
 
 
 def torus_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
     """2-D torus halo coupling for an ``(R, N)`` super-state into ``out``."""
-    return _run(call, "torus_batched", theta, out)
+    return _lib.run(call._capsule, theta, out, 2)

@@ -38,7 +38,6 @@ __all__ = [
     "KIND_BOTTLENECK",
     "KIND_KURAMOTO",
     "KIND_LINEAR",
-    "KIND_NAMES",
     "family_coefficients",
     "eval_coefficients",
 ]
@@ -47,14 +46,6 @@ KIND_TANH = 0
 KIND_BOTTLENECK = 1
 KIND_KURAMOTO = 2
 KIND_LINEAR = 3
-
-#: kind id -> family name (for reports and error messages)
-KIND_NAMES = {
-    KIND_TANH: "tanh",
-    KIND_BOTTLENECK: "bottleneck",
-    KIND_KURAMOTO: "kuramoto",
-    KIND_LINEAR: "linear",
-}
 
 
 def family_coefficients(

@@ -319,10 +319,11 @@ class TestPreboundCalls:
             ref = [backend.coupling(0.0, th) for th in thetas]
             clone = (copy.deepcopy(backend) if how == "deepcopy"
                      else pickle.loads(pickle.dumps(backend)))
-            # The clone's addresses point into its own arrays ...
+            # The clone's capsule is bound on its own arrays ...
             call = clone._cc_call
-            assert call._head[0] == call.static[0].ctypes.data
-            assert call._head[0] != backend._cc_call._head[0]
+            assert call._capsule is not backend._cc_call._capsule
+            assert not np.shares_memory(call.static[0],
+                                        backend._cc_call.static[0])
             # ... so it stays valid once the original's buffers are gone.
             del backend
             gc.collect()
@@ -367,6 +368,48 @@ class TestPreboundCalls:
         with pytest.raises(ValueError, match="unknown kernel entry"):
             cc_kernels.KernelCall("ring_stacked", (), (0, 1.0, 0.0, 1.0),
                                   (40,))
+
+    @needs_cc
+    def test_read_only_out_rejected(self):
+        _, batched = self._backends(ring(40, (1, -1)))
+        theta = np.zeros((3, 40))
+        out = np.empty_like(theta)
+        out.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            cc_kernels.ring_batched(batched._cc_call, theta, out)
+
+    @needs_cc
+    def test_overlapping_out_rejected(self):
+        _, batched = self._backends(ring(40, (1, -1)))
+        buf = np.random.default_rng(4).normal(size=(4, 40))
+        before = buf.copy()
+        for theta, out in ((buf[:3], buf[:3]), (buf[:3], buf[1:])):
+            with pytest.raises(ValueError, match="overlaps"):
+                cc_kernels.ring_batched(batched._cc_call, theta, out)
+        np.testing.assert_array_equal(buf, before)
+
+    @needs_cc
+    @pytest.mark.parametrize("make_topo", TOPOLOGIES)
+    def test_call_pickled_into_spawned_process_gives_same_bits(self,
+                                                               make_topo):
+        import multiprocessing
+
+        topo = make_topo()
+        _, batched = self._backends(topo)
+        call = batched._cc_call
+        run = getattr(cc_kernels, call.entry)
+        theta = np.random.default_rng(6).normal(0.0, 2.0, (3, topo.n))
+        want = run(call, theta, np.empty_like(theta))
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            got = pool.apply(run, (call, theta, np.empty_like(theta)))
+        np.testing.assert_array_equal(got, want)
+
+    @needs_cc
+    def test_loading_keeps_subnormals(self):
+        # The library is linked without -ffast-math: its crtfastmath.o
+        # would set flush-to-zero for the whole process when loaded.
+        assert cc_kernels.load_library() is not None
+        assert np.float64(1e-310) * 0.5 != 0.0
 
 
 class TestBuildCache:

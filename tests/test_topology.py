@@ -37,6 +37,26 @@ class TestTopologyValidation:
             Topology(matrix=m)
 
 
+class TestFromEdgeArrays:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dedupe_matches_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        rows = rng.integers(0, n, 4 * n)
+        cols = (rows + rng.integers(1, n, rows.size)) % n   # no self-loops
+        rows, cols = np.concatenate([rows, rows[::3]]), np.concatenate(
+            [cols, cols[::3]])                              # duplicates
+        flat = np.unique(rows * n + cols)
+        got_rows, got_cols = Topology.from_edge_arrays(n, rows, cols).edge_list()
+        np.testing.assert_array_equal(got_rows, flat // n)
+        np.testing.assert_array_equal(got_cols, flat % n)
+        assert got_rows.dtype == got_cols.dtype == np.intp
+
+    def test_empty_edge_list(self):
+        rows, cols = Topology.from_edge_arrays(3, [], []).edge_list()
+        assert rows.size == cols.size == 0
+
+
 class TestRing:
     def test_next_neighbor_structure(self):
         topo = ring(6, (1, -1))
