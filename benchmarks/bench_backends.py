@@ -13,8 +13,8 @@ Measures the three claims of the backend layer:
    way), while at small N the per-call *Python* overhead dominates and
    batching amortises it R-fold.  The paper's sweeps live at N = 24-128,
    i.e. squarely in the second regime.
-3. **Ensemble wall-clock** — ``run_ensemble`` over 8 seeds, sequential
-   vs. ``batched=True``.
+3. **Ensemble wall-clock** — 8 seeds: a loop of ``simulate()`` vs. the
+   one stacked ``run_ensemble`` solve.
 4. **Kernel ladder** — the large-N regime (ring N = 1e4 / 1e5 and a
    ~1e5-rank torus, built edge-native so no dense matrix is ever
    materialised): one single-state and one 8-member batched RHS
@@ -57,6 +57,7 @@ from repro.core import (
     ring,
     ring_edges,
     run_ensemble,
+    simulate,
     torus2d_edges,
 )
 
@@ -138,7 +139,7 @@ def bench_batched_rhs(n: int, r: int, repeats: int) -> dict:
 
 
 def bench_ensemble(n: int, r: int, t_end: float, repeats: int) -> dict:
-    """Full ``run_ensemble`` wall-clock: sequential vs. batched."""
+    """Ensemble wall-clock: a ``simulate()`` loop vs. ``run_ensemble``."""
     model = PhysicalOscillatorModel(
         topology=ring(n, (1, -1)), potential=TanhPotential(),
         t_comp=0.9, t_comm=0.1,
@@ -146,10 +147,15 @@ def bench_ensemble(n: int, r: int, t_end: float, repeats: int) -> dict:
     metrics = {"final_spread": lambda tr: float(np.ptp(tr.final_phases))}
     seeds = tuple(range(r))
 
-    t_seq = _time(lambda: run_ensemble(model, t_end, metrics, seeds=seeds),
+    def looped():
+        for seed in seeds:
+            traj = simulate(model, t_end, seed=seed)
+            for fn in metrics.values():
+                fn(traj)
+
+    t_seq = _time(looped, repeats)
+    t_bat = _time(lambda: run_ensemble(model, t_end, metrics, seeds=seeds),
                   repeats)
-    t_bat = _time(lambda: run_ensemble(model, t_end, metrics, seeds=seeds,
-                                       batched=True), repeats)
     return {
         "n": n,
         "seeds": r,

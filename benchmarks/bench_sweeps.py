@@ -1,16 +1,18 @@
 """Looped vs. batched parameter-sweep benchmark — JSON artefact writer.
 
-Measures the three claims of the heterogeneous batching layer:
+Measures the claims of the heterogeneous batching layer:
 
 1. **sweep_sigma wall-clock** — the Sec. 5.2.2 bottleneck-horizon grid
    (16 points at the paper's N = 24 ring), one stacked solve vs. the
-   point-by-point loop.
+   point-by-point loop (``shard_members=1``: one single-member shard
+   per point).
 2. **sweep_beta_kappa wall-clock** — the Sec. 5.1.1 coupling-strength
    grid, idem (members differ in ``v_p``; the stiffest member sub-steps
    on its own under the per-member step control).
 3. **Batched Euler-Maruyama** — a stochastic seed ensemble integrated as
-   one ``(R, N)`` super-state with per-member Wiener streams, including
-   the seed-for-seed equivalence check against the sequential path.
+   one ``(R, N)`` super-state with per-member Wiener streams
+   (``run_ensemble``) vs. a loop of ``simulate()``, including the
+   seed-for-seed equivalence check of ``simulate_grid`` against it.
 4. **Topology-axis fusion** (PR 10) — a machine-design grid (same model,
    four same-N candidate interconnects) solved as one fused stacked
    shard vs. one shard per topology group, including the bit-identity
@@ -43,7 +45,7 @@ from repro.core import (
     ring,
     run_ensemble,
     simulate,
-    simulate_batched,
+    simulate_grid,
 )
 from repro.experiments.sweeps import sweep_beta_kappa, sweep_sigma
 
@@ -63,9 +65,10 @@ def bench_sweep_sigma(n_points: int, n_ranks: int, t_end: float,
     """CLAIM-SIGMA grid: one stacked solve vs. the per-point loop."""
     sigmas = np.linspace(0.25, 3.0, n_points)
     t_loop = _time(lambda: sweep_sigma(sigmas=sigmas, n_ranks=n_ranks,
-                                       t_end=t_end, batched=False), repeats)
+                                       t_end=t_end, shard_members=1),
+                   repeats)
     t_bat = _time(lambda: sweep_sigma(sigmas=sigmas, n_ranks=n_ranks,
-                                      t_end=t_end, batched=True), repeats)
+                                      t_end=t_end), repeats)
     return {
         "n_points": n_points,
         "n_ranks": n_ranks,
@@ -81,11 +84,10 @@ def bench_sweep_beta_kappa(n_points: int, n_ranks: int, t_end: float,
     """CLAIM-BK grid: members differ in v_p (mixed stiffness)."""
     values = np.linspace(0.0, 16.0, n_points)
     t_loop = _time(lambda: sweep_beta_kappa(values=values, n_ranks=n_ranks,
-                                            t_end=t_end, batched=False),
+                                            t_end=t_end, shard_members=1),
                    repeats)
     t_bat = _time(lambda: sweep_beta_kappa(values=values, n_ranks=n_ranks,
-                                           t_end=t_end, batched=True),
-                  repeats)
+                                           t_end=t_end), repeats)
     return {
         "n_points": n_points,
         "n_ranks": n_ranks,
@@ -108,19 +110,23 @@ def bench_em_ensemble(n: int, r: int, t_end: float, dt: float,
 
     # Seed-for-seed equivalence guard: the batched solve must reproduce
     # each sequential per-seed run bit for bit (identical Wiener draws).
-    bat_trajs = simulate_batched(model, t_end, seeds=seeds, method="em",
-                                 dt=dt)
+    bat_trajs = simulate_grid([model] * r, t_end, seeds=seeds, method="em",
+                              dt=dt)
     max_diff = 0.0
     for seed, traj in zip(seeds, bat_trajs):
         ref = simulate(model, t_end, seed=seed, method="em", dt=dt)
         max_diff = max(max_diff,
                        float(np.abs(traj.thetas - ref.thetas).max()))
 
-    t_seq = _time(lambda: run_ensemble(model, t_end, metrics, seeds=seeds,
-                                       method="em", dt=dt), repeats)
+    def looped():
+        for seed in seeds:
+            traj = simulate(model, t_end, seed=seed, method="em", dt=dt)
+            for fn in metrics.values():
+                fn(traj)
+
+    t_seq = _time(looped, repeats)
     t_bat = _time(lambda: run_ensemble(model, t_end, metrics, seeds=seeds,
-                                       method="em", dt=dt, batched=True),
-                  repeats)
+                                       method="em", dt=dt), repeats)
     return {
         "n": n,
         "seeds": r,

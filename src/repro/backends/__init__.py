@@ -12,9 +12,9 @@ implementations:
   potential only on actual edges and accumulates with a segment sum.
   Members may differ in ``v_p``, period, potential, delay schedule and
   topology (only ``N`` is shared), so a whole seed ensemble or
-  *parameter grid* integrates as one super-state (used by
-  ``run_ensemble(batched=True)``, ``grid_sweep(..., batched=True)`` and
-  :func:`repro.core.simulation.simulate_grid`).
+  *parameter grid* integrates as one super-state (the backend of
+  :func:`repro.core.simulation.simulate_grid`, the one solve behind
+  ``run_ensemble``, ``grid_sweep`` and every campaign shard).
 
 :class:`SparseBackend` is the single-state view of the edge-list
 coupling: a one-member :class:`HeteroBatchedBackend` evaluated on the

@@ -20,7 +20,6 @@ disagree on the **topology** (a machine-design sweep over same-N
 candidate networks).  Each row of the batched result accumulates its
 edges in the same row-major order as a one-member evaluation, so it
 matches that evaluation bit for bit; this is what lets
-``grid_sweep(..., batched=True)`` and
 :func:`repro.core.simulation.simulate_grid` integrate all grid points as
 one super-state and fan exact per-point trajectories back out, and what
 makes topology-axis fusion bit-identical to per-group shards.  A single

@@ -111,10 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None,
                        help="directory for CSV/NPZ output (default: no "
                             "files)")
-    run_p.add_argument("--looped", action="store_true",
-                       help="run parameter sweeps point by point instead of "
-                            "one batched (R, N) solve (slower; for "
-                            "cross-checking)")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for sharded campaign "
                             "execution (default 1; results are identical "
@@ -132,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max members per shard (default: fuse whole "
                             "compatible groups; bounded shards enable "
                             "--jobs scaling, bit-for-bit for fixed-step "
-                            "methods)")
+                            "methods; 1 solves point by point, the "
+                            "cross-check against single solves)")
     run_p.add_argument("--fuse-topologies", dest="fuse_topologies",
                        action="store_true", default=None,
                        help="merge same-N topology groups into one stacked "
@@ -403,8 +400,6 @@ def _run_spec_file(args: argparse.Namespace) -> int:
     from .runs import compile_plan, run_plan, run_plan_queue
     from .viz.export import write_csv
 
-    if args.looped:
-        print("(--looped has no effect on spec-file campaigns)")
     if args.quick and _looks_like_spec_file(args.experiment):
         print("(--quick has no effect on spec-file campaigns — size the "
               "spec itself)")
@@ -484,12 +479,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         kwargs.update(exp.quick_kwargs)
     if args.out:
         kwargs["out_dir"] = args.out
-    if args.looped:
-        # Only the sweep runners take the knob; other artefacts ignore it.
-        if "batched" in params:
-            kwargs["batched"] = False
-        else:
-            print("(--looped has no effect on this experiment)")
     # Orchestration knobs: forwarded to campaign-shaped runners only.
     orchestration = {"jobs": args.jobs, "cache": args.cache,
                      "resume": args.resume,

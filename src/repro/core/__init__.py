@@ -55,7 +55,6 @@ from .potentials import (
 from .simulation import (
     default_dt,
     simulate,
-    simulate_batched,
     simulate_grid,
     simulate_kuramoto,
 )
@@ -101,8 +100,7 @@ __all__ = [
     "BottleneckPotential", "CustomPotential", "KuramotoPotential",
     "LinearPotential", "Potential", "TanhPotential", "potential_from_name",
     # simulation
-    "default_dt", "simulate", "simulate_batched", "simulate_grid",
-    "simulate_kuramoto",
+    "default_dt", "simulate", "simulate_grid", "simulate_kuramoto",
     # topology
     "Topology", "TopologyKind", "all_to_all", "chain", "dragonfly",
     "fat_tree", "from_edges", "from_networkx", "grid2d", "hypercube",

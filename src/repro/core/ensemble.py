@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .model import PhysicalOscillatorModel
-from .simulation import default_dt, simulate, simulate_batched, simulate_grid
+from .simulation import default_dt, simulate_grid
 from .trajectory import OscillatorTrajectory
 
 __all__ = ["EnsembleResult", "run_ensemble", "GridResult", "grid_sweep"]
@@ -62,12 +62,18 @@ def run_ensemble(
     t_end: float,
     metrics: Mapping[str, Callable[[OscillatorTrajectory], float]],
     *,
-    seeds: Sequence[int] = tuple(range(8)),
+    seeds: Iterable[int] = tuple(range(8)),
     theta0_factory: Callable[[int], np.ndarray] | None = None,
-    batched: bool = False,
     **simulate_kwargs,
 ) -> EnsembleResult:
     """Simulate the model once per seed and evaluate the metrics.
+
+    All seeds are stacked into one ``(R, N)`` super-state and integrated
+    in a single :func:`repro.core.simulation.simulate_grid` solve; the
+    members share one time mesh.  Fixed-step, Euler-Maruyama and DDE
+    members match their own :func:`repro.core.simulate` calls bit for
+    bit; under ``"dopri"`` the shared mesh agrees with them within
+    solver tolerances.
 
     Parameters
     ----------
@@ -78,42 +84,29 @@ def run_ensemble(
     metrics:
         Named callables ``f(trajectory) -> float``.
     seeds:
-        Ensemble seeds (also fed to ``theta0_factory``).
+        Ensemble seeds (also fed to ``theta0_factory``); any iterable of
+        ints, read once.
     theta0_factory:
         Optional per-seed initial condition, ``f(seed) -> (n,)``.
-    batched:
-        If True, stack all seeds into one ``(R, N)`` super-state and
-        integrate the whole ensemble in a single solver pass
-        (:func:`repro.core.simulation.simulate_batched`) — typically
-        several times faster than the sequential loop.  The members
-        then share one (adaptive) time mesh.  Works for ``method="em"``
-        too: the stacked solve draws each member's Wiener increments
-        from its own seeded stream, reproducing the sequential per-seed
-        runs bit for bit (at equal ``dt``).
     simulate_kwargs:
-        Forwarded to :func:`repro.core.simulate` (or its batched
-        counterpart).
+        Forwarded to :func:`repro.core.simulation.simulate_grid`
+        (``method``, ``dt``, ``rtol``, ``n_samples``, ``kernel``, ...).
     """
     if not metrics:
         raise ValueError("need at least one metric")
-    out: dict[str, list[float]] = {name: [] for name in metrics}
-    if batched:
-        trajs = simulate_batched(model, t_end, seeds=seeds,
-                                 theta0_factory=theta0_factory,
-                                 **simulate_kwargs)
-        for traj in trajs:
-            for name, fn in metrics.items():
-                out[name].append(float(fn(traj)))
-    else:
-        for seed in seeds:
-            theta0 = theta0_factory(seed) if theta0_factory is not None else None
-            traj = simulate(model, t_end, theta0=theta0, seed=seed,
-                            **simulate_kwargs)
-            for name, fn in metrics.items():
-                out[name].append(float(fn(traj)))
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    theta0s = None
+    if theta0_factory is not None:
+        theta0s = np.stack([np.asarray(theta0_factory(seed), dtype=float)
+                            for seed in seeds])
+    trajs = simulate_grid([model] * len(seeds), t_end, seeds=seeds,
+                          theta0s=theta0s, **simulate_kwargs)
     return EnsembleResult(
-        seeds=tuple(int(s) for s in seeds),
-        values={name: np.asarray(vals) for name, vals in out.items()},
+        seeds=seeds,
+        values={name: np.asarray([float(fn(traj)) for traj in trajs])
+                for name, fn in metrics.items()},
     )
 
 
@@ -163,7 +156,6 @@ def grid_sweep(param_grid: Mapping[str, Sequence],
                runner: Callable[..., object] | None = None,
                *,
                model_factory: Callable[..., PhysicalOscillatorModel] | None = None,
-               batched: bool = False,
                t_end: float | None = None,
                seed: int | None = None,
                theta0: Sequence[float] | np.ndarray | None = None,
@@ -177,13 +169,11 @@ def grid_sweep(param_grid: Mapping[str, Sequence],
     * **model mode**: ``model_factory(**point)`` builds one declarative
       model per grid point; the results are
       :class:`~repro.core.trajectory.OscillatorTrajectory` objects.
-      With ``batched=True`` all grid points are stacked into a single
-      ``(R, N)`` super-state and integrated in *one* solver pass
-      (:func:`repro.core.simulation.simulate_grid`) — typically several
-      times faster than the point-by-point loop; with ``batched=False``
-      each point runs through :func:`simulate` individually (same seeds
-      and fixed-step methods give machine-identical phases, so the two
-      paths are interchangeable).
+      All grid points are stacked into a single ``(R, N)`` super-state
+      and integrated in *one* solver pass
+      (:func:`repro.core.simulation.simulate_grid`); with a fixed-step
+      method every point matches its own :func:`simulate` call bit for
+      bit.
 
     Parameters
     ----------
@@ -193,8 +183,6 @@ def grid_sweep(param_grid: Mapping[str, Sequence],
         Runner-mode callable; mutually exclusive with ``model_factory``.
     model_factory:
         Model-mode callable ``f(**point) -> PhysicalOscillatorModel``.
-    batched:
-        Model mode only: integrate the whole grid in one stacked solve.
     t_end:
         Model mode only: shared integration horizon (required).
     seed:
@@ -203,20 +191,18 @@ def grid_sweep(param_grid: Mapping[str, Sequence],
     theta0:
         Model mode only: shared initial phases (default synchronised).
     simulate_kwargs:
-        Model mode only: forwarded to :func:`simulate` /
-        :func:`simulate_grid` (``method``, ``dt``, ``rtol``, ...).
-        When ``dt`` is not given, one shared fixed step — the smallest
+        Model mode only: forwarded to :func:`simulate_grid`
+        (``method``, ``dt``, ``rtol``, ...).  When ``dt`` is not given,
+        one shared fixed step — the smallest
         :func:`~repro.core.simulation.default_dt` over the grid — is
-        used for *both* paths, so looped and batched fixed-step results
-        stay machine-identical even when the points' own default steps
-        would differ.
+        used, the step a campaign shard of the same grid resolves.
     """
     if not param_grid:
         raise ValueError("parameter grid must not be empty")
     if (runner is None) == (model_factory is None):
         raise ValueError("need exactly one of runner= or model_factory=")
     if runner is not None:
-        extra = {"batched": batched or None, "t_end": t_end, "seed": seed,
+        extra = {"t_end": t_end, "seed": seed,
                  "theta0": theta0, **simulate_kwargs}
         offending = sorted(k for k, v in extra.items() if v is not None)
         if offending:
@@ -238,11 +224,7 @@ def grid_sweep(param_grid: Mapping[str, Sequence],
         if "dt" not in simulate_kwargs:
             simulate_kwargs = {**simulate_kwargs,
                                "dt": min(default_dt(m) for m in models)}
-        seed = 0 if seed is None else seed
-        if batched:
-            results = simulate_grid(models, t_end, seeds=seed, theta0=theta0,
-                                    **simulate_kwargs)
-        else:
-            results = [simulate(m, t_end, theta0=theta0, seed=seed,
-                                **simulate_kwargs) for m in models]
+        results = simulate_grid(models, t_end,
+                                seeds=0 if seed is None else seed,
+                                theta0=theta0, **simulate_kwargs)
     return GridResult(param_names=names, points=points, results=results)

@@ -27,7 +27,6 @@ from ..backends import (
     HeteroBatchedBackend,
     frequency_from_period,
     make_batched_backend,
-    normalize_backend_name,
 )
 from ..integrate import (
     HistoryBuffer,
@@ -41,8 +40,7 @@ from .model import KuramotoModel, PhysicalOscillatorModel, RealizedModel
 from .noise import GaussianJitter, NoNoise
 from .trajectory import OscillatorTrajectory
 
-__all__ = ["simulate", "simulate_batched", "simulate_grid",
-           "simulate_kuramoto", "default_dt"]
+__all__ = ["simulate", "simulate_grid", "simulate_kuramoto", "default_dt"]
 
 
 def default_dt(model: PhysicalOscillatorModel, safety: float = 50.0) -> float:
@@ -214,9 +212,9 @@ def _em_amplitude(model: PhysicalOscillatorModel) -> float:
 def _solve_stacked(stacked, models: Sequence[PhysicalOscillatorModel],
                    t_end: float, theta0s: np.ndarray, method: str,
                    dt: float, rtol: float, atol: float,
-                   seeds: Sequence[int], per_member_adaptive: bool,
-                   observer=None, record: str | int = "full"):
-    """Shared solver dispatch for the batched ensemble and grid paths.
+                   seeds: Sequence[int], observer=None,
+                   record: str | int = "full"):
+    """Solver dispatch of :func:`simulate_grid`.
 
     ``observer``/``record`` are the streaming-metrics hooks of
     :mod:`repro.metrics.streaming`: the observer sees the stacked
@@ -249,8 +247,7 @@ def _solve_stacked(stacked, models: Sequence[PhysicalOscillatorModel],
             stacked.make_ode_rhs(), (0.0, t_end), theta0s,
             rtol=rtol, atol=atol,
             max_step=max_step if np.isfinite(max_step) else np.inf,
-            subset_rhs=(_subset_rhs_factory(stacked)
-                        if per_member_adaptive else None),
+            subset_rhs=_subset_rhs_factory(stacked),
             observer=observer, record=record)
     if method == "rk4":
         return solve_rk4(stacked.make_ode_rhs(), (0.0, t_end), theta0s, dt=dt,
@@ -306,80 +303,6 @@ def _fan_out(sol, models: Sequence[PhysicalOscillatorModel],
     return trajs
 
 
-def simulate_batched(
-    model: PhysicalOscillatorModel,
-    t_end: float,
-    *,
-    seeds: Sequence[int],
-    theta0_factory=None,
-    method: str = "dopri",
-    dt: float | None = None,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    n_samples: int | None = None,
-    backend: str | None = None,
-    kernel: str | None = None,
-    threads: int | None = None,
-    per_member_adaptive: bool = True,
-) -> list[OscillatorTrajectory]:
-    """Integrate a whole seed ensemble as one ``(R, N)`` super-state.
-
-    :func:`simulate_grid` over ``[model] * len(seeds)``: realises the
-    model once per seed, stacks the members, evaluates all RHSs through
-    the vectorised :class:`~repro.backends.HeteroBatchedBackend`, and
-    runs a *single* solver pass.  This amortises the per-step Python
-    overhead over all members and replaces R small coupling kernels with
-    one large one.  The members share one (adaptive) time mesh; every
-    member individually satisfies the tolerances (per-member error norm,
-    see :func:`repro.integrate.controller.error_norm`), and with
-    ``per_member_adaptive`` a member that rejects a step the rest
-    accepted is re-stepped on its own instead of shrinking the shared
-    step.
-
-    Parameters mirror :func:`simulate`, except:
-
-    seeds:
-        One noise-realisation seed per ensemble member.
-    theta0_factory:
-        Optional per-seed initial condition, ``f(seed) -> (n,)``.
-    method:
-        ``"dopri"`` | ``"rk4"`` | ``"euler"`` | ``"em"``.  The batched
-        Euler-Maruyama draws the ``(R, N)`` Wiener increments inside the
-        solver from per-seed generators, reproducing the sequential
-        per-seed runs bit for bit (at equal ``dt``).
-    kernel:
-        Coupling-loop kernel for the batched backend (``"auto"`` |
-        ``"numpy"`` | ``"cc"``).
-    threads:
-        In-kernel thread count for the compiled kernels (bit-identical
-        for any value); default: ``POM_NUM_THREADS``, else 1.
-    per_member_adaptive:
-        Enable the per-member step-rejection control for ``"dopri"``
-        (default on; turn off to force the PR-1 worst-member-drags-all
-        behaviour, e.g. for benchmarking).
-
-    Returns
-    -------
-    list[OscillatorTrajectory]
-        One trajectory per seed, in seed order, all on the shared mesh.
-    """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if len(seeds) == 0:
-        raise ValueError("need at least one seed")
-    normalize_backend_name(backend)  # validated; the stack is always batched
-
-    theta0s = None
-    if theta0_factory is not None:
-        theta0s = np.stack([np.asarray(theta0_factory(seed), dtype=float)
-                            for seed in seeds])
-    return simulate_grid(
-        [model] * len(seeds), t_end, seeds=seeds, theta0s=theta0s,
-        method=method, dt=dt, rtol=rtol, atol=atol, n_samples=n_samples,
-        kernel=kernel, threads=threads,
-        per_member_adaptive=per_member_adaptive)
-
-
 def simulate_grid(
     models: Sequence[PhysicalOscillatorModel],
     t_end: float,
@@ -394,40 +317,50 @@ def simulate_grid(
     n_samples: int | None = None,
     kernel: str | None = None,
     threads: int | None = None,
-    per_member_adaptive: bool = True,
     observer=None,
     record: str | int = "full",
 ) -> list[OscillatorTrajectory]:
-    """Integrate a parameter grid of models as one ``(R, N)`` super-state.
+    """Integrate a set of members as one ``(R, N)`` super-state.
 
-    The heterogeneous counterpart of :func:`simulate_batched`: the
-    models may differ in coupling strength, period, potential, noise,
-    one-off delay schedule — and even **topology** (a machine-design
-    sweep over same-N candidate networks runs through the backend's
-    padded stacked edge-list path, bit-identical to grouping by
-    topology) — only the oscillator count N must be shared.  All grid
-    points are compiled into a single
+    The one solve behind every member set: seed ensembles
+    (:func:`repro.core.run_ensemble`), model-mode grids
+    (:func:`repro.core.grid_sweep`) and every campaign shard of
+    :mod:`repro.runs`.  The models may differ in coupling strength,
+    period, potential, noise, one-off delay schedule — and even
+    **topology** (a machine-design sweep over same-N candidate networks
+    runs through the backend's padded stacked edge-list path,
+    bit-identical to grouping by topology) — only the oscillator count N
+    must be shared.  All members are compiled into a single
     :class:`~repro.backends.HeteroBatchedBackend` and integrated in one
-    solver pass; per-point trajectories are fanned back out, each
+    solver pass; per-member trajectories are fanned back out, each
     carrying its own model metadata.
+
+    The members share one time mesh.  Under ``"dopri"`` every member
+    individually satisfies the tolerances (per-member error norm, see
+    :func:`repro.integrate.controller.error_norm`), and a member that
+    rejects a step the rest accepted is re-stepped on its own instead of
+    shrinking the shared step.  The fixed-step methods perform the same
+    arithmetic per member as :func:`simulate`, so each member matches its
+    own :func:`simulate` call bit for bit.
 
     Parameters
     ----------
     models:
-        One declarative model per grid point.
+        One declarative model per member.
     t_end:
         Shared integration horizon.
     seeds:
-        A single seed applied to every grid point (the usual sweep
+        A single seed applied to every member (the usual sweep
         convention: identical noise stream per point), or one seed per
         model.
     theta0:
-        Shared initial phases for all points (default: synchronised).
+        Shared initial phases for all members (default: synchronised).
     theta0s:
-        Per-point initial phases ``(R, N)``; overrides ``theta0``.
-    method, dt, rtol, atol, n_samples, kernel, threads, per_member_adaptive:
-        As in :func:`simulate_batched` (``"em"`` batches too — each
-        point draws its Wiener increments from its own seeded stream).
+        Per-member initial phases ``(R, N)``; overrides ``theta0``.
+    method, dt, rtol, atol, n_samples, kernel, threads:
+        As in :func:`simulate`.  ``"em"`` batches too: each member draws
+        its ``(N,)`` Wiener increments from its own seeded generator, in
+        the order :func:`simulate` draws them.
     observer:
         Streaming-metrics hook (e.g. a
         :class:`repro.metrics.streaming.StreamingObserver`), called with
@@ -465,7 +398,7 @@ def simulate_grid(
 
     if kernel is None:
         # Honour the models' declarative kernel field when they agree
-        # (mirrors simulate/simulate_batched); disagreeing grids fall
+        # (mirrors simulate); disagreeing grids fall
         # back to auto resolution for the stacked backend.
         model_kernels = {m.kernel for m in models}
         kernel = model_kernels.pop() if len(model_kernels) == 1 else "auto"
@@ -488,8 +421,8 @@ def simulate_grid(
         dt = min(default_dt(m) for m in models)
 
     sol = _solve_stacked(stacked, models, t_end, theta0s, method, dt,
-                         rtol, atol, seed_list, per_member_adaptive,
-                         observer=observer, record=record)
+                         rtol, atol, seed_list, observer=observer,
+                         record=record)
     if not sol.success:
         raise RuntimeError(f"grid integration failed: {sol.message}")
     return _fan_out(sol, models, seed_list, n_samples)

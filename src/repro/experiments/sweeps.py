@@ -23,7 +23,6 @@ import numpy as np
 from ..core import (
     BottleneckPotential,
     KuramotoModel,
-    OneOffDelay,
     PhysicalOscillatorModel,
     TanhPotential,
     ring,
@@ -147,7 +146,6 @@ def sweep_beta_kappa(
     delay_rank: int = 4,
     seed: int = 0,
     out_dir: str | Path | None = None,
-    batched: bool = True,
     jobs: int = 1,
     shard_members: int | None = None,
     cache=None,
@@ -156,45 +154,27 @@ def sweep_beta_kappa(
     """Sweep the coupling strength (via ``v_p_override = beta*kappa/T``).
 
     Uses a fixed next-neighbour ring and the scalable potential so only
-    the coupling knob varies (the paper's Sec. 5.1.1 story).  With
-    ``batched=True`` (default) the campaign routes through the run
+    the coupling knob varies (the paper's Sec. 5.1.1 story).  The
+    campaign is :func:`beta_kappa_spec`, run through the run
     orchestration layer (:mod:`repro.runs`): the grid compiles to
-    batched shards, executes on ``jobs`` processes, and — with
+    stacked shards, executes on ``jobs`` processes, and — with
     ``cache=`` — replays/resumes from the content-addressed result
-    store.  The default ``shard_members=None`` fuses the whole grid
-    into one stacked solve, reproducing the PR-2 batched path bit for
-    bit; bounded shards trade that mesh identity (dopri results then
-    agree within solver tolerances) for multiprocess scaling.  The
-    looped path remains available for cross-checking.
+    store.  The default ``shard_members=None`` fuses the whole grid into
+    one stacked solve; ``shard_members=1`` solves point by point (the
+    cross-check against :func:`repro.core.simulate`), and bounded
+    shards in between trade mesh identity (dopri results then agree
+    within solver tolerances) for multiprocess scaling.
     """
     if values is None:
         values = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
     values = np.asarray(values, dtype=float)
-    period = t_comp + t_comm
 
-    if batched:
-        run = run_spec(
-            beta_kappa_spec(values, n_ranks=n_ranks, t_comp=t_comp,
-                            t_comm=t_comm, t_end=t_end,
-                            delay_rank=delay_rank, seed=seed),
-            jobs=jobs, shard_members=shard_members, cache=cache,
-            resume=resume)
-        trajs = run.trajectories()
-    else:
-        topology = ring(n_ranks, (1, -1))
-        models = [
-            PhysicalOscillatorModel(
-                topology=topology,
-                potential=TanhPotential(),
-                t_comp=t_comp,
-                t_comm=t_comm,
-                v_p_override=bk / period,
-                delays=(OneOffDelay(rank=delay_rank, t_start=_T_INJECT,
-                                    delay=2.0 * period),),
-            )
-            for bk in values
-        ]
-        trajs = [simulate(model, t_end, seed=seed) for model in models]
+    run = run_spec(
+        beta_kappa_spec(values, n_ranks=n_ranks, t_comp=t_comp,
+                        t_comm=t_comm, t_end=t_end,
+                        delay_rank=delay_rank, seed=seed),
+        jobs=jobs, shard_members=shard_members, cache=cache, resume=resume)
+    trajs = run.trajectories()
 
     speeds, resync, peaks = [], [], []
     for traj in trajs:
@@ -258,7 +238,6 @@ def sweep_sigma(
     delay_rank: int = 4,
     seed: int = 0,
     out_dir: str | Path | None = None,
-    batched: bool = True,
     jobs: int = 1,
     shard_members: int | None = None,
     cache=None,
@@ -266,43 +245,23 @@ def sweep_sigma(
 ) -> SigmaSweep:
     """Sweep the bottleneck horizon sigma on a next-neighbour ring.
 
-    With ``batched=True`` (default) the campaign routes through the run
-    orchestration layer (:mod:`repro.runs`) — one stacked super-state
-    by default (the potentials differ per member; the heterogeneous
-    backend groups them), sharded across ``jobs`` processes when
-    ``shard_members`` bounds the shard size, cached/resumable with
-    ``cache=``.  ``batched=False`` runs the original point-by-point
-    loop.
+    The campaign is :func:`sigma_spec`, run through the run
+    orchestration layer (:mod:`repro.runs`) — one stacked super-state by
+    default (the potentials differ per member; the heterogeneous backend
+    groups them), point by point with ``shard_members=1`` (the
+    cross-check against :func:`repro.core.simulate`), sharded across
+    ``jobs`` processes when ``shard_members`` bounds the shard size,
+    cached/resumable with ``cache=``.
     """
     if sigmas is None:
         sigmas = np.array([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
     sigmas = np.asarray(sigmas, dtype=float)
 
-    if batched:
-        run = run_spec(
-            sigma_spec(sigmas, n_ranks=n_ranks, t_comp=t_comp,
-                       t_comm=t_comm, t_end=t_end, delay_rank=delay_rank,
-                       seed=seed),
-            jobs=jobs, shard_members=shard_members, cache=cache,
-            resume=resume)
-        trajs = run.trajectories()
-    else:
-        topology = ring(n_ranks, (1, -1))
-        rng = np.random.default_rng(seed)
-        theta0 = rng.normal(0.0, 1e-3, size=n_ranks)
-        models = [
-            PhysicalOscillatorModel(
-                topology=topology,
-                potential=BottleneckPotential(sigma=float(s)),
-                t_comp=t_comp,
-                t_comm=t_comm,
-                delays=(OneOffDelay(rank=delay_rank, t_start=_T_INJECT,
-                                    delay=2.0 * (t_comp + t_comm)),),
-            )
-            for s in sigmas
-        ]
-        trajs = [simulate(model, t_end, theta0=theta0, seed=seed)
-                 for model in models]
+    run = run_spec(
+        sigma_spec(sigmas, n_ranks=n_ranks, t_comp=t_comp, t_comm=t_comm,
+                   t_end=t_end, delay_rank=delay_rank, seed=seed),
+        jobs=jobs, shard_members=shard_members, cache=cache, resume=resume)
+    trajs = run.trajectories()
 
     gaps, spreads, speeds = [], [], []
     for traj in trajs:

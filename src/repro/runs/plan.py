@@ -35,7 +35,7 @@ layout produces the phases of the full-grid batched solve.  For the
 adaptive ``dopri`` the members of a shard share one adaptive mesh, so
 chunking changes meshes (results stay within solver tolerances); the
 default ``shard_members=None`` keeps each fused group whole, which is
-what reproduces ``grid_sweep(batched=True)`` bit for bit.
+what reproduces ``grid_sweep`` over the same grid bit for bit.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
         dt = solver.get("dt")
         if dt is None:
             # Plan-time resolution over the *fused group* (the exact set
-            # simulate_grid would see unchunked), so chunking and the
-            # pre-existing grid_sweep(batched=True) path agree on dt.
+            # simulate_grid would see unchunked), so chunking and
+            # grid_sweep over the same grid agree on dt.
             dt = min(default_dt(m.build_model()) for m in group)
         resolved = {
             "method": method,

@@ -199,6 +199,11 @@ class TestRegistrySmoke:
         # the sweep's campaign is cached: replay hits the cache
         assert main(["run", "sigma", "--quick", "--cache", cache]) == 0
 
+    def test_point_by_point_sweep_through_pom_run(self, capsys):
+        # --shard-members 1 is the point-by-point cross-check of a sweep
+        assert main(["run", "sigma", "--quick", "--shard-members", "1"]) == 0
+        assert "SigmaSweep" in capsys.readouterr().out
+
     def test_orchestration_flags_noop_notice(self, capsys, tmp_path):
         assert main(["run", "fig1a", "--jobs", "2",
                      "--out", str(tmp_path)]) == 0

@@ -1,11 +1,12 @@
-"""Regression tests for batched parameter grids and batched EM.
+"""Regression tests for stacked parameter grids and stacked EM.
 
-``simulate_grid`` / ``grid_sweep(batched=True)`` stack all grid points
-into one (R, N) super-state.  With a fixed-step method every point
-performs exactly the same arithmetic as its individual solve, so phases
-must agree to machine precision; the adaptive method agrees within
-integrator tolerance.  The batched Euler-Maruyama must reproduce the
-sequential per-seed draws bit for bit.
+``simulate_grid`` (and ``grid_sweep`` and the claim sweeps on top of it)
+stack all grid points into one (R, N) super-state; the reference is
+:func:`repro.core.simulate`, one point at a time.  With a fixed-step
+method every point performs exactly the same arithmetic as its
+individual solve, so phases must agree to machine precision; the
+adaptive method agrees within integrator tolerance.  The stacked
+Euler-Maruyama must reproduce the sequential per-seed draws bit for bit.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core import (
     simulate,
     simulate_grid,
 )
+from repro.experiments import sweeps
 from repro.experiments.sweeps import sweep_beta_kappa, sweep_sigma
 from repro.viz.export import read_csv
 
@@ -117,18 +119,20 @@ class TestSimulateGrid:
             simulate_grid(models, 4.0)
         with pytest.raises(ValueError, match="seeds"):
             simulate_grid([sigma_model(1.0)], 4.0, seeds=(1, 2))
+        with pytest.raises(ValueError, match="positive"):
+            simulate_grid([sigma_model(1.0)], 0.0)
 
 
 class TestGridSweep:
     def test_batched_matches_looped_per_point(self):
         grid = {"sigma": [0.5, 1.0, 2.0]}
-        looped = grid_sweep(grid, model_factory=sigma_model, t_end=6.0,
-                            method="rk4", dt=0.02)
-        batched = grid_sweep(grid, model_factory=sigma_model, t_end=6.0,
-                             method="rk4", dt=0.02, batched=True)
-        assert looped.points == batched.points
-        for a, b in zip(looped.results, batched.results):
-            np.testing.assert_allclose(b.thetas, a.thetas,
+        res = grid_sweep(grid, model_factory=sigma_model, t_end=6.0,
+                         method="rk4", dt=0.02)
+        assert res.points == [{"sigma": s} for s in grid["sigma"]]
+        for point, b in zip(res.points, res.results):
+            ref = simulate(sigma_model(**point), 6.0, seed=0, method="rk4",
+                           dt=0.02)
+            np.testing.assert_allclose(b.thetas, ref.thetas,
                                        rtol=1e-12, atol=1e-12)
 
     def test_runner_mode_unchanged(self):
@@ -140,14 +144,14 @@ class TestGridSweep:
             grid_sweep({"x": [1]}, lambda x: x, model_factory=sigma_model)
         with pytest.raises(ValueError, match="exactly one"):
             grid_sweep({"x": [1]})
-        with pytest.raises(ValueError, match="batched"):
-            grid_sweep({"x": [1]}, lambda x: x, batched=True)
+        with pytest.raises(ValueError, match="method"):
+            grid_sweep({"x": [1]}, lambda x: x, method="rk4")
         with pytest.raises(ValueError, match="t_end"):
             grid_sweep({"sigma": [1.0]}, model_factory=sigma_model)
 
     def test_as_table_write_csv_round_trip(self, tmp_path):
         res = grid_sweep({"sigma": [0.5, 1.0]}, model_factory=sigma_model,
-                         t_end=4.0, method="rk4", dt=0.05, batched=True)
+                         t_end=4.0, method="rk4", dt=0.05)
         extractors = {
             "spread": lambda tr: float(np.ptp(tr.final_phases)),
             "seed": lambda tr: tr.seed,
@@ -163,11 +167,49 @@ class TestGridSweep:
         np.testing.assert_allclose(data["seed"], table["seed"])
 
 
+class _SimulateLoop:
+    """Stand-in for ``run_spec``: one ``simulate()`` per spec member."""
+
+    def __init__(self, spec, **_orchestration):
+        self._trajs = []
+        for m in spec.members():
+            model = m.build_model()
+            self._trajs.append(simulate(model, m.t_end,
+                                        theta0=m.build_theta0(model.n),
+                                        seed=m.seed))
+
+    def trajectories(self):
+        return self._trajs
+
+
+def _assert_same_bits(a, b):
+    for name, value in vars(a).items():
+        np.testing.assert_array_equal(value, getattr(b, name), err_msg=name)
+
+
+class TestClaimSweepsReference:
+    """``shard_members=1`` solves each claim sweep point by point; every
+    result array must be the bits of a loop of ``simulate()`` over the
+    sweep's spec members."""
+
+    def test_sweep_sigma_point_by_point_is_simulate(self, monkeypatch):
+        kw = dict(sigmas=[0.5, 1.5], n_ranks=12, t_end=40.0)
+        one = sweep_sigma(shard_members=1, **kw)
+        monkeypatch.setattr(sweeps, "run_spec", _SimulateLoop)
+        _assert_same_bits(one, sweep_sigma(**kw))
+
+    def test_sweep_beta_kappa_point_by_point_is_simulate(self, monkeypatch):
+        kw = dict(values=[0.5, 4.0], n_ranks=12, t_end=40.0)
+        one = sweep_beta_kappa(shard_members=1, **kw)
+        monkeypatch.setattr(sweeps, "run_spec", _SimulateLoop)
+        _assert_same_bits(one, sweep_beta_kappa(**kw))
+
+
 class TestClaimSweepsBatched:
     def test_sweep_sigma_batched_matches_looped(self):
         kw = dict(sigmas=[0.5, 1.5], n_ranks=12, t_end=120.0)
-        fast = sweep_sigma(batched=True, **kw)
-        slow = sweep_sigma(batched=False, **kw)
+        fast = sweep_sigma(**kw)
+        slow = sweep_sigma(shard_members=1, **kw)
         np.testing.assert_allclose(fast.mean_abs_gap, slow.mean_abs_gap,
                                    rtol=5e-2, atol=5e-3)
         np.testing.assert_allclose(fast.phase_spread, slow.phase_spread,
@@ -175,8 +217,8 @@ class TestClaimSweepsBatched:
 
     def test_sweep_beta_kappa_batched_matches_looped(self):
         kw = dict(values=[0.5, 4.0], n_ranks=12, t_end=120.0)
-        fast = sweep_beta_kappa(batched=True, **kw)
-        slow = sweep_beta_kappa(batched=False, **kw)
+        fast = sweep_beta_kappa(**kw)
+        slow = sweep_beta_kappa(shard_members=1, **kw)
         np.testing.assert_allclose(fast.spread_peak, slow.spread_peak,
                                    rtol=5e-2, atol=5e-3)
 

@@ -149,6 +149,13 @@ class TestEnsemble:
                            metrics={"r": lambda t: 1.0}, seeds=[3, 5])
         assert res.seeds == (3, 5)
 
+    def test_generator_seeds_read_once(self):
+        res = run_ensemble(self.make_model(), 2.0,
+                           metrics={"r": lambda t: 1.0},
+                           seeds=(s for s in [3, 5]))
+        assert res.seeds == (3, 5)
+        assert res.values["r"].shape == (2,)
+
     def test_requires_metrics(self):
         with pytest.raises(ValueError, match="metric"):
             run_ensemble(self.make_model(), 5.0, metrics={})
