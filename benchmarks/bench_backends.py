@@ -1,11 +1,12 @@
-"""Dense vs. sparse vs. batched backend benchmark — JSON artefact writer.
+"""Dense vs. edge-list vs. batched backend benchmark — JSON artefact writer.
 
-Measures the three claims of the backend layer:
+Measures the claims of the backend layer:
 
 1. **RHS speedup** — one Eq. 2 evaluation on a nearest-neighbour ring at
-   N = 4096: the O(E) edge-list kernel vs. the O(N^2) dense reference.
+   N = 4096: the O(E) edge-list coupling (a realisation's one-member
+   stack) vs. the O(N^2) dense reference.
 2. **Batched RHS throughput** — an 8-member super-state evaluation vs.
-   8 separate sparse evaluations, at a large and a small ring.  The two
+   8 separate one-member stacks, at a large and a small ring.  The two
    sizes bracket the two regimes: at large N the edge kernel is
    memory-bound (one bincount over R*E moves the same bytes as R
    bincounts over E, so batching cannot beat the loop no matter how the
@@ -17,8 +18,8 @@ Measures the three claims of the backend layer:
    one stacked ``run_ensemble`` solve.
 4. **Kernel ladder** — the large-N regime (ring N = 1e4 / 1e5 and a
    ~1e5-rank torus, built edge-native so no dense matrix is ever
-   materialised): one single-state and one 8-member batched RHS
-   evaluation under each available coupling kernel (``numpy`` vs. the
+   materialised): one single-state (one-member stack) and one 8-member
+   batched RHS evaluation under each available coupling kernel (``numpy`` vs. the
    fused compiled ``cc``), reported as speedups over the ``numpy``
    kernel.
 5. **Kernel call cost** — microseconds per small ``cc`` ring call
@@ -49,7 +50,7 @@ from statistics import median
 import numpy as np
 
 from repro import kernels
-from repro.backends import HeteroBatchedBackend, make_backend
+from repro.backends import DenseBackend, HeteroBatchedBackend
 from repro.core import (
     GaussianJitter,
     PhysicalOscillatorModel,
@@ -89,12 +90,12 @@ def _time_best(fn, repeats: int) -> float:
 
 
 def bench_rhs(n: int, repeats: int) -> dict:
-    """Single-state RHS: dense vs. sparse on a ring of size ``n``."""
+    """Single-state RHS: dense vs. edge-list on a ring of size ``n``."""
     model = PhysicalOscillatorModel(
         topology=ring(n, (1, -1)), potential=TanhPotential(),
         t_comp=0.9, t_comm=0.1)
-    dense = model.realize(10.0, rng=0, backend="dense")
-    sparse = model.realize(10.0, rng=0, backend="sparse")
+    dense = DenseBackend(model.realize(10.0, rng=0))
+    sparse = model.realize(10.0, rng=0)
     theta = np.random.default_rng(0).normal(0.0, 1.0, n)
 
     # Warm up + correctness guard.
@@ -112,13 +113,12 @@ def bench_rhs(n: int, repeats: int) -> dict:
 
 
 def bench_batched_rhs(n: int, r: int, repeats: int) -> dict:
-    """Batched super-state RHS vs. R separate sparse evaluations."""
+    """Batched super-state RHS vs. R separate one-member evaluations."""
     model = PhysicalOscillatorModel(
         topology=ring(n, (1, -1)), potential=TanhPotential(),
         t_comp=0.9, t_comm=0.1,
         local_noise=GaussianJitter(std=0.02, refresh=0.5))
-    members = [model.realize(10.0, rng=s, backend="sparse")
-               for s in range(r)]
+    members = [model.realize(10.0, rng=s) for s in range(r)]
     stacked = HeteroBatchedBackend(members)
     thetas = np.random.default_rng(1).normal(0.0, 1.0, (r, n))
 
@@ -185,8 +185,7 @@ def bench_kernel_case(topology, r: int, repeats: int) -> dict:
     n = topology.n
     theta = np.random.default_rng(0).normal(0.0, 1.0, n)
     thetas = np.random.default_rng(1).normal(0.0, 1.0, (r, n))
-    members = [model.realize(10.0, rng=s, backend="sparse")
-               for s in range(r)]
+    members = [model.realize(10.0, rng=s) for s in range(r)]
 
     case: dict = {
         "topology": topology.name,
@@ -200,11 +199,10 @@ def bench_kernel_case(topology, r: int, repeats: int) -> dict:
     ref_single = ref_batched = None
     backends = {}
     for name in _ladder_kernels():
-        single = make_backend(model.realize(10.0, rng=0, backend="sparse"),
-                              "sparse", kernel=name)
+        single = model.realize(10.0, rng=0, kernel=name)
         stacked = HeteroBatchedBackend(members, kernel=name)
         # Warm up (first compiled call loads the library) + correctness guard.
-        s_val = single.coupling(0.0, theta)
+        s_val = single.coupling_term(0.0, theta)
         b_val = stacked.coupling(0.0, thetas)
         if ref_single is None:
             ref_single, ref_batched = s_val, b_val
@@ -221,7 +219,8 @@ def bench_kernel_case(topology, r: int, repeats: int) -> dict:
         for _ in range(2 * repeats + 1):
             for name, (single, stacked) in backends.items():
                 if mode == "single":
-                    t = _time_best(lambda: single.coupling(0.0, theta), 3)
+                    t = _time_best(lambda: single.coupling_term(0.0, theta),
+                                   3)
                 else:
                     t = _time_best(lambda: stacked.coupling(0.0, thetas), 3)
                 best[name] = min(best[name], t)

@@ -23,7 +23,7 @@ matches that evaluation bit for bit; this is what lets
 :func:`repro.core.simulation.simulate_grid` integrate all grid points as
 one super-state and fan exact per-point trajectories back out, and what
 makes topology-axis fusion bit-identical to per-group shards.  A single
-solve (the ``"sparse"`` backend) is this backend at ``R = 1``.
+solve (``simulate()``, ``RealizedModel.rhs``) is this backend at ``R = 1``.
 
 The inner coupling loop is delegated to a selectable *kernel*
 (:mod:`repro.kernels`, ``kernel=`` knob):
@@ -134,7 +134,6 @@ class HeteroBatchedBackend:
     """
 
     name = "hetero"
-    supports_kernels = True
 
     def __init__(self, members: Sequence["RealizedModel"],
                  kernel: str | None = "auto",

@@ -49,7 +49,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .backends import auto_backend_name, available_backends, available_kernels
+from .kernels import available_kernels, resolve_kernel
 from .core import (
     OneOffDelay,
     PhysicalOscillatorModel,
@@ -313,14 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     model_p.add_argument("--delay", type=float, default=2.0,
                          help="one-off delay duration (s)")
     model_p.add_argument("--seed", type=int, default=0)
-    model_p.add_argument("--backend", default="auto",
-                         choices=list(available_backends()),
-                         help="RHS compute backend (auto: by topology "
-                              "density)")
     model_p.add_argument("--kernel", default="auto",
                          choices=list(available_kernels()),
-                         help="coupling-loop kernel for the edge-list "
-                              "backends (auto: cc when a compiler works, "
+                         help="coupling-loop kernel of the edge-list "
+                              "coupling (auto: cc when a compiler works, "
                               "else numpy)")
     model_p.add_argument("--threads", type=int, default=None,
                          help="in-kernel thread count for the compiled "
@@ -730,29 +726,14 @@ def _cmd_model(args: argparse.Namespace) -> int:
         if args.initial != "splayed" \
         else initial_from_name("splayed", args.n, gap=2 * args.sigma / 3)
     traj = simulate(model, args.t_end, theta0=theta0, seed=args.seed,
-                    backend=args.backend, kernel=args.kernel,
-                    threads=args.threads)
+                    kernel=args.kernel, threads=args.threads)
     verdict = classify(traj.ts, traj.thetas, model.omega)
 
-    # Report the backend/kernel that actually ran, not the "auto" request
-    # (an explicit kernel or thread count steers backend "auto" to the
-    # edge-list path).
-    if args.backend != "auto":
-        resolved = args.backend
-    elif args.kernel != "auto" or args.threads is not None:
-        resolved = "sparse"
-    else:
-        resolved = auto_backend_name(model.topology)
-    kernel_note = ""
-    if resolved == "sparse":
-        from .kernels import resolve_kernel
-
-        coeffs = potential.kernel_coefficients()
-        kernel_note = " kernel=" + resolve_kernel(
-            args.kernel, has_coefficients=coeffs is not None)
+    # Report the kernel that actually ran, not the "auto" request.
+    coeffs = potential.kernel_coefficients()
+    kernel = resolve_kernel(args.kernel, has_coefficients=coeffs is not None)
     print(f"N={args.n} potential={potential.name} beta*kappa="
-          f"{model.beta_kappa:g} v_p={model.v_p:g} backend={resolved}"
-          f"{kernel_note}")
+          f"{model.beta_kappa:g} v_p={model.v_p:g} kernel={kernel}")
     if args.view == "circle":
         print(circle_diagram(traj.final_phases, title="asymptotic phases"))
     elif args.view == "phases":

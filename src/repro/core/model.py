@@ -35,13 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backends import (
-    RHSBackend,
-    make_backend,
-    normalize_backend_name,
-    normalize_kernel_name,
-)
+from ..backends import HeteroBatchedBackend, make_batched_backend
 from ..integrate.history import HistoryBuffer
+from ..kernels import normalize_kernel_name
 from .coupling import CouplingSpec
 from .noise import (
     DelaySchedule,
@@ -85,12 +81,8 @@ class PhysicalOscillatorModel:
         If set, bypasses the coupling formula and uses this coupling
         strength directly (used by parameter sweeps that scan ``v_p``
         or ``beta*kappa`` continuously).
-    backend:
-        RHS compute backend: ``"auto"`` (default — pick by topology
-        density), ``"dense"`` (O(N^2) reference) or ``"sparse"``
-        (O(E) edge-list kernel).  See :mod:`repro.backends`.
     kernel:
-        Coupling-loop kernel for the edge-list backends: ``"auto"``
+        Coupling-loop kernel of the edge-list coupling: ``"auto"``
         (default — ``"cc"`` when it can run, else ``"numpy"``),
         ``"numpy"``, or ``"cc"``.  See :mod:`repro.kernels`.
     """
@@ -104,13 +96,11 @@ class PhysicalOscillatorModel:
     interaction_noise: InteractionNoise = field(default_factory=NoInteractionNoise)
     delays: Sequence[OneOffDelay] = ()
     v_p_override: float | None = None
-    backend: str = "auto"
     kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.t_comp < 0 or self.t_comm < 0:
             raise ValueError("t_comp and t_comm must be non-negative")
-        normalize_backend_name(self.backend)
         normalize_kernel_name(self.kernel)
         if self.t_comp + self.t_comm <= 0:
             raise ValueError("the cycle time t_comp + t_comm must be positive")
@@ -154,7 +144,6 @@ class PhysicalOscillatorModel:
     # ------------------------------------------------------------------
     def realize(self, t_end: float,
                 rng: np.random.Generator | int | None = None,
-                backend: str | None = None,
                 kernel: str | None = None,
                 threads: int | None = None) -> "RealizedModel":
         """Freeze all stochastic channels for a concrete run.
@@ -165,8 +154,6 @@ class PhysicalOscillatorModel:
             Horizon the noise realisations must cover.
         rng:
             Generator or integer seed; ``None`` uses fresh entropy.
-        backend:
-            Per-run override of the model's ``backend`` knob.
         kernel:
             Per-run override of the model's ``kernel`` knob.
         threads:
@@ -184,8 +171,6 @@ class PhysicalOscillatorModel:
         schedule = DelaySchedule(self.delays, self.period)
         return RealizedModel(model=self, zeta=zeta, tau=tau,
                              delay_schedule=schedule,
-                             backend=backend if backend is not None
-                             else self.backend,
                              kernel=kernel if kernel is not None
                              else self.kernel,
                              threads=threads)
@@ -200,7 +185,6 @@ class PhysicalOscillatorModel:
             "omega": self.omega,
             "v_p": self.v_p,
             "beta_kappa": self.beta_kappa,
-            "backend": self.backend,
             "kernel": self.kernel,
             "potential": self.potential.describe(),
             "topology": self.topology.describe(),
@@ -218,27 +202,29 @@ class RealizedModel:
     every random channel must be a function of time only — this object
     guarantees that.
 
-    The actual RHS arithmetic is delegated to a compiled compute backend
-    (:mod:`repro.backends`): dense matrix algebra, or the O(E) edge-list
-    kernel for sparse topologies (default choice is by density).
+    The RHS arithmetic is the ``(1, N)`` view of a one-member
+    :class:`~repro.backends.HeteroBatchedBackend` — row 0 of the same
+    stack a campaign shard evaluates, so a point evaluation here runs the
+    same edge-list kernel as the solvers.
     """
 
     def __init__(self, model: PhysicalOscillatorModel, zeta: ZetaProcess,
                  tau: TauField, delay_schedule: DelaySchedule,
-                 backend: str = "auto", kernel: str = "auto",
-                 threads: int | None = None) -> None:
+                 kernel: str = "auto", threads: int | None = None) -> None:
         self.model = model
         self.zeta = zeta
         self.tau = tau
         self.delay_schedule = delay_schedule
         self._period = model.period
         self._n = model.n
-        self._backend_request = normalize_backend_name(backend)
         self._kernel_request = normalize_kernel_name(kernel)
         # Runtime-only knob: never describes/hashes (results are
         # bit-identical for any thread count).
         self._threads_request = threads
-        self._backend: RHSBackend | None = None
+        self._backend: HeteroBatchedBackend | None = None
+        # Row 0 of the stack's memoised (1, N) frequency, kept so a memo
+        # hit returns the same array object.
+        self._freq_row: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -247,23 +233,17 @@ class RealizedModel:
         return self._n
 
     @property
-    def backend(self) -> RHSBackend:
-        """The compiled compute backend (compiled lazily on first use).
+    def backend(self) -> HeteroBatchedBackend:
+        """This realisation as a one-member stack (compiled on first use).
 
-        Lazy so that consumers with their own kernels — notably the
-        batched ensemble path, which stacks many realisations — do not
-        pay for R unused single-state compilations.
+        Lazy so that the solvers, which stack many realisations into
+        their own backend, do not pay for R unused compilations.
         """
         if self._backend is None:
-            self._backend = make_backend(self, self._backend_request,
-                                         kernel=self._kernel_request,
-                                         threads=self._threads_request)
+            self._backend = make_batched_backend(
+                [self], kernel=self._kernel_request,
+                threads=self._threads_request)
         return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the compiled compute backend."""
-        return self.backend.name
 
     @property
     def has_delays(self) -> bool:
@@ -282,29 +262,30 @@ class RealizedModel:
         (a fully stalled process), which is the exact meaning of a
         one-off full-stall injection.
         """
-        return self.backend.intrinsic_frequency(t)
+        freq = self.backend.intrinsic_frequency(t)
+        row = self._freq_row
+        if row is None or row.base is not freq:
+            row = self._freq_row = freq[0]
+        return row
 
     def coupling_term(self, t: float, theta: np.ndarray,
                       history: HistoryBuffer | None = None) -> np.ndarray:
-        """Interaction term ``(v_p/N) * sum_j T_ij V(theta_j^(del) - theta_i)``."""
-        return self.backend.coupling(t, theta, history)
+        """Interaction term ``(v_p/N) * sum_j T_ij V(theta_j^(del) - theta_i)``.
+
+        ``history`` returns ``(N,)`` states; the stack reads ``(1, N)``.
+        """
+        if history is not None:
+            single = history
+
+            def history(s: float) -> np.ndarray:
+                return single(s)[None, :]
+
+        return self.backend.coupling(t, theta.reshape(1, -1), history)[0]
 
     def rhs(self, t: float, theta: np.ndarray,
             history: HistoryBuffer | None = None) -> np.ndarray:
         """Full right-hand side of Eq. 2."""
         return self.intrinsic_frequency(t) + self.coupling_term(t, theta, history)
-
-    def make_ode_rhs(self):
-        """Closure ``f(t, theta)`` for ODE solvers (requires no delays)."""
-        if self.has_delays:
-            raise ValueError(
-                "model has interaction delays; use make_dde_rhs with a history"
-            )
-        return lambda t, y: self.rhs(t, y, None)
-
-    def make_dde_rhs(self, history: HistoryBuffer):
-        """Closure ``f(t, theta)`` that reads delayed states from ``history``."""
-        return lambda t, y: self.rhs(t, y, history)
 
 
 @dataclass

@@ -1,5 +1,11 @@
 """Simulation driver: integrate a model into an `OscillatorTrajectory`.
 
+One solve path: :func:`simulate_grid` integrates a set of members as one
+``(R, N)`` super-state over the edge-list
+:class:`~repro.backends.HeteroBatchedBackend`, and :func:`simulate` is a
+one-member :func:`simulate_grid` — a member solved alone and the same
+member inside a campaign shard share their bits.
+
 Solver selection
 ----------------
 * ``"dopri"`` (default) — the adaptive Dormand-Prince 5(4) pair, the
@@ -14,7 +20,9 @@ Solver selection
   linearly extrapolated from the recorded derivative, keeping the
   scheme second-order accurate for delays smaller than the step).
 * ``"em"`` — Euler-Maruyama treating a Gaussian local-noise channel as
-  true white noise instead of a frozen piecewise-constant sample.
+  true white noise instead of a frozen piecewise-constant sample.  Not
+  available with interaction delays (the DDE path has no diffusion
+  term).
 """
 
 from __future__ import annotations
@@ -23,11 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backends import (
-    HeteroBatchedBackend,
-    frequency_from_period,
-    make_batched_backend,
-)
+from ..backends import HeteroBatchedBackend, make_batched_backend
 from ..integrate import (
     HistoryBuffer,
     solve_dopri45,
@@ -36,11 +40,14 @@ from ..integrate import (
     solve_rk4,
 )
 from .initial import synchronized
-from .model import KuramotoModel, PhysicalOscillatorModel, RealizedModel
+from .model import KuramotoModel, PhysicalOscillatorModel
 from .noise import GaussianJitter, NoNoise
 from .trajectory import OscillatorTrajectory
 
 __all__ = ["simulate", "simulate_grid", "simulate_kuramoto", "default_dt"]
+
+#: the ``method=`` values of :func:`simulate` / :func:`simulate_grid`
+METHODS = ("dopri", "rk4", "euler", "em")
 
 
 def default_dt(model: PhysicalOscillatorModel, safety: float = 50.0) -> float:
@@ -79,11 +86,13 @@ def simulate(
     atol: float = 1e-9,
     seed: int | None = None,
     n_samples: int | None = None,
-    backend: str | None = None,
     kernel: str | None = None,
     threads: int | None = None,
 ) -> OscillatorTrajectory:
     """Integrate the POM from 0 to ``t_end``.
+
+    A one-member :func:`simulate_grid`: the same backend, solver and
+    bits as this model's row in any member set.
 
     Parameters
     ----------
@@ -101,13 +110,11 @@ def simulate(
     rtol, atol:
         Tolerances for ``"dopri"``.
     seed:
-        Seed for the noise realisation — fixed seed = reproducible run.
+        Seed for the noise realisation — fixed seed = reproducible run;
+        ``None`` draws fresh entropy.
     n_samples:
         If set, the returned trajectory is resampled onto a uniform mesh
         of this many points (adaptive meshes are irregular).
-    backend:
-        RHS compute backend override (``"auto"`` | ``"dense"`` |
-        ``"sparse"``); default: the model's own ``backend`` knob.
     kernel:
         Coupling-loop kernel override (``"auto"`` | ``"numpy"`` |
         ``"cc"``, see :mod:`repro.kernels`); default: the model's own
@@ -120,42 +127,14 @@ def simulate(
     -------
     OscillatorTrajectory
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
     theta0 = (synchronized(model.n) if theta0 is None
-              else np.asarray(theta0, dtype=float).copy())
+              else np.asarray(theta0, dtype=float))
     if theta0.shape != (model.n,):
         raise ValueError(f"theta0 has shape {theta0.shape}, expected ({model.n},)")
-
-    realized = model.realize(t_end, rng=seed, backend=backend, kernel=kernel,
-                             threads=threads)
-    if dt is None:
-        dt = default_dt(model)
-
-    if realized.has_delays:
-        sol = _solve_dde(realized, t_end, theta0, dt)
-    elif method == "dopri":
-        max_step = _noise_feature_dt(model) / 2.0
-        sol = solve_dopri45(realized.make_ode_rhs(), (0.0, t_end), theta0,
-                            rtol=rtol, atol=atol,
-                            max_step=max_step if np.isfinite(max_step) else np.inf)
-    elif method == "rk4":
-        sol = solve_rk4(realized.make_ode_rhs(), (0.0, t_end), theta0, dt=dt)
-    elif method == "euler":
-        sol = solve_euler(realized.make_ode_rhs(), (0.0, t_end), theta0, dt=dt)
-    elif method == "em":
-        sol = _solve_em(model, realized, t_end, theta0, dt, seed)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-
-    traj = OscillatorTrajectory(ts=sol.ts, thetas=sol.ys, model=model,
-                                solution=sol, seed=seed)
-    if n_samples is not None:
-        traj = traj.resample(n_samples)
-    return traj
+    return simulate_grid(
+        [model], t_end, seeds=seed, theta0=theta0, method=method, dt=dt,
+        rtol=rtol, atol=atol, n_samples=n_samples, kernel=kernel,
+        threads=threads)[0]
 
 
 def _subset_rhs_factory(stacked: HeteroBatchedBackend):
@@ -195,14 +174,20 @@ def _solve_em_stacked(stacked: HeteroBatchedBackend, amps: np.ndarray,
     def diffusion(t: float, theta: np.ndarray) -> np.ndarray:
         return np.broadcast_to(amps, theta.shape)
 
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    rngs = [np.random.default_rng(s) for s in seeds]
     return solve_euler_maruyama(drift, diffusion, (0.0, t_end), theta0s,
                                 dt=dt, rng=rngs, observer=observer,
                                 record=record)
 
 
 def _em_amplitude(model: PhysicalOscillatorModel) -> float:
-    """Diffusion amplitude of the EM noise mapping (see :func:`_solve_em`)."""
+    """Diffusion amplitude of the EM noise mapping.
+
+    The drift uses the *noise-free* intrinsic frequency plus the one-off
+    delay schedule; the Gaussian channel's std maps to the diffusion
+    amplitude ``omega^2/(2*pi) * std`` (first-order expansion of
+    ``2*pi/(T + zeta)`` around ``zeta = 0``).
+    """
     noise = model.local_noise
     if not isinstance(noise, GaussianJitter):
         raise ValueError('method "em" requires a GaussianJitter local noise')
@@ -223,6 +208,9 @@ def _solve_stacked(stacked, models: Sequence[PhysicalOscillatorModel],
     by the history buffer), while ``record`` controls which states the
     returned mesh retains.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; "
+                         f"available: {', '.join(METHODS)}")
     if method == "em" and stacked.has_delays:
         # Interaction delays switch to the deterministic DDE integrator,
         # which has no diffusion term — silently dropping the white
@@ -255,11 +243,9 @@ def _solve_stacked(stacked, models: Sequence[PhysicalOscillatorModel],
     if method == "euler":
         return solve_euler(stacked.make_ode_rhs(), (0.0, t_end), theta0s,
                            dt=dt, observer=observer, record=record)
-    if method == "em":
-        amps = np.array([_em_amplitude(m) for m in models])[:, None]
-        return _solve_em_stacked(stacked, amps, t_end, theta0s, dt, seeds,
-                                 observer=observer, record=record)
-    raise ValueError(f"unknown method {method!r}")
+    amps = np.array([_em_amplitude(m) for m in models])[:, None]
+    return _solve_em_stacked(stacked, amps, t_end, theta0s, dt, seeds,
+                             observer=observer, record=record)
 
 
 class _MemberDense:
@@ -299,15 +285,20 @@ def _fan_out(sol, models: Sequence[PhysicalOscillatorModel],
             success=sol.success, message=sol.message)
         trajs.append(OscillatorTrajectory(
             ts=sampled.ts, thetas=sampled.ys[:, r, :],
-            model=model, solution=member_sol, seed=int(seed)))
+            model=model, solution=member_sol, seed=seed))
     return trajs
+
+
+def _as_seed(seed) -> int | None:
+    """A member seed as a plain ``int``; ``None`` (fresh entropy) stays."""
+    return None if seed is None else int(seed)
 
 
 def simulate_grid(
     models: Sequence[PhysicalOscillatorModel],
     t_end: float,
     *,
-    seeds: int | Sequence[int] = 0,
+    seeds: int | Sequence[int | None] | None = 0,
     theta0: Sequence[float] | np.ndarray | None = None,
     theta0s: Sequence | np.ndarray | None = None,
     method: str = "dopri",
@@ -339,9 +330,10 @@ def simulate_grid(
     individually satisfies the tolerances (per-member error norm, see
     :func:`repro.integrate.controller.error_norm`), and a member that
     rejects a step the rest accepted is re-stepped on its own instead of
-    shrinking the shared step.  The fixed-step methods perform the same
-    arithmetic per member as :func:`simulate`, so each member matches its
-    own :func:`simulate` call bit for bit.
+    shrinking the shared step.  :func:`simulate` is the one-member case;
+    under the fixed-step methods (and the DDE path) each member matches
+    its own :func:`simulate` call bit for bit, because every row runs the
+    same arithmetic whatever the other rows hold.
 
     Parameters
     ----------
@@ -352,7 +344,7 @@ def simulate_grid(
     seeds:
         A single seed applied to every member (the usual sweep
         convention: identical noise stream per point), or one seed per
-        model.
+        model.  ``None`` draws fresh entropy for every member.
     theta0:
         Shared initial phases for all members (default: synchronised).
     theta0s:
@@ -389,17 +381,17 @@ def simulate_grid(
             raise ValueError("grid models disagree on N")
 
     if np.ndim(seeds) == 0:
-        seed_list = [int(seeds)] * len(models)
+        seed_list = [_as_seed(seeds)] * len(models)
     else:
-        seed_list = [int(s) for s in seeds]
+        seed_list = [_as_seed(s) for s in seeds]
         if len(seed_list) != len(models):
             raise ValueError(
                 f"got {len(seed_list)} seeds for {len(models)} models")
 
     if kernel is None:
-        # Honour the models' declarative kernel field when they agree
-        # (mirrors simulate); disagreeing grids fall
-        # back to auto resolution for the stacked backend.
+        # Honour the models' declarative kernel field when they agree;
+        # disagreeing grids fall back to auto resolution for the stacked
+        # backend.
         model_kernels = {m.kernel for m in models}
         kernel = model_kernels.pop() if len(model_kernels) == 1 else "auto"
     members = [m.realize(t_end, rng=s, kernel=kernel)
@@ -426,51 +418,6 @@ def simulate_grid(
     if not sol.success:
         raise RuntimeError(f"grid integration failed: {sol.message}")
     return _fan_out(sol, models, seed_list, n_samples)
-
-
-def _solve_dde(realized: RealizedModel, t_end: float, theta0: np.ndarray,
-               dt: float):
-    """Fixed-step RK4 with a history buffer for the delayed coupling."""
-    history = HistoryBuffer(0.0, theta0)
-    rhs = realized.make_dde_rhs(history)
-    # Seed the initial derivative so sub-step extrapolation works from
-    # the very first step.
-    history._fs[0] = rhs(0.0, theta0)
-
-    def cb(t: float, y: np.ndarray) -> None:
-        history.append(t, y, rhs(t, y))
-
-    return solve_rk4(rhs, (0.0, t_end), theta0, dt=dt, step_callback=cb)
-
-
-def _solve_em(model: PhysicalOscillatorModel, realized: RealizedModel,
-              t_end: float, theta0: np.ndarray, dt: float, seed: int | None):
-    """Euler-Maruyama: Gaussian zeta treated as white frequency noise.
-
-    The drift uses the *noise-free* intrinsic frequency plus the one-off
-    delay schedule; the Gaussian channel's std maps to the diffusion
-    amplitude ``omega^2/(2*pi) * std`` (first-order expansion of
-    ``2*pi/(T + zeta)`` around ``zeta = 0``).
-    """
-    noise = model.local_noise
-    if not isinstance(noise, GaussianJitter):
-        raise ValueError('method "em" requires a GaussianJitter local noise')
-    amp = model.omega ** 2 / (2.0 * np.pi) * noise.std
-
-    period = model.period
-    n = model.n
-    sched = realized.delay_schedule
-
-    def drift(t: float, theta: np.ndarray) -> np.ndarray:
-        freq = frequency_from_period(period + sched(t, n))
-        return freq + realized.coupling_term(t, theta)
-
-    def diffusion(t: float, theta: np.ndarray) -> np.ndarray:
-        return np.full(n, amp)
-
-    rng = np.random.default_rng(seed)
-    return solve_euler_maruyama(drift, diffusion, (0.0, t_end), theta0,
-                                dt=dt, rng=rng)
 
 
 def simulate_kuramoto(

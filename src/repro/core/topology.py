@@ -193,7 +193,7 @@ class Topology:
 
     @property
     def density(self) -> float:
-        """Edge fraction ``E / N^2`` — drives the auto backend choice."""
+        """Edge fraction ``E / N^2``."""
         n = self.n
         return float(self.n_edges) / float(n * n) if n else 0.0
 
@@ -201,7 +201,7 @@ class Topology:
         """Directed edges as ``(rows, cols)`` index arrays (cached).
 
         Row-major order (sorted by row, then column), which makes the
-        sparse backend's segment sums accumulate contributions in the
+        edge-list backend's segment sums accumulate contributions in the
         same order as the dense row sum.  The arrays are read-only views
         shared by every compiled backend — do not mutate them.
         """

@@ -1,10 +1,10 @@
 """Coupling kernels for large-N topologies.
 
-The RHS backends (:mod:`repro.backends`) delegate the hot coupling loop
-— gather partner phases over the edge list, evaluate the interaction
+The edge-list backend (:mod:`repro.backends`) delegates the hot coupling
+loop — gather partner phases over the edge list, evaluate the interaction
 potential, scatter-accumulate per row — to one of two interchangeable
 *kernels*, selected by the ``kernel=`` knob threaded through
-``make_backend`` / ``make_batched_backend``, ``simulate*``, and the CLI:
+``make_batched_backend``, ``simulate*``, and the CLI:
 
 ``"numpy"``
     The vectorised edge-list path (one ``(R, E)`` round-trip per
@@ -22,7 +22,7 @@ use the NumPy edge-patching path regardless of the knob; the kernels
 cover the non-delayed fast path that dominates every paper workload.
 
 Orthogonal to the kernel choice, :func:`resolve_threads` resolves the
-in-kernel thread count (the ``threads=`` knob on the backends /
+in-kernel thread count (the ``threads=`` knob on the backend /
 ``simulate*`` / CLI, defaulting to the ``POM_NUM_THREADS`` environment
 variable): the ``cc`` kernel splits its work over disjoint output rows,
 bit-identical to the serial pass for any count.
@@ -110,7 +110,7 @@ def normalize_kernel_name(name: str | None) -> str:
 
     The single source of the "unknown kernel" error, shared by the
     declarative model field, the realisation-time override, the backend
-    constructors, and the CLI.
+    constructor, and the CLI.
     """
     key = (name or "auto").strip().lower()
     if key not in KERNELS:

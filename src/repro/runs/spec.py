@@ -5,7 +5,7 @@ more parameter axes — and the orchestration layer treats campaigns as
 first-class, serialisable objects.  A :class:`ScenarioSpec` describes
 
 * a base **model** as a plain dict (topology, potential, cycle times,
-  coupling, noise channels, one-off delays, backend/kernel knobs),
+  coupling, noise channels, one-off delays, kernel knob),
 * the **solver** configuration (method, dt, tolerances, resampling),
 * the **initial condition** (by name, deterministic given the spec),
 * the **axes**: ordered ``(dotted.path, values)`` pairs expanded as a
@@ -205,7 +205,7 @@ def model_from_spec(d: dict) -> PhysicalOscillatorModel:
     """Build a :class:`PhysicalOscillatorModel` from a model dict."""
     known = {"topology", "potential", "t_comp", "t_comm", "coupling",
              "local_noise", "interaction_noise", "delays", "v_p_override",
-             "backend", "kernel"}
+             "kernel"}
     extra = set(d) - known
     if extra:
         raise ValueError(f"unknown model key(s) {sorted(extra)}; "
@@ -229,7 +229,6 @@ def model_from_spec(d: dict) -> PhysicalOscillatorModel:
         delays=delays,
         v_p_override=(None if d.get("v_p_override") is None
                       else float(d["v_p_override"])),
-        backend=d.get("backend", "auto"),
         kernel=d.get("kernel", "auto"),
     )
 

@@ -1,8 +1,9 @@
-"""Equivalence and selection tests for the RHS compute backends.
+"""Equivalence tests for the RHS compute backends.
 
 The dense backend is the ground truth (it is the original
-implementation); the sparse edge-list and batched kernels must agree
-with it to machine precision on every shipped topology factory and
+implementation); the edge-list coupling — a realisation's own one-member
+stack (``RealizedModel.rhs``) and the batched backend — must agree with
+it to machine precision on every shipped topology factory and
 potential, including the delayed (DDE) path.
 """
 
@@ -11,14 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import (
-    SPARSE_DENSITY_THRESHOLD,
-    DenseBackend,
-    HeteroBatchedBackend,
-    auto_backend_name,
-    available_backends,
-    make_backend,
-)
+from repro.backends import DenseBackend, HeteroBatchedBackend
 from repro.core import (
     BottleneckPotential,
     ConstantInteractionNoise,
@@ -71,8 +65,8 @@ class TestSparseMatchesDense:
         model = make_model(TOPOLOGY_FACTORIES[topo_name](),
                            POTENTIALS[pot_name],
                            local_noise=GaussianJitter(std=0.02, refresh=0.5))
-        dense = model.realize(10.0, rng=3, backend="dense")
-        sparse = model.realize(10.0, rng=3, backend="sparse")
+        dense = DenseBackend(model.realize(10.0, rng=3))
+        sparse = model.realize(10.0, rng=3)
         rng = np.random.default_rng(0)
         for t in (0.0, 1.3, 7.9):
             theta = rng.normal(0.0, 2.0, model.n)
@@ -90,7 +84,7 @@ class TestSparseMatchesDense:
                                                  (len(members), model.n))
         got = stacked.rhs(1.3, thetas)
         ref = np.stack([
-            model.realize(10.0, rng=s, backend="dense").rhs(1.3, thetas[i])
+            DenseBackend(model.realize(10.0, rng=s)).rhs(1.3, thetas[i])
             for i, s in enumerate(seeds)
         ])
         np.testing.assert_allclose(got, ref, **TIGHT)
@@ -104,9 +98,9 @@ class TestDelayedPathEquivalence:
     def test_sparse_matches_dense_dde(self, noise):
         model = make_model(ring(16, (1, -1)), TanhPotential(),
                            interaction_noise=noise)
-        dense = model.realize(10.0, rng=5, backend="dense")
-        sparse = model.realize(10.0, rng=5, backend="sparse")
-        assert dense.has_delays
+        sparse = model.realize(10.0, rng=5)
+        dense = DenseBackend(model.realize(10.0, rng=5))
+        assert sparse.has_delays
 
         rng = np.random.default_rng(2)
         hist = HistoryBuffer(0.0, rng.normal(0, 1, model.n))
@@ -116,7 +110,7 @@ class TestDelayedPathEquivalence:
         theta = rng.normal(0, 1, model.n)
         np.testing.assert_allclose(
             sparse.coupling_term(1.5, theta, hist),
-            dense.coupling_term(1.5, theta, hist), **TIGHT)
+            dense.coupling(1.5, theta, hist), **TIGHT)
 
     def test_batched_matches_dense_dde(self):
         model = make_model(ring(12, (1, -1)), BottleneckPotential(sigma=1.0),
@@ -152,8 +146,8 @@ class TestDelayedPathEquivalence:
         model = make_model(
             ring(10, (1, -1)), TanhPotential(),
             delays=(OneOffDelay(rank=3, t_start=1.0, delay=2.0),))
-        dense = model.realize(10.0, rng=0, backend="dense")
-        sparse = model.realize(10.0, rng=0, backend="sparse")
+        dense = DenseBackend(model.realize(10.0, rng=0))
+        sparse = model.realize(10.0, rng=0)
         theta = np.random.default_rng(0).normal(0, 1, model.n)
         for t in (0.5, 2.0, 4.0):   # before / inside / after the stall
             np.testing.assert_allclose(sparse.rhs(t, theta),
@@ -166,53 +160,11 @@ class TestDelayedPathEquivalence:
 def test_property_sparse_equals_dense_on_random_states(seed, scale):
     """Property: for arbitrary phase states the kernels agree."""
     model = make_model(ring(24, (1, -1, -2)), BottleneckPotential(sigma=1.3))
-    dense = model.realize(5.0, rng=11, backend="dense")
-    sparse = model.realize(5.0, rng=11, backend="sparse")
+    dense = DenseBackend(model.realize(5.0, rng=11))
+    sparse = model.realize(5.0, rng=11)
     theta = np.random.default_rng(seed).normal(0.0, scale, model.n)
     np.testing.assert_allclose(sparse.rhs(0.0, theta),
                                dense.rhs(0.0, theta), **TIGHT)
-
-
-class TestSelection:
-    def test_available_backends(self):
-        assert available_backends() == ("auto", "dense", "sparse")
-
-    def test_auto_prefers_sparse_for_ring(self):
-        model = make_model(ring(64, (1, -1)), TanhPotential())
-        assert model.realize(5.0, rng=0).backend_name == "sparse"
-
-    def test_auto_prefers_dense_for_all_to_all(self):
-        model = make_model(all_to_all(16), TanhPotential())
-        assert model.realize(5.0, rng=0).backend_name == "dense"
-
-    def test_density_threshold_rule(self):
-        topo = ring(64, (1, -1))
-        assert topo.density <= SPARSE_DENSITY_THRESHOLD
-        assert auto_backend_name(topo) == "sparse"
-        assert auto_backend_name(all_to_all(8)) == "dense"
-
-    def test_explicit_override_wins(self):
-        model = make_model(ring(64, (1, -1)), TanhPotential(),
-                           backend="dense")
-        assert model.realize(5.0, rng=0).backend_name == "dense"
-        assert model.realize(5.0, rng=0,
-                             backend="sparse").backend_name == "sparse"
-
-    def test_unknown_backend_rejected_by_model(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_model(ring(8, (1, -1)), TanhPotential(), backend="gpu")
-
-    def test_unknown_backend_rejected_by_factory(self):
-        model = make_model(ring(8, (1, -1)), TanhPotential())
-        realized = model.realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend(realized, "fancy")
-
-    def test_describe_reports_backend(self):
-        model = make_model(ring(8, (1, -1)), TanhPotential())
-        assert model.describe()["backend"] == "auto"
-        realized = model.realize(5.0, rng=0)
-        assert realized.backend.describe()["backend"] == realized.backend_name
 
 
 class TestTopologyViews:
@@ -302,30 +254,34 @@ MEMO_TIMES = (0.0, 0.2, 0.49, 0.5, 0.51, 1.0, 1.1, 1.3, 2.6, 2.75, 2.85,
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
 class TestSingleFrequencyMemo:
+    """The dense reference and a realisation's one-member edge-list
+    stack both memoise the single-state frequency."""
+
     def realize(self, backend):
         model = make_model(ring(10, (1, -1)), TanhPotential(),
                            local_noise=GaussianJitter(std=0.05, refresh=0.5),
                            delays=(OneOffDelay(rank=4, t_start=1.2,
                                                delay=1.6),))
-        return model, model.realize(10.0, rng=2, backend=backend)
+        realized = model.realize(10.0, rng=2)
+        freq = (DenseBackend(realized).intrinsic_frequency
+                if backend == "dense" else realized.intrinsic_frequency)
+        return model, realized, freq
 
     def test_bits_equal_fresh_evaluation(self, backend):
         from repro.backends import frequency_from_period
-        model, realized = self.realize(backend)
+        model, realized, freq = self.realize(backend)
         for t in MEMO_TIMES:
             ref = frequency_from_period(model.period + realized.zeta(t)
                                         + realized.delay_schedule(t, model.n))
-            np.testing.assert_array_equal(
-                realized.backend.intrinsic_frequency(t), ref,
-                err_msg=f"t={t}")
+            np.testing.assert_array_equal(freq(t), ref, err_msg=f"t={t}")
 
     def test_returned_array_is_read_only(self, backend):
-        _, realized = self.realize(backend)
-        freq = realized.backend.intrinsic_frequency(1.5)
+        _, _, freq_at = self.realize(backend)
+        freq = freq_at(1.5)
         assert freq[4] == 0.0                       # inside the stall
         with pytest.raises(ValueError, match="read-only"):
             freq[4] = 1.0
-        assert realized.backend.intrinsic_frequency(1.5)[4] == 0.0
+        assert freq_at(1.5)[4] == 0.0
 
 
 class TestShapeAgnosticIntegration:

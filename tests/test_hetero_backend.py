@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.backends import (
+    DenseBackend,
     HeteroBatchedBackend,
     make_batched_backend,
 )
@@ -59,10 +60,10 @@ class TestHeteroEquivalence:
         for t in (0.0, 1.5, 7.3):
             thetas = rng.normal(0.0, 2.0, (len(members), models[0].n))
             got = stacked.rhs(t, thetas)
-            # The dense backend is the independent reference: the
-            # single-state edge-list backend is itself an R=1 stack.
+            # The dense backend is the independent reference: a
+            # realisation's own edge-list RHS is itself an R=1 stack.
             ref = np.stack([
-                models[i].realize(10.0, rng=i, backend="dense")
+                DenseBackend(models[i].realize(10.0, rng=i))
                 .rhs(t, thetas[i])
                 for i in range(len(members))
             ])
@@ -129,7 +130,7 @@ class TestHeteroEquivalence:
         members = [m.realize(5.0, rng=i) for i, m in enumerate(models)]
         stacked = HeteroBatchedBackend(members)
         assert stacked.has_delays
-        dense = [m.realize(5.0, rng=i, backend="dense")
+        dense = [DenseBackend(m.realize(5.0, rng=i))
                  for i, m in enumerate(models)]
 
         rng = np.random.default_rng(4)
@@ -145,7 +146,7 @@ class TestHeteroEquivalence:
                 def __call__(self, t, _i=i):
                     return hist(t)[_i]
 
-            ref = m.coupling_term(1.2, thetas[i], _Slice())
+            ref = m.coupling(1.2, thetas[i], _Slice())
             np.testing.assert_allclose(got[i], ref, **TIGHT)
 
     def test_em_drift_matches_sequential_formula(self):

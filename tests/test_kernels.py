@@ -1,9 +1,9 @@
 """Kernel-equivalence suite: the numpy reference vs the compiled cc kernel.
 
 The ``cc`` kernel must produce the same coupling term (to ~1e-12) as the
-reference NumPy edge-list path, on ring/torus/random topologies, for the
-single-state, homogeneous-batched, and heterogeneous-batched backends —
-including the ``CustomPotential`` per-group fallback that the
+reference NumPy edge-list path, on ring/torus/random topologies, for
+one-member (single-state), homogeneous-batched and heterogeneous-batched
+stacks — including the ``CustomPotential`` per-group fallback that the
 coefficient-based compiled kernel cannot express.
 """
 
@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.backends import (
-    HeteroBatchedBackend,
-    make_backend,
-    make_batched_backend,
-)
+from repro.backends import HeteroBatchedBackend, make_batched_backend
 from repro.core import (
     BottleneckPotential,
     CustomPotential,
@@ -69,6 +65,11 @@ def _model(topo, pot, **kw):
                                    t_comp=0.9, t_comm=0.1, **kw)
 
 
+def _single(model, kernel):
+    """A realisation whose one-member edge-list stack runs ``kernel``."""
+    return model.realize(5.0, rng=0, kernel=kernel)
+
+
 # ----------------------------------------------------------------------
 # registry / resolution
 # ----------------------------------------------------------------------
@@ -104,27 +105,10 @@ class TestResolution:
             kernels.resolve_kernel("cc", has_coefficients=False,
                                    n_edges=16)
 
-    def test_dense_backend_rejects_explicit_kernel(self):
-        realized = _model(ring(16), TanhPotential()).realize(1.0, rng=0)
-        with pytest.raises(ValueError, match="does not support"):
-            make_backend(realized, "dense", kernel="numpy")
-        # "auto" composes with every backend
-        make_backend(realized, "dense", kernel="auto")
-
-    def test_explicit_kernel_steers_auto_backend_to_sparse(self):
-        # ring(6) is dense by the density rule; an explicit kernel is a
-        # request for the edge-list path and must not crash on it.
-        model = _model(ring(6), TanhPotential())
-        realized = model.realize(1.0, rng=0, kernel="numpy")
-        assert realized.backend.name == "sparse"
-        assert realized.backend.kernel == "numpy"
-        # without a kernel request, density still picks dense
-        assert model.realize(1.0, rng=0).backend.name == "dense"
-
     def test_model_field_and_describe(self):
         model = _model(ring(16), TanhPotential(), kernel="numpy")
         assert model.describe()["kernel"] == "numpy"
-        backend = model.realize(1.0, rng=0, backend="sparse").backend
+        backend = model.realize(1.0, rng=0).backend
         assert backend.kernel == "numpy"
         assert backend.describe()["kernel"] == "numpy"
 
@@ -166,10 +150,8 @@ class TestSingleEquivalence:
         topo = make_topo()
         model = _model(topo, make_pot())
         theta = np.random.default_rng(1).normal(0.0, 1.0, topo.n)
-        ref = make_backend(model.realize(5.0, rng=0), "sparse",
-                           kernel="numpy").coupling(0.0, theta)
-        out = make_backend(model.realize(5.0, rng=0), "sparse",
-                           kernel=kernel).coupling(0.0, theta)
+        ref = _single(model, kernel="numpy").coupling_term(0.0, theta)
+        out = _single(model, kernel=kernel).coupling_term(0.0, theta)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("kernel", _kernel_params())
@@ -177,15 +159,12 @@ class TestSingleEquivalence:
         pot = CustomPotential(lambda d: np.tanh(d) + 0.05 * d, "mix")
         model = _model(ring(64), pot)
         theta = np.random.default_rng(2).normal(0.0, 1.0, 64)
-        ref = make_backend(model.realize(5.0, rng=0), "sparse",
-                           kernel="numpy").coupling(0.0, theta)
+        ref = _single(model, kernel="numpy").coupling_term(0.0, theta)
         if kernel == "cc":
             with pytest.raises(ValueError, match="kernel coefficients"):
-                make_backend(model.realize(5.0, rng=0), "sparse",
-                             kernel=kernel)
+                _single(model, kernel=kernel).backend
             return
-        out = make_backend(model.realize(5.0, rng=0), "sparse",
-                           kernel=kernel).coupling(0.0, theta)
+        out = _single(model, kernel=kernel).coupling_term(0.0, theta)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
 
@@ -201,8 +180,7 @@ class TestBatchedEquivalence:
         topo = make_topo()
         model = _model(topo, TanhPotential(),
                        local_noise=GaussianJitter(std=0.02, refresh=0.5))
-        members = [model.realize(5.0, rng=s, backend="sparse")
-                   for s in range(5)]
+        members = [model.realize(5.0, rng=s) for s in range(5)]
         thetas = np.random.default_rng(3).normal(0.0, 1.0, (5, topo.n))
         ref = np.stack([m.coupling_term(0.0, thetas[i])
                         for i, m in enumerate(members)])
@@ -295,9 +273,9 @@ class TestPreboundCalls:
 
     @staticmethod
     def _backends(topo):
-        single = make_backend(
-            _model(topo, BottleneckPotential(0.8)).realize(5.0, rng=0),
-            "sparse", kernel="cc")
+        single = make_batched_backend(
+            [_model(topo, BottleneckPotential(0.8)).realize(5.0, rng=0)],
+            kernel="cc")
         batched = HeteroBatchedBackend(
             [_model(topo, TanhPotential(1.3), v_p_override=1.0 + i)
              .realize(5.0, rng=i) for i in range(3)], kernel="cc")
@@ -314,7 +292,7 @@ class TestPreboundCalls:
         topo = make_topo()
         rng = np.random.default_rng(8)
         for backend in self._backends(topo):
-            shape = (3, topo.n) if backend.name == "hetero" else (topo.n,)
+            shape = (backend.n_members, topo.n)
             thetas = [rng.normal(0.0, 2.0, shape) for _ in range(3)]
             ref = [backend.coupling(0.0, th) for th in thetas]
             clone = (copy.deepcopy(backend) if how == "deepcopy"
@@ -499,7 +477,7 @@ class TestEdgeBackedTopology:
     def test_large_n_rhs_evaluates(self):
         topo = ring_edges(50_000, (1, -1))
         model = _model(topo, TanhPotential())
-        realized = model.realize(1.0, rng=0, backend="sparse")
+        realized = model.realize(1.0, rng=0)
         theta = np.random.default_rng(0).normal(0.0, 1.0, topo.n)
         out = realized.rhs(0.0, theta)
         assert out.shape == (50_000,)

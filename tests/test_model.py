@@ -148,7 +148,7 @@ class TestRHS:
         m = make_model(interaction_noise=ConstantInteractionNoise(tau=0.1))
         realized = m.realize(10.0, rng=0)
         with pytest.raises(ValueError, match="delays"):
-            realized.make_ode_rhs()
+            realized.backend.make_ode_rhs()
 
 
 class TestDelayedCoupling:

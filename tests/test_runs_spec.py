@@ -95,6 +95,14 @@ class TestBuilders:
                              "t_comp": 1.0, "t_comm": 0.1,
                              "potental": {"kind": "tanh"}})
 
+    def test_model_backend_key_rejected(self):
+        # Every solve runs the edge-list coupling; the backend knob and
+        # its spec key are gone.
+        with pytest.raises(ValueError, match=r"unknown model key.*backend"):
+            model_from_spec({"topology": {"kind": "ring", "n": 6},
+                             "t_comp": 1.0, "t_comm": 0.1,
+                             "backend": "dense"})
+
     def test_initial_kinds(self):
         assert np.all(initial_from_spec(None, 5) == 0.0)
         p = initial_from_spec({"kind": "perturbed", "rank": 2,

@@ -3,21 +3,28 @@
 import numpy as np
 import pytest
 
+from repro.backends import DenseBackend
 from repro.core import (
     ConstantInteractionNoise,
     GaussianJitter,
     KuramotoModel,
     OneOffDelay,
     PhysicalOscillatorModel,
+    RandomInteractionNoise,
     TanhPotential,
+    all_to_all,
     default_dt,
     perturbed,
+    random_topology,
     ring,
     simulate,
+    simulate_grid,
     simulate_kuramoto,
     splayed,
     synchronized,
+    torus2d,
 )
+from repro.integrate import HistoryBuffer, solve_dopri45, solve_rk4
 from repro.metrics import classify, order_parameter
 
 
@@ -181,6 +188,127 @@ class TestEulerMaruyamaPath:
             local_noise=GaussianJitter(std=0.01))
         traj = simulate(m, 5.0, method="em", dt=1e-3, seed=0)
         assert order_parameter(traj.final_phases) > 0.9
+
+
+class TestOneSolvePath:
+    """``simulate()`` is a one-member ``simulate_grid``: checked against
+    an independent dense-reference integration, against the same member
+    inside a campaign, and through the shared argument checks."""
+
+    TOPOLOGIES = {
+        "ring": lambda: ring(16, (1, -1)),
+        "torus": lambda: torus2d(4, 4),
+        "random": lambda: random_topology(
+            16, 0.15, rng=np.random.default_rng(2)),
+        "all-to-all": lambda: all_to_all(16),
+    }
+
+    @staticmethod
+    def _model(topology, **kw):
+        return PhysicalOscillatorModel(
+            topology=topology, potential=TanhPotential(),
+            t_comp=0.9, t_comm=0.1,
+            local_noise=GaussianJitter(std=0.03, refresh=0.5), **kw)
+
+    @pytest.mark.parametrize("method", ["rk4", "dopri", "dde"])
+    @pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
+    def test_matches_dense_reference(self, topo, method):
+        """Integrate ``DenseBackend(realized).rhs`` with the solvers
+        directly; no code of the simulate/simulate_grid dispatch runs.
+
+        A smooth potential: under the bottleneck's sign jump at d = 0
+        the adaptive mesh amplifies 1-ulp coupling differences."""
+        kw = ({"interaction_noise": RandomInteractionNoise(
+            lo=0.0, hi=0.15, refresh=1.0)} if method == "dde" else {})
+        model = self._model(self.TOPOLOGIES[topo](), **kw)
+        theta0 = np.random.default_rng(5).uniform(-1.0, 1.0, model.n)
+        t_end, dt = 4.0, 0.01
+        dense = DenseBackend(model.realize(t_end, rng=3))
+        if method == "dopri":
+            # max step: half the noise refresh interval
+            ref = solve_dopri45(lambda t, y: dense.rhs(t, y), (0.0, t_end),
+                                theta0, max_step=0.25)
+            got = simulate(model, t_end, theta0=theta0, seed=3)
+            # The adaptive mesh moves with 1-ulp RHS differences, so
+            # compare the end state and the dense output on one grid.
+            np.testing.assert_allclose(got.final_phases, ref.ys[-1],
+                                       rtol=0.0, atol=1e-10)
+            grid = np.linspace(0.0, t_end, 41)
+            np.testing.assert_allclose(got.solution.dense(grid), ref(grid),
+                                       rtol=0.0, atol=2e-10)
+            return
+        history = HistoryBuffer(0.0, theta0)
+
+        def rhs(t, y):
+            return dense.rhs(t, y, history)
+
+        history._fs[0] = rhs(0.0, theta0)
+        ref = solve_rk4(
+            rhs, (0.0, t_end), theta0, dt=dt,
+            step_callback=lambda t, y: history.append(t, y, rhs(t, y)))
+        got = simulate(model, t_end, theta0=theta0, seed=3, method="rk4",
+                       dt=dt)
+        assert dense.realized.has_delays == (method == "dde")
+        np.testing.assert_array_equal(got.ts, ref.ts)
+        np.testing.assert_allclose(got.thetas, ref.ys, rtol=0.0, atol=1e-10)
+
+    def test_member_alone_equals_campaign_member(self):
+        """An all-to-all member with noise and a random theta0 has the
+        same bits alone and inside a campaign."""
+        from repro.runs import ScenarioSpec, run_spec
+
+        spec = ScenarioSpec(
+            name="alone-vs-campaign",
+            model={"topology": {"kind": "all_to_all", "n": 12},
+                   "potential": {"kind": "bottleneck", "sigma": 1.0},
+                   "t_comp": 0.9, "t_comm": 0.1,
+                   "local_noise": {"kind": "gaussian", "std": 0.03,
+                                   "refresh": 0.5}},
+            t_end=6.0,
+            solver={"method": "dopri", "rtol": 1e-6, "atol": 1e-9},
+            initial={"kind": "normal", "std": 0.5, "seed": 4},
+            axes=[("seed", [0, 1])],
+        )
+        result = run_spec(spec, shard_members=1)
+        for member, got in zip(spec.members(), result.members):
+            model = member.build_model()
+            alone = simulate(model, member.t_end,
+                             theta0=member.build_theta0(model.n),
+                             seed=member.seed)
+            np.testing.assert_array_equal(got.ts, alone.ts)
+            np.testing.assert_array_equal(got.thetas, alone.thetas)
+
+    def test_em_with_interaction_delays_rejected(self):
+        # The DDE path has no diffusion term: EM must not silently
+        # return the deterministic delayed solve.
+        model = self._model(ring(8, (1, -1)),
+                            interaction_noise=ConstantInteractionNoise(0.1))
+        with pytest.raises(ValueError, match="interaction delays"):
+            simulate(model, 1.0, method="em", seed=0)
+
+    def test_unknown_method_rejected_with_interaction_delays(self):
+        model = self._model(ring(8, (1, -1)),
+                            interaction_noise=ConstantInteractionNoise(0.1))
+        with pytest.raises(ValueError, match="unknown method"):
+            simulate(model, 1.0, method="bogus")
+        with pytest.raises(ValueError, match="unknown method"):
+            simulate_grid([model], 1.0, method="bogus")
+        # The documented switch: fixed-step RK4 for delayed models.
+        dopri = simulate(model, 1.0, seed=0, dt=0.01)
+        rk4 = simulate(model, 1.0, seed=0, method="rk4", dt=0.01)
+        np.testing.assert_array_equal(dopri.thetas, rk4.thetas)
+
+    @pytest.mark.parametrize("method", ["rk4", "em"])
+    def test_fresh_entropy_seed(self, method):
+        model = self._model(ring(8, (1, -1)))
+        trajs = simulate_grid([model, model], 1.0, seeds=None,
+                              method=method, dt=0.01)
+        assert [tr.seed for tr in trajs] == [None, None]
+        # Fresh entropy per member: the two noise streams differ.
+        assert not np.array_equal(trajs[0].thetas, trajs[1].thetas)
+        alone = simulate(model, 1.0, seed=None, method=method, dt=0.01)
+        assert alone.seed is None
+        assert np.all(np.isfinite(alone.thetas))
 
 
 class TestKuramotoDriver:

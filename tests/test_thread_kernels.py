@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.backends import make_backend, make_batched_backend
+from repro.backends import make_batched_backend
 from repro.core import (
     BottleneckPotential,
     CustomPotential,
@@ -137,14 +137,12 @@ class TestThreadInvariance:
     def test_single_state_bits(self, kernel, topo_f, pot_f):
         topo, pot = topo_f(), pot_f()
         rng = np.random.default_rng(11)
-        serial = make_backend(_realize(topo, pot), "sparse",
-                              kernel=kernel, threads=1)
-        parallel = make_backend(_realize(topo, pot), "sparse",
-                                kernel=kernel, threads=4)
+        serial = _realize(topo, pot, kernel=kernel, threads=1)
+        parallel = _realize(topo, pot, kernel=kernel, threads=4)
         for _ in range(5):
             theta = rng.uniform(-2 * np.pi, 2 * np.pi, topo.n)
-            np.testing.assert_array_equal(
-                serial.coupling(0.0, theta), parallel.coupling(0.0, theta))
+            np.testing.assert_array_equal(serial.coupling_term(0.0, theta),
+                                          parallel.coupling_term(0.0, theta))
 
     @pytest.mark.parametrize("kernel", COMPILED)
     @pytest.mark.parametrize("topo_f", TOPOLOGIES)
@@ -165,26 +163,23 @@ class TestThreadInvariance:
     @pytest.mark.parametrize("kernel", COMPILED)
     def test_odd_thread_counts(self, kernel):
         topo = ring(101, (1, -1, 2))
-        be = {t: make_backend(_realize(topo, TanhPotential()), "sparse",
-                              kernel=kernel, threads=t)
+        be = {t: _realize(topo, TanhPotential(), kernel=kernel, threads=t)
               for t in (1, 3, 7, 16)}
         theta = np.random.default_rng(17).uniform(-np.pi, np.pi, topo.n)
-        ref = be[1].coupling(0.0, theta)
+        ref = be[1].coupling_term(0.0, theta)
         for t in (3, 7, 16):
-            np.testing.assert_array_equal(ref, be[t].coupling(0.0, theta))
+            np.testing.assert_array_equal(ref, be[t].coupling_term(0.0, theta))
 
     @pytest.mark.parametrize("kernel", COMPILED)
     def test_torus_matches_numpy(self, kernel):
         # The specialised torus path against the reference segment sum.
         topo = torus2d(9, 6)
         pot = BottleneckPotential(0.7)
-        compiled = make_backend(_realize(topo, pot), "sparse",
-                                kernel=kernel, threads=2)
-        reference = make_backend(_realize(topo, pot), "sparse",
-                                 kernel="numpy")
+        compiled = _realize(topo, pot, kernel=kernel, threads=2)
+        reference = _realize(topo, pot, kernel="numpy")
         theta = np.random.default_rng(19).uniform(-np.pi, np.pi, topo.n)
-        np.testing.assert_allclose(compiled.coupling(0.0, theta),
-                                   reference.coupling(0.0, theta),
+        np.testing.assert_allclose(compiled.coupling_term(0.0, theta),
+                                   reference.coupling_term(0.0, theta),
                                    rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("kernel", COMPILED)
@@ -251,8 +246,8 @@ class TestThreadInvariance:
     @needs_cc
     def test_env_knob_reaches_backend(self, monkeypatch):
         monkeypatch.setenv(kernels.THREADS_ENV_VAR, "3")
-        be = make_backend(_realize(ring(32, (1, -1)), TanhPotential()),
-                          "sparse", kernel="cc")
+        be = make_batched_backend(
+            [_realize(ring(32, (1, -1)), TanhPotential())], kernel="cc")
         assert be.threads == 3
         assert be.describe()["threads"] == 3
 
@@ -269,16 +264,16 @@ class TestCoefficientFallbackWarning:
     def test_warns_once_per_process(self):
         pot = CustomPotential(np.sin, name="sin")
         with pytest.warns(RuntimeWarning, match="CustomPotential"):
-            make_backend(_realize(ring(16, (1, -1)), pot), "sparse")
+            make_batched_backend([_realize(ring(16, (1, -1)), pot)])
         # Second resolution stays silent (flag already tripped).
         import warnings as _warnings
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
-            make_backend(_realize(ring(16, (1, -1)), pot), "sparse")
+            make_batched_backend([_realize(ring(16, (1, -1)), pot)])
 
     def test_no_warning_with_coefficients(self):
         import warnings as _warnings
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
-            make_backend(_realize(ring(16, (1, -1)), TanhPotential()),
-                         "sparse")
+            make_batched_backend(
+                [_realize(ring(16, (1, -1)), TanhPotential())])
