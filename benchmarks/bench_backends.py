@@ -244,8 +244,8 @@ def bench_kernel_call(repeats: int) -> dict:
     for r, n in ((1, 24), (2, 256)):
         rows, cols = ring_edges(n, (1, -1)).edge_list()
         # bottleneck, sigma=1, per member
-        call = cc_kernels.bind(rows, cols, n, ([1] * r, [1.0] * r, [0.0] * r),
-                               [0.5] * r, members=r)
+        call = cc_kernels.bind([rows] * r, [cols] * r, n,
+                               ([1] * r, [1.0] * r, [0.0] * r), [0.5] * r)
         theta = np.random.default_rng(0).uniform(-np.pi, np.pi, (r, n))
 
         def loop():

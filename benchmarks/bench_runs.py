@@ -156,12 +156,13 @@ def bench_kernel_threads(n: int, iters: int, repeats: int,
     # bottleneck, sigma=1, as one-member (R=1) coefficient arrays
     coeffs = ([1], [1.0], [0.0])
     vp = [0.5]
-    ring_calls = {t: cc_kernels.bind(rows, cols, n, coeffs, vp, members=1,
+    ring_calls = {t: cc_kernels.bind([rows], [cols], n, coeffs, vp,
                                      threads=t)
                   for t in (1, threads)}
-    # the same ring through the general edge-list kernel
+    # the same ring through the general edge-list kernel (one edge range)
     edge_calls = {t: cc_kernels.KernelCall(
-        "fused_batched", (rows, cols, rows.size), (*coeffs, vp), (1, n), t)
+        "fused_batched", (rows, cols, [0], [rows.size]), (*coeffs, vp),
+        (1, n), t)
         for t in (1, threads)}
 
     def ring(t):

@@ -179,9 +179,10 @@ def bench_topology_fused(n: int, seeds: int, t_end: float, dt: float,
     grouped = run_spec(spec, fuse_topologies=False)
     identical = fused.npz_bytes() == grouped.npz_bytes()
 
-    # The gated margin is small (~1.1-1.2x: the compiled kernels run
-    # per-group either way; fusion saves the per-shard solver loops),
-    # so take the median of >= 3 passes even in --quick mode.
+    # The gated margin is small (fusion saves the per-shard solver loops
+    # and, under cc, folds the per-group kernel calls into one call per
+    # coupling evaluation), so take the median of >= 3 passes even in
+    # --quick mode.
     repeats = max(repeats, 3)
     t_fused = _time(lambda: run_spec(spec), repeats)
     t_grouped = _time(lambda: run_spec(spec, fuse_topologies=False),

@@ -18,8 +18,8 @@ disagree on
 Only the oscillator count ``N`` must be shared.  Members may even
 disagree on the **topology** (a machine-design sweep over same-N
 candidate networks).  Each row of the batched result accumulates its
-edges in the same row-major order as a one-member evaluation, so it
-matches that evaluation bit for bit; this is what lets
+edges in the same order as a one-member evaluation, so it matches that
+evaluation bit for bit; this is what lets
 :func:`repro.core.simulation.simulate_grid` integrate all grid points as
 one super-state and fan exact per-point trajectories back out, and what
 makes topology-axis fusion bit-identical to per-group shards.  A single
@@ -39,21 +39,18 @@ The inner coupling loop is delegated to a selectable *kernel*
 * ``"cc"`` — the fused compiled kernel that evaluates the potential
   family inline per edge block (per-member ``(kind, p0, p1)``
   coefficients, so members may even mix families), eliminating the
-  ``(R, E)`` round-trips entirely.
+  ``(R, E)`` round-trips entirely.  Every batch is one compiled call:
+  a shared topology runs its ring, torus or edge-list kernel, and a
+  topology-axis batch runs the edge-list kernel with one edge range per
+  member (see :func:`repro.kernels.cc.bind`).
 
 ``"auto"`` picks ``"cc"`` whenever every member's potential exposes
 kernel coefficients and a compiler works; ``CustomPotential`` members
 fall back to the NumPy path.
-
-``"cc"`` has no mixed edge-list entry point: a mixed-topology batch
-falls back to one compiled sub-backend per topology group (one-time
-:class:`RuntimeWarning`) — still bit-identical, one compiled call per
-group instead of one per batch.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -67,22 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..integrate.history import HistoryBuffer
 
 __all__ = ["HeteroBatchedBackend", "same_topology"]
-
-#: one-time flag for the mixed-topology compiled-kernel fallback warning
-_warned_mixed_compiled = False
-
-
-def _warn_mixed_compiled(kernel: str) -> None:
-    global _warned_mixed_compiled
-    if _warned_mixed_compiled:
-        return
-    _warned_mixed_compiled = True
-    warnings.warn(
-        f"compiled kernel {kernel!r} has no mixed-topology entry point; "
-        "evaluating this topology-axis batch as one compiled sub-backend "
-        "per topology group (bit-identical, one kernel call per group). "
-        'Use kernel="numpy" for a single stacked pass.',
-        RuntimeWarning, stacklevel=3)
 
 
 def same_topology(a, b) -> bool:
@@ -205,18 +186,15 @@ class HeteroBatchedBackend:
             kernel, has_coefficients=self._coeffs is not None)
         self._threads_request = threads
         self.threads = kernels.resolve_threads(threads)
-        self._subs = None
         self._cc_call = None
-        if mixed and self.kernel == "cc":
-            self._setup_mixed()
-        elif not self._zero_coupling:
+        if not self._zero_coupling:
             if self.kernel == "cc":
-                # Static kernel arguments bound once (distance rings and
-                # 2-D tori get their specialised kernels, see cc.bind).
+                # Static kernel arguments bound once (shared distance
+                # rings and 2-D tori get their specialised kernels,
+                # topology-axis batches per-member edge ranges; cc.bind).
                 self._cc_call = cc_kernels.bind(
-                    self._per_rows[0], self._per_cols[0], self._n,
-                    self._coeffs, self._vps.ravel(), members=self._r,
-                    threads=self.threads)
+                    self._per_rows, self._per_cols, self._n,
+                    self._coeffs, self._vps.ravel(), threads=self.threads)
             else:
                 self._setup_gather()
         # One-slot intrinsic-frequency memo, ``(key, freq)`` in a single
@@ -248,39 +226,6 @@ class HeteroBatchedBackend:
             scatter[r, :e] = grows[r, :e]
         self._grows, self._gcols = grows, gcols
         self._scatter = scatter.ravel()
-
-    def _setup_mixed(self) -> None:
-        """One compiled sub-backend per topology group.
-
-        The ``cc`` kernel has no mixed edge-list entry point, so a
-        topology-axis batch evaluates each group of members sharing a
-        topology through its own bound call (bit-identical to per-group
-        shards).
-        """
-        _warn_mixed_compiled(self.kernel)
-        groups: list[tuple[list[int], "RealizedModel"]] = []
-        for i, m in enumerate(self.members):
-            for idx, rep in groups:
-                if same_topology(m.model.topology, rep.model.topology):
-                    idx.append(i)
-                    break
-            else:
-                groups.append(([i], m))
-        self._subs = []
-        for idx, _ in groups:
-            # Topology-axis members arrive grouped (the planner
-            # sorts by global index with topology as the outer
-            # axis), so each group is usually a contiguous row
-            # range — a slice keeps theta[sel] a view instead of a
-            # fancy-index copy per RK4 stage.
-            sel = (slice(idx[0], idx[-1] + 1)
-                   if idx == list(range(idx[0], idx[-1] + 1))
-                   else np.asarray(idx, dtype=np.intp))
-            self._subs.append(
-                (sel,
-                 HeteroBatchedBackend([self.members[i] for i in idx],
-                                      kernel=self.kernel,
-                                      threads=self._threads_request)))
 
     def _stack_zeta(self) -> np.ndarray | None:
         """Stack member zeta realisations when they share a refresh grid."""
@@ -403,13 +348,6 @@ class HeteroBatchedBackend:
                 return getattr(cc_kernels, call.entry)(
                     call, np.ascontiguousarray(theta, dtype=float),
                     np.empty((self._r, self._n)))
-            if self._subs is not None:
-                # Mixed topologies under a compiled kernel: one compiled
-                # sub-backend per topology group, rows scattered back.
-                out = np.empty((self._r, self._n))
-                for sel, sub in self._subs:
-                    out[sel] = sub.coupling(t, theta[sel], None)
-                return out
             # One gather from the flattened (R*N,) super-state, one
             # family-vectorised potential pass over (R, Emax), one
             # bincount whose overflow bin swallows every pad slot.

@@ -10,9 +10,9 @@ list once per member in cache-resident blocks:
 2. **potential** — the coefficient family evaluated in a flat pass that
    GCC auto-vectorises against ``libmvec`` (AVX2/AVX-512 ``tanh``/``sin``
    on glibc >= 2.35),
-3. **scatter** — per-row accumulation in the same row-major edge order as
-   the NumPy ``bincount`` path, so results agree to the last few ulps
-   (the only differences come from the SIMD transcendentals).
+3. **scatter** — per-row accumulation in edge-list order (row-major, as
+   in the NumPy ``bincount`` path), so results agree to the last few
+   ulps (the only differences come from the SIMD transcendentals).
 
 The kernel is built on first use as a CPython extension module, with
 the system ``cc`` (honouring ``$CC``) and the interpreter's headers, into
@@ -25,8 +25,10 @@ Entry points and prebound calls
 -------------------------------
 Three entries, one per topology layout, all on a stacked ``(R, N)``
 super-state with per-member coefficients: :func:`fused_batched` (any
-edge list), :func:`ring_batched` and :func:`torus_batched`.  A single
-state is the ``R = 1`` stack ``(1, N)``.  A backend evaluates the
+edge lists: each row runs its own edge range of one concatenated list,
+so members may differ in topology), :func:`ring_batched` and
+:func:`torus_batched` (one shared topology).  A single state is the
+``R = 1`` stack ``(1, N)``.  A backend evaluates the
 coupling thousands of times per solve with the same topology,
 coefficients and thread count, so :func:`bind` resolves all of those
 once into a :class:`KernelCall`, whose capsule holds the kernel's
@@ -197,15 +199,17 @@ static void fused_span(const int32_t *rows, const int32_t *cols,
 }
 
 /* Fused coupling for a stacked (R, N) super-state with per-member
- * potential coefficients and coupling strengths.  The parallel path
- * flattens (member, row-chunk) work items so small-R stacks still fill
- * the thread pool. */
+ * potential coefficients, coupling strengths and edge lists: row rr owns
+ * the edge range [edge_lo[rr], edge_hi[rr]) of the concatenated lists (a
+ * shared list is one range for every row).  The parallel path flattens
+ * (member, row-chunk) work items so small-R stacks still fill the thread
+ * pool. */
 void pom_fused_batched(const int32_t *rows, const int32_t *cols,
-                       int64_t n_edges, const double *theta, double *out,
-                       int64_t r_count, int64_t n, const int64_t *kinds,
-                       const double *p0, const double *p1, const double *vp,
-                       double *sd, double *sv, int64_t block,
-                       int64_t threads) {
+                       const int64_t *edge_lo, const int64_t *edge_hi,
+                       const double *theta, double *out, int64_t r_count,
+                       int64_t n, const int64_t *kinds, const double *p0,
+                       const double *p1, const double *vp, double *sd,
+                       double *sv, int64_t block, int64_t threads) {
     int64_t r;
 #ifdef _OPENMP
     if (threads > 1) {
@@ -217,9 +221,10 @@ void pom_fused_batched(const int32_t *rows, const int32_t *cols,
             int64_t tid = (int64_t)omp_get_thread_num();
             int64_t rr = w / splits;
             int64_t c = w % splits;
-            fused_span(rows, cols, n_edges, theta + rr * n, out + rr * n,
-                       n * c / splits, n * (c + 1) / splits, kinds[rr],
-                       p0[rr], p1[rr], vp[rr], sd + tid * block,
+            fused_span(rows + edge_lo[rr], cols + edge_lo[rr],
+                       edge_hi[rr] - edge_lo[rr], theta + rr * n,
+                       out + rr * n, n * c / splits, n * (c + 1) / splits,
+                       kinds[rr], p0[rr], p1[rr], vp[rr], sd + tid * block,
                        sv + tid * block, block);
         }
         return;
@@ -227,8 +232,9 @@ void pom_fused_batched(const int32_t *rows, const int32_t *cols,
 #endif
     (void)threads;
     for (r = 0; r < r_count; ++r)
-        fused_span(rows, cols, n_edges, theta + r * n, out + r * n, 0, n,
-                   kinds[r], p0[r], p1[r], vp[r], sd, sv, block);
+        fused_span(rows + edge_lo[r], cols + edge_lo[r], edge_hi[r] - edge_lo[r],
+                   theta + r * n, out + r * n, 0, n, kinds[r], p0[r], p1[r],
+                   vp[r], sd, sv, block);
 }
 
 /* Distance-ring specialisation: every row couples to i + d (mod n) for
@@ -399,7 +405,7 @@ static const char *const ENTRIES[] = {"fused_batched", "ring_batched", "torus_ba
 
 typedef struct {
     int layout;          /* index into ENTRIES */
-    const void *arr[6];  /* static index arrays (C order), kind, p0, p1, vp */
+    const void *arr[8];  /* static index arrays (C order), then kind, p0, p1, vp */
     long long num[3];    /* static counts (and the torus width) */
     Py_ssize_t r, n;
     long long threads;
@@ -426,7 +432,8 @@ static int data_of(PyObject *obj, const void **p, Py_ssize_t itemsize) {
 static int i32(PyObject *obj, void *p) { return data_of(obj, p, 4); }
 static int i64(PyObject *obj, void *p) { return data_of(obj, p, 8); }
 
-/* bind(layout, (R, N), threads, static, (kind, p0, p1, vp)) -> capsule */
+/* bind(layout, (R, N), threads, static, (kind, p0, p1, vp)) -> capsule;
+ * the static index arrays take slots 0-3, the coefficients slots 4-7. */
 static PyObject *py_bind(PyObject *self, PyObject *args) {
     PyObject *st, *cap;
     pom_call *c = PyMem_Calloc(1, sizeof *c);
@@ -435,9 +442,10 @@ static PyObject *py_bind(PyObject *self, PyObject *args) {
     if (!c)
         return PyErr_NoMemory();
     if (PyArg_ParseTuple(args, "i(nn)LO!(O&O&O&O&)", &c->layout, &c->r, &c->n,
-                         &c->threads, &PyTuple_Type, &st, i64, &a[2], i64, &a[3],
-                         i64, &a[4], i64, &a[5]) && c->threads > 0 &&
-        (c->layout == 0 ? PyArg_ParseTuple(st, "O&O&L", i32, a, i32, a + 1, k)
+                         &c->threads, &PyTuple_Type, &st, i64, &a[4], i64, &a[5],
+                         i64, &a[6], i64, &a[7]) && c->threads > 0 &&
+        (c->layout == 0 ? PyArg_ParseTuple(st, "O&O&O&O&", i32, a, i32, a + 1, i64,
+                                           a + 2, i64, a + 3)
          : c->layout == 1 ? PyArg_ParseTuple(st, "O&L", i64, a, k)
          : c->layout == 2 && PyArg_ParseTuple(st, "O&LO&LL", i64, a, k, i64, a + 1,
                                               k + 1, k + 2)) &&
@@ -515,14 +523,14 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         double *sv = sd + c->threads * BLOCK_EDGES;
         Py_BEGIN_ALLOW_THREADS
         if (c->layout == 0)
-            pom_fused_batched(a[0], a[1], k[0], t, o, c->r, c->n, a[2], a[3], a[4],
-                              a[5], sd, sv, BLOCK_EDGES, c->threads);
+            pom_fused_batched(a[0], a[1], a[2], a[3], t, o, c->r, c->n, a[4], a[5],
+                              a[6], a[7], sd, sv, BLOCK_EDGES, c->threads);
         else if (c->layout == 1)
-            pom_fused_ring_batched(a[0], k[0], t, o, c->r, c->n, a[2], a[3], a[4],
-                                   a[5], sd, sv, BLOCK_EDGES, c->threads);
+            pom_fused_ring_batched(a[0], k[0], t, o, c->r, c->n, a[4], a[5], a[6],
+                                   a[7], sd, sv, BLOCK_EDGES, c->threads);
         else
             pom_fused_torus_batched(a[0], k[0], a[1], k[1], k[2], t, o, c->r, c->n,
-                                    a[2], a[3], a[4], a[5], sd, sv, BLOCK_EDGES,
+                                    a[4], a[5], a[6], a[7], sd, sv, BLOCK_EDGES,
                                     c->threads);
         Py_END_ALLOW_THREADS
     }
@@ -786,8 +794,10 @@ class KernelCall:
         ``"ring_batched"`` or ``"torus_batched"``.
     static:
         The kernel's leading topology arguments in C order: ``(rows32,
-        cols32, n_edges)``, ``(offsets, n_offsets)`` or ``(col_offsets,
-        n_col, row_dxs, n_dx, w)``.
+        cols32, edge_lo, edge_hi)``, ``(offsets, n_offsets)`` or
+        ``(col_offsets, n_col, row_dxs, n_dx, w)``.  ``edge_lo`` and
+        ``edge_hi`` are length-R: member ``r`` runs the edges
+        ``[edge_lo[r], edge_hi[r])`` of ``rows32``/``cols32``.
     coeffs:
         ``(kind, p0, p1, vp_over_n)`` as length-R arrays.
     shape:
@@ -804,23 +814,40 @@ class KernelCall:
         shape: tuple[int, ...],
         threads: int = 1,
     ) -> None:
-        if entry not in _LAYOUTS:
+        if entry not in _STATIC_TYPES:
             raise ValueError(f"unknown kernel entry {entry!r}")
         if len(shape) != 2:
             raise ValueError(f"shape {shape} is not an (R, N) state shape")
         self.entry = entry
-        index = _INDEX_DTYPES[entry.split("_")[0]]
+        types = _STATIC_TYPES[entry]
+        if len(static) != len(types):
+            raise ValueError(f"{entry} takes {len(types)} static arguments")
         self.static = tuple(
-            int(a) if np.isscalar(a) else np.ascontiguousarray(a, dtype=index)
-            for a in static
+            int(a) if t is int else np.ascontiguousarray(a, dtype=t)
+            for a, t in zip(static, types)
         )
         dtypes = (np.int64, np.float64, np.float64, np.float64)  # kind, p0, p1, vp
         self.coeffs = tuple(
             np.ascontiguousarray(c, dtype=t) for c, t in zip(coeffs, dtypes)
         )
-        if any(c.shape != (shape[0],) for c in self.coeffs):
-            raise ValueError("coefficients must have length R")
         self.shape = tuple(int(x) for x in shape)
+        r_count = self.shape[0]
+        if any(c.shape != (r_count,) for c in self.coeffs):
+            raise ValueError("coefficients must have length R")
+        if entry == "fused_batched":
+            rows, cols, lo, hi = self.static
+            if (
+                rows.shape != cols.shape
+                or lo.shape != (r_count,)
+                or hi.shape != lo.shape
+                or np.any(lo < 0)
+                or np.any(lo > hi)
+                or np.any(hi > rows.size)
+            ):
+                raise ValueError(
+                    "edge ranges must be length-R arrays with "
+                    "0 <= edge_lo <= edge_hi <= len(rows) == len(cols)"
+                )
         threads = int(threads)  # serial unless the binary has OpenMP
         self.threads = threads if threads > 1 and openmp_available() else 1
         lib = load_library()
@@ -835,42 +862,97 @@ class KernelCall:
         return KernelCall, args
 
 
-#: C element type of the index arrays of each layout's static arguments
-_INDEX_DTYPES = {"fused": np.int32, "ring": np.int64, "torus": np.int64}
+#: C types of each entry's static arguments (``int``: a scalar count)
+_STATIC_TYPES = {
+    "fused_batched": (np.int32, np.int32, np.int64, np.int64),
+    "ring_batched": (np.int64, int),
+    "torus_batched": (np.int64, int, np.int64, int, int),
+}
 
 #: module function name -> its index in the C ``ENTRIES`` table
-_LAYOUTS = {"fused_batched": 0, "ring_batched": 1, "torus_batched": 2}
+_LAYOUTS = {entry: i for i, entry in enumerate(_STATIC_TYPES)}
+
+
+def _kernel_order(
+    rows: np.ndarray, cols: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One edge list re-sorted, within each row, into the order the
+    kernel :func:`bind` picks for it alone accumulates in.
+
+    A distance ring accumulates by ascending offset ``(col - row) mod
+    n``; a 2-D torus by its whole-lattice offsets first, then by its
+    within-row ``dx``; any other list in its own row-major order.  Run
+    through the general edge-list entry in this order, a member's row
+    sums are bit-equal to its specialised kernel's.
+    """
+    offs = (cols - rows) % n
+    if ring_offsets(rows, cols, n) is not None:
+        key = offs
+    else:
+        halo = torus_halo(rows, cols, n)
+        if halo is None:
+            return rows, cols
+        w, lattice, _ = halo
+        # within-row edges sort after every lattice offset (< n)
+        key = np.where(np.isin(offs, lattice), offs, n + (cols - rows) % w)
+    order = np.lexsort((key, rows))
+    return rows[order], cols[order]
 
 
 def bind(
-    rows: np.ndarray,
-    cols: np.ndarray,
+    rows: list[np.ndarray],
+    cols: list[np.ndarray],
     n: int,
     coeffs: tuple,
     vp_over_n,
-    members: int,
     threads: int = 1,
 ) -> KernelCall:
-    """The fastest :class:`KernelCall` for one edge list shared by
-    ``members`` stacked states.
+    """The fastest :class:`KernelCall` for ``len(rows)`` stacked states,
+    member ``r`` coupling along the edge list ``(rows[r], cols[r])``.
 
-    Distance rings get the ring kernel, 2-D tori the torus kernel, and
-    anything else the general edge-list kernel.  ``coeffs`` is the
-    ``(kind, p0, p1)`` triple and ``vp_over_n`` the coupling strength,
-    each as length-``members`` arrays.
+    When every member shares one edge list, a distance ring gets the
+    ring kernel, a 2-D torus the torus kernel, and anything else the
+    general edge-list kernel with one edge range for every row.
+    Otherwise (a topology-axis batch) the distinct lists are stored
+    once each, in :func:`_kernel_order`, and concatenated for the
+    general kernel, every row's edge range pointing at its own list —
+    so each row matches its member's one-member call bit for bit.
+    ``coeffs`` is the ``(kind, p0, p1)`` triple and ``vp_over_n`` the
+    coupling strength, each as length-R arrays.
     """
-    offsets = ring_offsets(rows, cols, n)
-    halo = torus_halo(rows, cols, n) if offsets is None else None
-    if offsets is not None:
-        layout, static = "ring", (offsets, offsets.size)
-    elif halo is not None:
-        w, col_offsets, row_dxs = halo
-        layout = "torus"
-        static = (col_offsets, col_offsets.size, row_dxs, row_dxs.size, w)
-    else:
-        layout, static = "fused", (rows, cols, rows.size)
+    distinct: list[tuple[np.ndarray, np.ndarray]] = []
+    which = np.empty(len(rows), dtype=np.int64)
+    for r, (rr, cc) in enumerate(zip(rows, cols)):
+        for k, (dr, dc) in enumerate(distinct):
+            if np.array_equal(rr, dr) and np.array_equal(cc, dc):
+                break
+        else:
+            k = len(distinct)
+            distinct.append((rr, cc))
+        which[r] = k
     coeffs = (*coeffs, vp_over_n)
-    return KernelCall(f"{layout}_batched", static, coeffs, (members, n), threads)
+    shape = (len(rows), n)
+    if len(distinct) > 1:
+        lists = [_kernel_order(rr, cc, n) for rr, cc in distinct]
+    else:
+        lists = distinct
+        offsets = ring_offsets(*distinct[0], n)
+        if offsets is not None:
+            static = (offsets, offsets.size)
+            return KernelCall("ring_batched", static, coeffs, shape, threads)
+        halo = torus_halo(*distinct[0], n)
+        if halo is not None:
+            w, col_offsets, row_dxs = halo
+            static = (col_offsets, col_offsets.size, row_dxs, row_dxs.size, w)
+            return KernelCall("torus_batched", static, coeffs, shape, threads)
+    starts = np.cumsum([0] + [rr.size for rr, _ in lists])
+    static = (
+        np.concatenate([rr for rr, _ in lists]),
+        np.concatenate([cc for _, cc in lists]),
+        starts[which],
+        starts[which + 1],
+    )
+    return KernelCall("fused_batched", static, coeffs, shape, threads)
 
 
 def fused_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):

@@ -348,6 +348,28 @@ class TestPreboundCalls:
                                   (40,))
 
     @needs_cc
+    @pytest.mark.parametrize("lo, hi", [
+        ([0, 0], [4, 4]),        # wrong length (R = 3)
+        ([0, -1, 0], [4, 4, 4]),  # negative start
+        ([0, 0, 0], [4, 5, 4]),   # past the end of the edge list
+        ([0, 3, 0], [4, 2, 4]),   # start after its end
+    ])
+    def test_bad_edge_ranges_rejected(self, lo, hi):
+        rows = np.array([0, 0, 1, 1], dtype=np.int32)
+        cols = np.array([1, 2, 0, 2], dtype=np.int32)
+        coeffs = ([1] * 3, [1.0] * 3, [0.0] * 3, [0.5] * 3)
+        with pytest.raises(ValueError, match="edge ranges"):
+            cc_kernels.KernelCall("fused_batched", (rows, cols, lo, hi),
+                                  coeffs, (3, 3))
+        # the same call with in-range edges binds and runs
+        call = cc_kernels.KernelCall("fused_batched",
+                                     (rows, cols, [0, 0, 2], [4, 2, 4]),
+                                     coeffs, (3, 3))
+        theta = np.random.default_rng(2).normal(size=(3, 3))
+        out = cc_kernels.fused_batched(call, theta, np.empty_like(theta))
+        assert out[1, 2] == 0.0 and out[2, 0] == 0.0
+
+    @needs_cc
     def test_read_only_out_rejected(self):
         _, batched = self._backends(ring(40, (1, -1)))
         theta = np.zeros((3, 40))

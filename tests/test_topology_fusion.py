@@ -24,6 +24,10 @@ TOPOLOGIES_N16 = [
     {"kind": "dragonfly", "groups": 4, "routers": 4},
 ]
 
+#: an N=16 ring whose five-term row sums depend on the accumulation
+#: order (two-term sums commute, so the ring above cannot catch it)
+WIDE_RING_N16 = {"kind": "ring", "n": 16, "distances": [1, -1, 2, -2, 5]}
+
 
 def topo_axis_spec(*, method="rk4", dt=0.05, t_end=12.0, seeds=(0, 1),
                    topologies=None, name="machine-design",
@@ -153,12 +157,12 @@ class TestFusedBitIdentity:
             np.testing.assert_array_equal(a.thetas, b.thetas)
 
 
-def _mixed_members(kernel=None, potentials=None):
-    """Realized members over the N=16 candidate set, one per topology."""
+def _mixed_members(topologies=TOPOLOGIES_N16, potentials=None):
+    """Realized members over an N=16 candidate set, one per topology."""
     from repro.runs.spec import MemberSpec
 
     members = []
-    for i, topo in enumerate(TOPOLOGIES_N16):
+    for i, topo in enumerate(topologies):
         pot = (potentials[i % len(potentials)] if potentials
                else {"kind": "bottleneck", "sigma": 1.5})
         m = MemberSpec(index=i, model={
@@ -173,39 +177,44 @@ class TestMixedBackendKernels:
     @pytest.mark.parametrize(
         "kernel", ["numpy", pytest.param("cc", marks=needs_cc)])
     def test_stacked_matches_per_member(self, kernel):
-        members = _mixed_members()
-        backend = HeteroBatchedBackend(members, kernel=kernel)
-        assert backend.describe()["mixed_topologies"]
         rng = np.random.default_rng(3)
-        theta = rng.normal(0.0, 0.5, size=(len(members), 16))
-        out = backend.coupling(0.0, theta, None)
-        for r, m in enumerate(members):
-            single = HeteroBatchedBackend([m], kernel=kernel)
-            ref = single.coupling(0.0, theta[r][None, :], None)[0]
-            np.testing.assert_array_equal(out[r], ref,
-                                          err_msg=f"{kernel} row {r}")
+        for topologies in (TOPOLOGIES_N16, TOPOLOGIES_N16 + [WIDE_RING_N16]):
+            members = _mixed_members(topologies)
+            theta = rng.normal(0.0, 0.5, size=(len(members), 16))
+            for threads in (1, 2):
+                backend = HeteroBatchedBackend(members, kernel=kernel,
+                                               threads=threads)
+                assert backend.describe()["mixed_topologies"]
+                out = backend.coupling(0.0, theta, None)
+                for r, m in enumerate(members):
+                    single = HeteroBatchedBackend([m], kernel=kernel,
+                                                  threads=threads)
+                    ref = single.coupling(0.0, theta[r][None, :], None)[0]
+                    np.testing.assert_array_equal(
+                        out[r], ref,
+                        err_msg=f"{kernel} threads={threads} row {r}")
 
     @needs_cc
-    def test_compiled_falls_back_per_group_with_warning(self, monkeypatch):
-        from repro.backends import hetero
+    def test_compiled_interleaved_groups_match_per_group(self):
+        import warnings
 
-        monkeypatch.setattr(hetero, "_warned_mixed_compiled", False)
         members = _mixed_members() + _mixed_members()  # repeated groups
-        with pytest.warns(RuntimeWarning, match="mixed-topology"):
-            backend = HeteroBatchedBackend(members, kernel="cc")
-        assert backend._subs is not None and len(backend._subs) == 4
         rng = np.random.default_rng(5)
         theta = rng.normal(0.0, 0.5, size=(len(members), 16))
-        out = backend.coupling(0.0, theta, None)
-        # Bit-identical to one compiled backend per topology group
-        # (the group selector is a slice for contiguous planner order,
-        # an index array otherwise — here the groups interleave).
-        for sel, _ in backend._subs:
-            idx = np.arange(len(members))[sel]
-            group = HeteroBatchedBackend([members[i] for i in idx],
-                                         kernel="cc")
-            ref = group.coupling(0.0, theta[idx], None)
-            np.testing.assert_array_equal(out[idx], ref)
+        for threads in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                backend = HeteroBatchedBackend(members, kernel="cc",
+                                               threads=threads)
+                out = backend.coupling(0.0, theta, None)
+            # Bit-identical to one compiled backend per topology group
+            # (the groups interleave: rows g and g + 4 share a topology).
+            for g in range(len(TOPOLOGIES_N16)):
+                idx = [g, g + len(TOPOLOGIES_N16)]
+                group = HeteroBatchedBackend([members[i] for i in idx],
+                                             kernel="cc", threads=threads)
+                ref = group.coupling(0.0, theta[idx], None)
+                np.testing.assert_array_equal(out[idx], ref)
 
     def test_subset_of_mixed_batch(self):
         members = _mixed_members()
