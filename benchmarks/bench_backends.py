@@ -18,8 +18,9 @@ Measures the claims of the backend layer:
    one stacked ``run_ensemble`` solve.
 4. **Kernel ladder** — the large-N regime (ring N = 1e4 / 1e5 and a
    ~1e5-rank torus, built edge-native so no dense matrix is ever
-   materialised): one single-state (one-member stack) and one 8-member
-   batched RHS evaluation under each available coupling kernel (``numpy`` vs. the
+   materialised), plus a 16x16 torus at design-grid scale: one
+   single-state (one-member stack) and one 8-member batched RHS
+   evaluation under each available coupling kernel (``numpy`` vs. the
    fused compiled ``cc``), reported as speedups over the ``numpy``
    kernel.
 5. **Kernel call cost** — microseconds per small ``cc`` ring call
@@ -257,13 +258,14 @@ def bench_kernel_call(repeats: int) -> dict:
 
 
 def bench_kernel_ladder(quick: bool, repeats: int) -> list[dict]:
-    """The ring/torus large-N ladder (edge-backed topologies)."""
+    """The ring/torus ladder (edge-backed topologies)."""
     if quick:
         cases = [ring_edges(4096, (1, -1))]
     else:
         cases = [
             ring_edges(10_000, (1, -1)),
             ring_edges(100_000, (1, -1)),
+            torus2d_edges(16, 16),            # N = 256, design-grid scale
             torus2d_edges(316, 316),          # ~1e5 ranks, degree 4
         ]
     return [bench_kernel_case(t, 8, repeats) for t in cases]

@@ -53,7 +53,7 @@ def test_rhs_evaluation_n400(benchmark):
 
 
 @pytest.mark.benchmark(group="perf-backends")
-@pytest.mark.parametrize("backend", ["dense", "sparse"])
+@pytest.mark.parametrize("backend", ["dense", "edge_list"])
 def test_rhs_backend_ring_n4096(benchmark, backend):
     """Eq. 2 RHS on a ring at N = 4096: O(N^2) dense vs. O(E) edge-list.
 

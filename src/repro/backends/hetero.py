@@ -40,9 +40,9 @@ The inner coupling loop is delegated to a selectable *kernel*
   family inline per edge block (per-member ``(kind, p0, p1)``
   coefficients, so members may even mix families), eliminating the
   ``(R, E)`` round-trips entirely.  Every batch is one compiled call:
-  a shared topology runs its ring, torus or edge-list kernel, and a
-  topology-axis batch runs the edge-list kernel with one edge range per
-  member (see :func:`repro.kernels.cc.bind`).
+  a shared distance ring runs the ring kernel, and every other batch (a
+  2-D torus or a topology-axis batch included) the edge-list kernel
+  with one edge range per member (see :func:`repro.kernels.cc.bind`).
 
 ``"auto"`` picks ``"cc"`` whenever every member's potential exposes
 kernel coefficients and a compiler works; ``CustomPotential`` members
@@ -189,9 +189,9 @@ class HeteroBatchedBackend:
         self._cc_call = None
         if not self._zero_coupling:
             if self.kernel == "cc":
-                # Static kernel arguments bound once (shared distance
-                # rings and 2-D tori get their specialised kernels,
-                # topology-axis batches per-member edge ranges; cc.bind).
+                # Static kernel arguments bound once (a shared distance
+                # ring gets the ring kernel, everything else per-member
+                # edge ranges; cc.bind).
                 self._cc_call = cc_kernels.bind(
                     self._per_rows, self._per_cols, self._n,
                     self._coeffs, self._vps.ravel(), threads=self.threads)
@@ -344,7 +344,7 @@ class HeteroBatchedBackend:
             call = self._cc_call
             if call is not None:
                 # Looked up on the module at call time, by the entry the
-                # call was bound for (ring_batched, torus_batched, ...).
+                # call was bound for (ring_batched or fused_batched).
                 return getattr(cc_kernels, call.entry)(
                     call, np.ascontiguousarray(theta, dtype=float),
                     np.empty((self._r, self._n)))

@@ -23,37 +23,37 @@ compiler or ``Python.h`` the module reports unavailability and the
 
 Entry points and prebound calls
 -------------------------------
-Three entries, one per topology layout, all on a stacked ``(R, N)``
-super-state with per-member coefficients: :func:`fused_batched` (any
-edge lists: each row runs its own edge range of one concatenated list,
-so members may differ in topology), :func:`ring_batched` and
-:func:`torus_batched` (one shared topology).  A single state is the
-``R = 1`` stack ``(1, N)``.  A backend evaluates the
-coupling thousands of times per solve with the same topology,
-coefficients and thread count, so :func:`bind` resolves all of those
-once into a :class:`KernelCall`, whose capsule holds the kernel's
-static arguments as raw pointers together with the arrays that own
-them.  Each evaluation is then one C call: it checks ``theta`` and
-``out`` through the buffer protocol, takes the calling OS thread's
-scratch and runs the kernel with the GIL released.
+Two entries, both on a stacked ``(R, N)`` super-state with per-member
+coefficients: :func:`fused_batched` (any edge lists, a 2-D torus
+included: each row runs its own edge range of one concatenated list,
+so members may differ in topology) and :func:`ring_batched` (one shared
+distance ring).  A single state is the ``R = 1`` stack ``(1, N)``.
+A backend evaluates the coupling thousands of times per solve with the
+same topology, coefficients and thread count, so :func:`bind` resolves
+all of those once into a :class:`KernelCall`, whose capsule holds the
+kernel's static arguments as raw pointers together with the arrays
+that own them.  Each evaluation is then one C call: it checks
+``theta`` and ``out`` through the buffer protocol, takes the calling OS
+thread's scratch and runs the kernel with the GIL released.
 
 Thread parallelism
 ------------------
 Every kernel takes a trailing ``threads`` argument.  With ``threads > 1``
 and an OpenMP-capable compiler the work is split over **disjoint output
 rows** (edge spans are row-aligned via binary search on the sorted row
-array; ring/torus element ranges are contiguous), so no two threads ever
+array; ring element ranges are contiguous), so no two threads ever
 write the same accumulator and no atomics are needed.  Because each
 row's contributions are accumulated in exactly the serial order, results
 are **bit-identical for any thread count** — the parallel path is a pure
 wall-clock knob, never a numerics knob.  When OpenMP is unavailable the
-kernels quietly run serial (``openmp_available()`` reports which).
+kernels quietly run serial (``openmp_available()`` reports which), and
+so does a process forked after its parent ran a parallel region, whose
+first own region would hang (libgomp is not fork-safe).
 
-Topology specialisations (detected from the edge list, never from
-builder metadata): distance rings (:func:`ring_offsets`) replace the
-gather/scatter with contiguous shifted passes, and 2-D tori
-(:func:`torus_halo`) decompose into column ring passes plus per-row halo
-passes — both unit-stride, both row-partitionable.
+The one topology specialisation is detected from the edge list, never
+from builder metadata: a distance ring (:func:`ring_offsets`) replaces
+the gather/scatter with contiguous shifted passes, unit-stride and
+row-partitionable.
 """
 
 from __future__ import annotations
@@ -78,10 +78,8 @@ __all__ = [
     "KernelCall",
     "bind",
     "ring_offsets",
-    "torus_halo",
     "fused_batched",
     "ring_batched",
-    "torus_batched",
 ]
 
 _SOURCE = r"""
@@ -90,6 +88,7 @@ _SOURCE = r"""
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
+#include <unistd.h>
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -322,91 +321,13 @@ void pom_fused_ring_batched(const int64_t *offsets, int64_t n_offsets,
                    kinds[r], p0[r], p1[r], vp[r], sd, sv, block);
 }
 
-/* 2-D torus halo specialisation.  The flat index is i = y*w + x with
- * row width w.  Column-direction (and any other whole-lattice) offsets
- * have one partner i + d (mod n) per element — ring passes over the
- * flat state.  Row-direction offsets wrap inside each width-w row:
- * partner y*w + (x + dx) % w — two contiguous segments per row.  Both
- * families are unit-stride; chunking is by torus row, so the parallel
- * decomposition stays row-aligned. */
-static void torus_chunk(const int64_t *col_offs, int64_t n_col,
-                        const int64_t *row_dxs, int64_t n_dx, int64_t w,
-                        const double *theta, double *out, int64_t n,
-                        int64_t y0, int64_t y1, int64_t kind, double p0,
-                        double p1, double vp, double *sd, double *sv,
-                        int64_t block) {
-    int64_t i0 = y0 * w, i1 = y1 * w;
-    int64_t i, k, y;
-    for (i = i0; i < i1; ++i)
-        out[i] = 0.0;
-    for (k = 0; k < n_col; ++k) {
-        int64_t d = col_offs[k];     /* whole-lattice offset in [1, n-1] */
-        int64_t a1 = (n - d) < i1 ? (n - d) : i1;
-        int64_t b0 = (n - d) > i0 ? (n - d) : i0;
-        if (a1 > i0)
-            ring_segment(theta + d + i0, theta + i0, out + i0, a1 - i0,
-                         kind, p0, p1, sd, sv, block);
-        if (i1 > b0)
-            ring_segment(theta + (d - n) + b0, theta + b0, out + b0,
-                         i1 - b0, kind, p0, p1, sd, sv, block);
-    }
-    for (k = 0; k < n_dx; ++k) {
-        int64_t dx = row_dxs[k];     /* within-row offset in [1, w-1] */
-        for (y = y0; y < y1; ++y) {
-            const double *th = theta + y * w;
-            double *o = out + y * w;
-            ring_segment(th + dx, th, o, w - dx, kind, p0, p1,
-                         sd, sv, block);
-            ring_segment(th, th + (w - dx), o + (w - dx), dx, kind, p0, p1,
-                         sd, sv, block);
-        }
-    }
-    for (i = i0; i < i1; ++i)
-        out[i] *= vp;
-}
-
-void pom_fused_torus_batched(const int64_t *col_offs, int64_t n_col,
-                             const int64_t *row_dxs, int64_t n_dx,
-                             int64_t w, const double *theta, double *out,
-                             int64_t r_count, int64_t n,
-                             const int64_t *kinds, const double *p0,
-                             const double *p1, const double *vp,
-                             double *sd, double *sv, int64_t block,
-                             int64_t threads) {
-    int64_t r;
-    int64_t h = n / w;
-#ifdef _OPENMP
-    if (threads > 1) {
-        int64_t splits = (threads + r_count - 1) / r_count;
-        int64_t total = r_count * splits;
-        int64_t wi;
-#pragma omp parallel for schedule(dynamic, 1) num_threads((int)threads)
-        for (wi = 0; wi < total; ++wi) {
-            int64_t tid = (int64_t)omp_get_thread_num();
-            int64_t rr = wi / splits;
-            int64_t c = wi % splits;
-            torus_chunk(col_offs, n_col, row_dxs, n_dx, w, theta + rr * n,
-                        out + rr * n, n, h * c / splits,
-                        h * (c + 1) / splits, kinds[rr], p0[rr], p1[rr],
-                        vp[rr], sd + tid * block, sv + tid * block, block);
-        }
-        return;
-    }
-#endif
-    (void)threads;
-    for (r = 0; r < r_count; ++r)
-        torus_chunk(col_offs, n_col, row_dxs, n_dx, w, theta + r * n,
-                    out + r * n, n, 0, h, kinds[r], p0[r], p1[r], vp[r],
-                    sd, sv, block);
-}
-
 /* ---- CPython binding: bind() once per KernelCall, run() per call. ---- */
-static const char *const ENTRIES[] = {"fused_batched", "ring_batched", "torus_batched"};
+static const char *const ENTRIES[] = {"fused_batched", "ring_batched"};
 
 typedef struct {
     int layout;          /* index into ENTRIES */
     const void *arr[8];  /* static index arrays (C order), then kind, p0, p1, vp */
-    long long num[3];    /* static counts (and the torus width) */
+    long long count;     /* the ring's offset count */
     Py_ssize_t r, n;
     long long threads;
     PyObject *owner;     /* bind()'s arguments: they own every array */
@@ -438,7 +359,6 @@ static PyObject *py_bind(PyObject *self, PyObject *args) {
     PyObject *st, *cap;
     pom_call *c = PyMem_Calloc(1, sizeof *c);
     const void **a = c ? c->arr : NULL;
-    long long *k = c ? c->num : NULL;
     if (!c)
         return PyErr_NoMemory();
     if (PyArg_ParseTuple(args, "i(nn)LO!(O&O&O&O&)", &c->layout, &c->r, &c->n,
@@ -446,9 +366,7 @@ static PyObject *py_bind(PyObject *self, PyObject *args) {
                          i64, &a[6], i64, &a[7]) && c->threads > 0 &&
         (c->layout == 0 ? PyArg_ParseTuple(st, "O&O&O&O&", i32, a, i32, a + 1, i64,
                                            a + 2, i64, a + 3)
-         : c->layout == 1 ? PyArg_ParseTuple(st, "O&L", i64, a, k)
-         : c->layout == 2 && PyArg_ParseTuple(st, "O&LO&LL", i64, a, k, i64, a + 1,
-                                              k + 1, k + 2)) &&
+         : c->layout == 1 && PyArg_ParseTuple(st, "O&L", i64, a, &c->count)) &&
         (cap = PyCapsule_New(c, "pom_call", call_free))) {
         Py_INCREF(args);
         c->owner = args;
@@ -493,6 +411,19 @@ static double *scratch(long long threads) {
     return (double *)s + 8;
 }
 
+/* libgomp is not fork-safe: a process forked after its parent ran a
+ * parallel region hangs in its own first one.  So only the process that
+ * runs the first parallel region (or one forked before it) goes
+ * parallel; a process forked after it runs every call serially, which
+ * gives the same bits.  Read and written with the GIL held. */
+static pid_t omp_pid;
+
+static long long usable_threads(long long threads) {
+    if (threads > 1 && !omp_pid)
+        omp_pid = getpid();
+    return threads > 1 && omp_pid == getpid() ? threads : 1;
+}
+
 /* run(call, theta, out, layout) -> out */
 static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     const pom_call *c;
@@ -505,14 +436,13 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     if (want != c->layout)
         return PyErr_Format(PyExc_ValueError, "%s got a call bound for %s",
-                            (unsigned long)want < 3 ? ENTRIES[want] : "?",
+                            (unsigned long)want < 2 ? ENTRIES[want] : "?",
                             ENTRIES[c->layout]);
     if (state_view(args[1], &th, c, "theta"))
         return NULL;
     if (state_view(args[2], &ou, c, "out"))
         return PyBuffer_Release(&th), NULL;
     const void *const *a = c->arr;
-    const long long *k = c->num;
     double *t = th.buf, *o = ou.buf, *sd = NULL;
     if (ou.readonly || (o < t + th.len / 8 && t < o + ou.len / 8))
         PyErr_SetString(PyExc_ValueError,
@@ -521,17 +451,14 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_NoMemory();
     if (sd) {
         double *sv = sd + c->threads * BLOCK_EDGES;
+        long long threads = usable_threads(c->threads);
         Py_BEGIN_ALLOW_THREADS
         if (c->layout == 0)
             pom_fused_batched(a[0], a[1], a[2], a[3], t, o, c->r, c->n, a[4], a[5],
-                              a[6], a[7], sd, sv, BLOCK_EDGES, c->threads);
-        else if (c->layout == 1)
-            pom_fused_ring_batched(a[0], k[0], t, o, c->r, c->n, a[4], a[5], a[6],
-                                   a[7], sd, sv, BLOCK_EDGES, c->threads);
+                              a[6], a[7], sd, sv, BLOCK_EDGES, threads);
         else
-            pom_fused_torus_batched(a[0], k[0], a[1], k[1], k[2], t, o, c->r, c->n,
-                                    a[4], a[5], a[6], a[7], sd, sv, BLOCK_EDGES,
-                                    c->threads);
+            pom_fused_ring_batched(a[0], c->count, t, o, c->r, c->n, a[4], a[5], a[6],
+                                   a[7], sd, sv, BLOCK_EDGES, threads);
         Py_END_ALLOW_THREADS
     }
     PyBuffer_Release(&th);
@@ -733,51 +660,6 @@ def ring_offsets(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray | Non
     return np.ascontiguousarray(uniq, dtype=np.int64)
 
 
-def torus_halo(
-    rows: np.ndarray, cols: np.ndarray, n: int
-) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """Halo decomposition of a 2-D torus edge list, or ``None``.
-
-    Detects (from the edge list alone, like :func:`ring_offsets`) that
-    the topology splits into
-
-    * **whole-lattice offsets** — every element couples to ``i + d (mod
-      n)`` (the column/vertical halo plus any diagonal rings), and
-    * **within-row offsets** — partners stay inside width-``w`` rows,
-      coupling ``x`` to ``(x + dx) % w`` (the horizontal halo, whose
-      flat offset is *not* uniform because of the per-row wrap — the
-      reason these edges defeat the plain ring detection).
-
-    ``w`` is recovered as the gcd of the whole-lattice offsets (for a
-    ``W x H`` torus the vertical offsets are ``W`` and ``n - W``), and
-    every remaining edge is verified to be within-row with each ``dx``
-    covering all ``n`` elements exactly once.  Returns ``(w,
-    col_offsets, row_dxs)`` for the compiled torus kernels, or ``None``
-    when the edge list is not of this shape (including pure rings,
-    which the cheaper ring path already covers).
-    """
-    if rows.size == 0:
-        return None
-    offs = (cols - rows) % n
-    uniq, counts = np.unique(offs, return_counts=True)
-    if uniq.size == 0 or uniq[0] == 0:
-        return None
-    full = uniq[counts == n]
-    if full.size == 0 or full.size == uniq.size:
-        return None  # no lattice rings, or a pure ring (handled upstream)
-    w = int(np.gcd.reduce(np.concatenate([full, [np.int64(n)]])))
-    if w <= 1 or n % w != 0:
-        return None
-    sel = np.isin(offs, uniq[counts != n])
-    pr, pc = rows[sel], cols[sel]
-    if not np.array_equal(pr // w, pc // w):
-        return None  # partial-offset edges leave their row: not a torus
-    dxs, dcounts = np.unique((pc - pr) % w, return_counts=True)
-    if dxs.size == 0 or dxs[0] == 0 or not np.all(dcounts == n):
-        return None
-    return w, full, dxs
-
-
 class KernelCall:
     """One backend's coupling-kernel call with its static arguments bound.
 
@@ -790,14 +672,13 @@ class KernelCall:
     Parameters
     ----------
     entry:
-        Module function that runs it: ``"fused_batched"``,
-        ``"ring_batched"`` or ``"torus_batched"``.
+        Module function that runs it: ``"fused_batched"`` or
+        ``"ring_batched"``.
     static:
         The kernel's leading topology arguments in C order: ``(rows32,
-        cols32, edge_lo, edge_hi)``, ``(offsets, n_offsets)`` or
-        ``(col_offsets, n_col, row_dxs, n_dx, w)``.  ``edge_lo`` and
-        ``edge_hi`` are length-R: member ``r`` runs the edges
-        ``[edge_lo[r], edge_hi[r])`` of ``rows32``/``cols32``.
+        cols32, edge_lo, edge_hi)`` or ``(offsets, n_offsets)``.
+        ``edge_lo`` and ``edge_hi`` are length-R: member ``r`` runs the
+        edges ``[edge_lo[r], edge_hi[r])`` of ``rows32``/``cols32``.
     coeffs:
         ``(kind, p0, p1, vp_over_n)`` as length-R arrays.
     shape:
@@ -866,7 +747,6 @@ class KernelCall:
 _STATIC_TYPES = {
     "fused_batched": (np.int32, np.int32, np.int64, np.int64),
     "ring_batched": (np.int64, int),
-    "torus_batched": (np.int64, int, np.int64, int, int),
 }
 
 #: module function name -> its index in the C ``ENTRIES`` table
@@ -880,22 +760,13 @@ def _kernel_order(
     kernel :func:`bind` picks for it alone accumulates in.
 
     A distance ring accumulates by ascending offset ``(col - row) mod
-    n``; a 2-D torus by its whole-lattice offsets first, then by its
-    within-row ``dx``; any other list in its own row-major order.  Run
-    through the general edge-list entry in this order, a member's row
-    sums are bit-equal to its specialised kernel's.
+    n``; any other list in its own row-major order.  Run through the
+    general edge-list entry in this order, a ring member's row sums are
+    bit-equal to the ring kernel's.
     """
-    offs = (cols - rows) % n
-    if ring_offsets(rows, cols, n) is not None:
-        key = offs
-    else:
-        halo = torus_halo(rows, cols, n)
-        if halo is None:
-            return rows, cols
-        w, lattice, _ = halo
-        # within-row edges sort after every lattice offset (< n)
-        key = np.where(np.isin(offs, lattice), offs, n + (cols - rows) % w)
-    order = np.lexsort((key, rows))
+    if ring_offsets(rows, cols, n) is None:
+        return rows, cols
+    order = np.lexsort(((cols - rows) % n, rows))
     return rows[order], cols[order]
 
 
@@ -911,9 +782,9 @@ def bind(
     member ``r`` coupling along the edge list ``(rows[r], cols[r])``.
 
     When every member shares one edge list, a distance ring gets the
-    ring kernel, a 2-D torus the torus kernel, and anything else the
-    general edge-list kernel with one edge range for every row.
-    Otherwise (a topology-axis batch) the distinct lists are stored
+    ring kernel, and anything else (a 2-D torus included) the general
+    edge-list kernel in its own row-major order, with one edge range
+    for every row.  Otherwise (a topology-axis batch) the distinct lists are stored
     once each, in :func:`_kernel_order`, and concatenated for the
     general kernel, every row's edge range pointing at its own list —
     so each row matches its member's one-member call bit for bit.
@@ -940,11 +811,6 @@ def bind(
         if offsets is not None:
             static = (offsets, offsets.size)
             return KernelCall("ring_batched", static, coeffs, shape, threads)
-        halo = torus_halo(*distinct[0], n)
-        if halo is not None:
-            w, col_offsets, row_dxs = halo
-            static = (col_offsets, col_offsets.size, row_dxs, row_dxs.size, w)
-            return KernelCall("torus_batched", static, coeffs, shape, threads)
     starts = np.cumsum([0] + [rr.size for rr, _ in lists])
     static = (
         np.concatenate([rr for rr, _ in lists]),
@@ -964,7 +830,3 @@ def ring_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
     """Distance-ring coupling for an ``(R, N)`` super-state into ``out``."""
     return _lib.run(call._capsule, theta, out, 1)
 
-
-def torus_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
-    """2-D torus halo coupling for an ``(R, N)`` super-state into ``out``."""
-    return _lib.run(call._capsule, theta, out, 2)

@@ -264,6 +264,46 @@ class TestRingOffsets:
             rows, cols = topo.edge_list()
             assert cc_kernels.ring_offsets(rows, cols, topo.n) is None
 
+    @pytest.mark.parametrize("rows,cols", [(8, 7), (5, 5), (2, 6), (6, 2),
+                                           (16, 3), (3, 16)])
+    def test_rejects_torus(self, rows, cols):
+        # The within-row wrap gives a torus no shared flat offset set, so
+        # it runs the edge-list entry, not the ring entry.
+        topo = torus2d(rows, cols)
+        r, c = topo.edge_list()
+        assert cc_kernels.ring_offsets(r, c, topo.n) is None
+
+    def test_accepts_nearest_neighbour_ring(self):
+        topo = ring(24, (1, -1))
+        r, c = topo.edge_list()
+        assert cc_kernels.ring_offsets(r, c, topo.n).tolist() == [1, 23]
+
+
+# ----------------------------------------------------------------------
+# 2-D tori run the edge-list entry in row-major order
+# ----------------------------------------------------------------------
+class TestTorusEdgeOrder:
+    @needs_cc
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("r_count", [1, 3])
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 6)], ids=["8x8", "9x6"])
+    def test_linear_torus_equals_numpy(self, shape, r_count, threads):
+        # No transcendentals: the compiled row sums equal the bincount
+        # reference bit for bit only if they accumulate in the same
+        # row-major edge order.
+        topo = torus2d(*shape)
+        members = [_model(topo, LinearPotential(0.6 + 0.1 * i),
+                          v_p_override=1.0 + 0.5 * i).realize(5.0, rng=i)
+                   for i in range(r_count)]
+        compiled = make_batched_backend(members, kernel="cc", threads=threads)
+        reference = make_batched_backend(members, kernel="numpy")
+        assert compiled._cc_call.entry == "fused_batched"
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            theta = rng.uniform(-2 * np.pi, 2 * np.pi, (r_count, topo.n))
+            assert np.array_equal(compiled.coupling(0.0, theta),
+                                  reference.coupling(0.0, theta))
+
 
 # ----------------------------------------------------------------------
 # cc build cache key
@@ -310,18 +350,19 @@ class TestPreboundCalls:
 
     @needs_cc
     def test_specialised_entries_are_bound(self):
-        entries = {name: self._backends(make_topo())
-                   for name, make_topo in (
-                       ("ring", lambda: ring(40, (1, -1))),
-                       ("torus", lambda: torus2d(6, 5)),
-                       ("fused", lambda: random_topology(
-                           30, 0.2, rng=np.random.default_rng(1))))}
-        for layout, (single, batched) in entries.items():
+        # Only a distance ring is specialised; a torus runs the
+        # edge-list entry like any other list.
+        entries = (("ring", ring(40, (1, -1))),
+                   ("fused", torus2d(6, 5)),
+                   ("fused", random_topology(
+                       30, 0.2, rng=np.random.default_rng(1))))
+        for entry, topo in entries:
+            single, batched = self._backends(topo)
             # A single state runs the batched entry as a (1, N) stack.
             n = single.n
-            assert single._cc_call.entry == f"{layout}_batched"
+            assert single._cc_call.entry == f"{entry}_batched"
             assert single._cc_call.shape == (1, n)
-            assert batched._cc_call.entry == f"{layout}_batched"
+            assert batched._cc_call.entry == f"{entry}_batched"
             assert batched._cc_call.shape == (3, n)
 
     @needs_cc

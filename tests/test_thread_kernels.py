@@ -2,10 +2,10 @@
 
 The PR-5 contract: the in-kernel thread count (``threads=`` /
 ``POM_NUM_THREADS``) steers wall-clock only — the compiled ``cc``
-kernel (single and batched, generic edge-list / ring / torus paths)
-must produce *bit-identical* results for any thread count, because each
-thread accumulates disjoint output rows in the serial per-row order.  Also covers the 2-D torus halo detection feeding the
-specialised compiled path and the one-time ``CustomPotential``
+kernel (single and batched, edge-list and ring entries, on ring, torus
+and random topologies) must produce *bit-identical* results for any
+thread count, because each thread accumulates disjoint output rows in
+the serial per-row order.  Also covers the one-time ``CustomPotential``
 compiled-kernel fallback warning.
 """
 
@@ -29,7 +29,6 @@ from repro.core import (
     simulate,
     torus2d,
 )
-from repro.kernels import cc as cc_kernels
 
 needs_cc = pytest.mark.skipif(not kernels.cc_available(),
                               reason="no working C compiler")
@@ -95,39 +94,6 @@ class TestResolveThreads:
 
 
 # ----------------------------------------------------------------------
-# torus halo detection
-# ----------------------------------------------------------------------
-class TestTorusHalo:
-    @pytest.mark.parametrize("rows,cols", [(8, 7), (5, 5), (2, 6), (6, 2),
-                                           (16, 3), (3, 16)])
-    def test_detects_torus(self, rows, cols):
-        topo = torus2d(rows, cols)
-        r, c = topo.edge_list()
-        assert cc_kernels.ring_offsets(r, c, topo.n) is None
-        halo = cc_kernels.torus_halo(r, c, topo.n)
-        assert halo is not None
-        w, col_offsets, row_dxs = halo
-        # The detected lattice row width is torus2d's first extent.
-        assert w == rows
-        # Column passes are whole-lattice modular shifts; row passes
-        # wrap within a row: together they cover 4 neighbours (2 for
-        # width/height 2, where +1 and -1 coincide).
-        assert len(col_offsets) + len(row_dxs) >= 2
-
-    def test_ring_is_not_a_torus(self):
-        topo = ring(24, (1, -1))
-        r, c = topo.edge_list()
-        # The ring specialisation owns this case.
-        assert cc_kernels.ring_offsets(r, c, topo.n) is not None
-        assert cc_kernels.torus_halo(r, c, topo.n) is None
-
-    def test_random_topology_is_not_a_torus(self):
-        topo = random_topology(40, 0.1, rng=np.random.default_rng(3))
-        r, c = topo.edge_list()
-        assert cc_kernels.torus_halo(r, c, topo.n) is None
-
-
-# ----------------------------------------------------------------------
 # bit-equality: threads=K vs serial
 # ----------------------------------------------------------------------
 class TestThreadInvariance:
@@ -161,6 +127,32 @@ class TestThreadInvariance:
                 serial.coupling(0.0, theta), parallel.coupling(0.0, theta))
 
     @pytest.mark.parametrize("kernel", COMPILED)
+    def test_fork_after_parallel_region(self, kernel):
+        # libgomp is not fork-safe: a process forked after this one ran a
+        # parallel region must still finish its own threads=2 call (run
+        # serially, same bits) instead of hanging in it.
+        import multiprocessing
+        import os
+
+        topo = ring(96, (1, -1))
+        theta = np.random.default_rng(29).uniform(-np.pi, np.pi, topo.n)
+        want = _realize(topo, TanhPotential(), kernel=kernel,
+                        threads=2).coupling_term(0.0, theta)
+
+        def child():
+            got = _realize(topo, TanhPotential(), kernel=kernel,
+                           threads=2).coupling_term(0.0, theta)
+            os._exit(0 if np.array_equal(got, want) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(30)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
+
+    @pytest.mark.parametrize("kernel", COMPILED)
     def test_odd_thread_counts(self, kernel):
         topo = ring(101, (1, -1, 2))
         be = {t: _realize(topo, TanhPotential(), kernel=kernel, threads=t)
@@ -172,7 +164,7 @@ class TestThreadInvariance:
 
     @pytest.mark.parametrize("kernel", COMPILED)
     def test_torus_matches_numpy(self, kernel):
-        # The specialised torus path against the reference segment sum.
+        # The edge-list entry on a torus against the reference segment sum.
         topo = torus2d(9, 6)
         pot = BottleneckPotential(0.7)
         compiled = _realize(topo, pot, kernel=kernel, threads=2)
@@ -184,10 +176,10 @@ class TestThreadInvariance:
 
     @pytest.mark.parametrize("kernel", COMPILED)
     def test_concurrent_python_threads_match_serial(self, kernel):
-        # ctypes releases the GIL during a kernel call, so Python threads
-        # run kernels at once: each needs its own scratch.  Two threads
-        # share each backend and step through different noise intervals,
-        # so they also race on its one-slot frequency memo.
+        # The extension's run() releases the GIL during a kernel call, so
+        # Python threads run kernels at once: each needs its own scratch.
+        # Two threads share each backend and step through different noise
+        # intervals, so they also race on its one-slot frequency memo.
         import sys
         import threading
 
