@@ -57,10 +57,9 @@ from repro.core import (
     PhysicalOscillatorModel,
     TanhPotential,
     ring,
-    ring_edges,
     run_ensemble,
     simulate,
-    torus2d_edges,
+    torus2d,
 )
 
 
@@ -126,10 +125,18 @@ def bench_batched_rhs(n: int, r: int, repeats: int) -> dict:
     ref = np.stack([m.rhs(0.0, thetas[i]) for i, m in enumerate(members)])
     np.testing.assert_allclose(stacked.rhs(0.0, thetas), ref,
                                rtol=1e-12, atol=1e-12)
-    t_loop = _time(
-        lambda: [m.rhs(0.0, thetas[i]) for i, m in enumerate(members)],
-        repeats)
-    t_batched = _time(lambda: stacked.rhs(0.0, thetas), repeats)
+    # Sub-millisecond evaluations: alternate the two sides inside every
+    # repeat so host-load drift lands on both medians alike.
+    loops, batched = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for i, m in enumerate(members):
+            m.rhs(0.0, thetas[i])
+        t1 = time.perf_counter()
+        stacked.rhs(0.0, thetas)
+        loops.append(t1 - t0)
+        batched.append(time.perf_counter() - t1)
+    t_loop, t_batched = float(median(loops)), float(median(batched))
     return {
         "n": n,
         "members": r,
@@ -175,7 +182,7 @@ def _ladder_kernels() -> list[str]:
 def bench_kernel_case(topology, r: int, repeats: int) -> dict:
     """Single and batched RHS under every available coupling kernel.
 
-    The topology comes in edge-backed (no dense matrix), so this runs at
+    The topology is its edge list (never densified), so this runs at
     N = 1e5 where the dense path would need an 80 GB matrix.  Noise-free
     model: the ladder isolates the coupling kernel, which is the part
     the ``kernel=`` knob swaps.
@@ -243,7 +250,7 @@ def bench_kernel_call(repeats: int) -> dict:
     out: dict = {"cpu_count": os.cpu_count()}
     calls = 2000
     for r, n in ((1, 24), (2, 256)):
-        rows, cols = ring_edges(n, (1, -1)).edge_list()
+        rows, cols = ring(n, (1, -1)).edge_list()
         # bottleneck, sigma=1, per member
         call = cc_kernels.bind([rows] * r, [cols] * r, n,
                                ([1] * r, [1.0] * r, [0.0] * r), [0.5] * r)
@@ -258,15 +265,15 @@ def bench_kernel_call(repeats: int) -> dict:
 
 
 def bench_kernel_ladder(quick: bool, repeats: int) -> list[dict]:
-    """The ring/torus ladder (edge-backed topologies)."""
+    """The ring/torus ladder (edge-list topologies, never densified)."""
     if quick:
-        cases = [ring_edges(4096, (1, -1))]
+        cases = [ring(4096, (1, -1))]
     else:
         cases = [
-            ring_edges(10_000, (1, -1)),
-            ring_edges(100_000, (1, -1)),
-            torus2d_edges(16, 16),            # N = 256, design-grid scale
-            torus2d_edges(316, 316),          # ~1e5 ranks, degree 4
+            ring(10_000, (1, -1)),
+            ring(100_000, (1, -1)),
+            torus2d(16, 16),                  # N = 256, design-grid scale
+            torus2d(316, 316),                # ~1e5 ranks, degree 4
         ]
     return [bench_kernel_case(t, 8, repeats) for t in cases]
 
@@ -296,8 +303,8 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
         },
         "rhs_ring": bench_rhs(rhs_n, repeats),
-        "batched_rhs": bench_batched_rhs(rhs_n, 8, repeats),
-        "batched_rhs_small": bench_batched_rhs(128, 8, repeats),
+        "batched_rhs": bench_batched_rhs(rhs_n, 8, 20 * repeats + 1),
+        "batched_rhs_small": bench_batched_rhs(128, 8, 20 * repeats + 1),
         "ensemble": bench_ensemble(ens_n, 8, ens_t, 3),
         "kernels_available": _ladder_kernels(),
         "kernel_ladder": bench_kernel_ladder(args.quick, repeats),

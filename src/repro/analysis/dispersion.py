@@ -185,7 +185,7 @@ def fastest_growing_mode(model: PhysicalOscillatorModel) -> dict:
     if not offsets:
         raise ValueError("topology has no offset structure")
     # Effective offsets = union of +-|d| for the symmetrised builders.
-    row = np.flatnonzero(model.topology.matrix[0])
+    row = model.topology.neighbors(0)
     n = model.n
     eff = []
     for j in row:

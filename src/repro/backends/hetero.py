@@ -69,9 +69,9 @@ __all__ = ["HeteroBatchedBackend", "same_topology"]
 def same_topology(a, b) -> bool:
     """Whether two topologies carry the identical directed edge set.
 
-    Compared on the cached edge lists, never on the dense matrices —
-    edge-backed large-N topologies (``ring_edges(1e5)``) must validate
-    without densifying, and O(E) beats O(N^2) for every sparse case.
+    Compared on the edge lists, never on the dense matrices — large-N
+    topologies (``ring(100_000)``) must validate without densifying, and
+    O(E) beats O(N^2) for every sparse case.
     """
     if a is b:
         return True

@@ -5,9 +5,12 @@ Public surface:
 * potentials — :class:`TanhPotential` (scalable), :class:`BottleneckPotential`
   (bottlenecked, interaction horizon sigma), :class:`KuramotoPotential`
   (baseline), :class:`LinearPotential`, :class:`CustomPotential`;
-* topologies — :func:`ring`, :func:`chain`, :func:`all_to_all`,
-  :func:`grid2d`, :func:`torus2d`, :func:`random_topology`,
-  :func:`from_edges`, :func:`from_networkx`;
+* topologies — every one is its edge list (``.matrix`` densifies on
+  demand): :func:`ring`, :func:`chain`, :func:`all_to_all`,
+  :func:`grid2d`, :func:`torus2d`, :func:`hypercube`, :func:`fat_tree`,
+  :func:`dragonfly`, :func:`random_topology`, :func:`from_edges`,
+  :func:`from_networkx` (networkx imported on call), and
+  :func:`make_topology` for any registered kind by name;
 * coupling — :class:`CouplingSpec` with :class:`Protocol`
   (eager/rendezvous) and :class:`WaitMode` (separate/waitall);
 * noise — local jitter channels, one-off delays, interaction delays;
@@ -73,11 +76,9 @@ from .topology import (
     random_topology,
     register_topology,
     ring,
-    ring_edges,
     topology_kinds,
     topology_n_from_spec,
     torus2d,
-    torus2d_edges,
 )
 from .trajectory import OscillatorTrajectory
 
@@ -105,8 +106,7 @@ __all__ = [
     "Topology", "TopologyKind", "all_to_all", "chain", "dragonfly",
     "fat_tree", "from_edges", "from_networkx", "grid2d", "hypercube",
     "make_topology", "random_topology", "register_topology", "ring",
-    "ring_edges", "topology_kinds", "topology_n_from_spec", "torus2d",
-    "torus2d_edges",
+    "topology_kinds", "topology_n_from_spec", "torus2d",
     # trajectory
     "OscillatorTrajectory",
 ]

@@ -26,18 +26,15 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
     "Topology",
     "ring",
-    "ring_edges",
     "chain",
     "all_to_all",
     "grid2d",
     "torus2d",
-    "torus2d_edges",
     "fat_tree",
     "dragonfly",
     "hypercube",
@@ -60,22 +57,19 @@ _DENSE_LIMIT_ENTRIES = 100_000_000
 class Topology:
     """A named 0/1 coupling structure plus the metadata the model needs.
 
-    Two storage modes share one interface:
-
-    * **dense** (the default constructor): backed by an ``(N, N)`` 0/1
-      matrix, exactly as before.
-    * **edge-backed** (:meth:`from_edge_arrays`, used by the large-N
-      builders :func:`ring_edges` / :func:`torus2d_edges`): backed by the
-      row-major edge list only.  The ``matrix`` property densifies
-      lazily on first access and refuses above ``~1e8`` entries, so the
-      O(E) kernels can run at N >= 1e5 where a dense matrix would need
-      tens of gigabytes.
+    Every topology is its directed edge list: row-major ``(rows, cols)``
+    index arrays, the order a dense ``np.nonzero`` would produce.  The
+    builders emit those arrays directly (:meth:`from_edge_arrays`), so
+    N >= 1e5 topologies cost O(E) memory; the constructor still accepts
+    a dense 0/1 matrix for callers that hold one.  The ``matrix``
+    property densifies on demand (cached) and refuses above ``~1e8``
+    entries rather than allocating tens of gigabytes.
 
     Attributes
     ----------
     matrix:
-        ``(N, N)`` array of 0/1 floats with zero diagonal (lazily
-        materialised for edge-backed topologies).
+        ``(N, N)`` array of 0/1 floats with zero diagonal (densified on
+        first access).
     distances:
         The distance multiset the topology was generated from (empty for
         generic graphs); used for the kappa rules.
@@ -85,19 +79,8 @@ class Topology:
         Whether rank indices wrap around (ring vs. open chain).
     """
 
-    def __init__(self, matrix: np.ndarray | None = None,
-                 distances: Iterable[int] = (), name: str = "custom",
-                 periodic: bool = True) -> None:
-        self.distances = tuple(int(d) for d in distances)
-        self.name = str(name)
-        self.periodic = bool(periodic)
-        self._edge_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._csr_cache: tuple[np.ndarray, np.ndarray] | None = None
-        if matrix is None:
-            # Populated by from_edge_arrays; bare Topology() is invalid.
-            self._matrix: np.ndarray | None = None
-            self._n = 0
-            return
+    def __init__(self, matrix: np.ndarray, distances: Iterable[int] = (),
+                 name: str = "custom", periodic: bool = True) -> None:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"topology matrix must be square, got {m.shape}")
@@ -106,18 +89,30 @@ class Topology:
         if np.any(np.diag(m) != 0):
             raise ValueError("topology matrix must have a zero diagonal "
                              "(no self-coupling)")
-        self._matrix = m
-        self._n = int(m.shape[0])
+        rows, cols = np.nonzero(m)
+        self._init(m.shape[0], rows, cols, distances, name, periodic)
+
+    def _init(self, n: int, rows: np.ndarray, cols: np.ndarray,
+              distances: Iterable[int], name: str, periodic: bool) -> None:
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        self._n = int(n)
+        self._edges = (rows, cols)
+        self._matrix: np.ndarray | None = None
+        self._csr_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self.distances = tuple(int(d) for d in distances)
+        self.name = str(name)
+        self.periodic = bool(periodic)
 
     @classmethod
     def from_edge_arrays(cls, n: int, rows: np.ndarray, cols: np.ndarray, *,
                          distances: Iterable[int] = (), name: str = "custom",
                          periodic: bool = True) -> "Topology":
-        """Build an edge-backed topology without a dense matrix.
+        """Build a topology from directed-edge endpoint arrays.
 
-        ``rows``/``cols`` are directed-edge endpoint arrays; they are
-        validated, deduplicated, and sorted row-major so the kernels see
-        the exact edge order a dense ``np.nonzero`` would produce.
+        ``rows``/``cols`` are validated, deduplicated, and sorted
+        row-major so the kernels see the exact edge order a dense
+        ``np.nonzero`` would produce.
         """
         n = int(n)
         if n < 1:
@@ -138,38 +133,28 @@ class Topology:
         keep = np.ones(flat.size, dtype=bool)
         np.not_equal(flat[1:], flat[:-1], out=keep[1:])
         flat = flat[keep]
-        rows = (flat // n).astype(np.intp)
-        cols = (flat % n).astype(np.intp)
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        topo = cls(matrix=None, distances=distances, name=name,
-                   periodic=periodic)
-        topo._n = n
-        topo._edge_cache = (rows, cols)
+        topo = cls.__new__(cls)
+        topo._init(n, flat // n, flat % n, distances, name, periodic)
         return topo
 
     def __repr__(self) -> str:
-        mode = "dense" if self._matrix is not None else "edges"
         return (f"Topology(name={self.name!r}, n={self.n}, "
-                f"n_edges={self.n_edges}, {mode})")
+                f"n_edges={self.n_edges})")
 
     # ------------------------------------------------------------------
     @property
     def matrix(self) -> np.ndarray:
-        """The dense ``(N, N)`` coupling matrix (lazy for edge-backed)."""
+        """The dense ``(N, N)`` coupling matrix (densified once, cached)."""
         if self._matrix is None:
             n = self._n
-            if self._edge_cache is None:
-                raise ValueError("topology has neither a matrix nor edges")
             if n * n > _DENSE_LIMIT_ENTRIES:
                 raise MemoryError(
                     f"refusing to densify {self.name!r} (N={n}: the matrix "
                     f"would hold {n * n:.2e} entries); use the edge-native "
                     "consumers (edge_list/csr) at this scale"
                 )
-            rows, cols = self._edge_cache
             m = np.zeros((n, n))
-            m[rows, cols] = 1.0
+            m[self._edges] = 1.0
             self._matrix = m
         return self._matrix
 
@@ -198,19 +183,14 @@ class Topology:
         return float(self.n_edges) / float(n * n) if n else 0.0
 
     def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
-        """Directed edges as ``(rows, cols)`` index arrays (cached).
+        """Directed edges as ``(rows, cols)`` index arrays.
 
         Row-major order (sorted by row, then column), which makes the
         edge-list backend's segment sums accumulate contributions in the
         same order as the dense row sum.  The arrays are read-only views
         shared by every compiled backend — do not mutate them.
         """
-        if self._edge_cache is None:
-            rows, cols = np.nonzero(self.matrix)
-            rows.setflags(write=False)
-            cols.setflags(write=False)
-            self._edge_cache = (rows, cols)
-        return self._edge_cache
+        return self._edges
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR view ``(indptr, indices)`` of the coupling matrix (cached).
@@ -299,8 +279,10 @@ class Topology:
         eig = np.linalg.eigvalsh(self.laplacian())
         return float(eig[1]) if len(eig) > 1 else 0.0
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a directed networkx graph."""
+    def to_networkx(self):
+        """Export as a directed ``networkx.DiGraph`` (needs networkx)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(range(self.n))
         rows, cols = self.edge_list()
@@ -308,8 +290,32 @@ class Topology:
         return g
 
     def is_connected(self) -> bool:
-        """Weak connectivity of the coupling graph."""
-        return nx.is_weakly_connected(self.to_networkx()) if self.n > 0 else True
+        """Weak connectivity of the coupling graph.
+
+        Min-label hooking with pointer jumping: every rank starts as its
+        own label, each edge hooks both endpoints (and their labels) onto
+        the smaller of the two labels, and labels are then compressed to
+        their roots.  At the fixed point the endpoints of every edge share
+        a label, so the graph is connected iff every label is rank 0's.
+        """
+        if self.n <= 1:
+            return True
+        rows, cols = self.edge_list()
+        label = np.arange(self.n, dtype=np.intp)
+        while True:
+            lr, lc = label[rows], label[cols]
+            lo = np.minimum(lr, lc)
+            new = label.copy()
+            for idx in (rows, cols, lr, lc):
+                np.minimum.at(new, idx, lo)
+            if np.array_equal(new, label):
+                return not label.any()
+            while True:                     # pointer jumping to the roots
+                jumped = new[new]
+                if np.array_equal(jumped, new):
+                    break
+                new = jumped
+            label = new
 
     def describe(self) -> dict:
         """Metadata dictionary used by exporters."""
@@ -337,6 +343,33 @@ def _normalise_distances(distances: Iterable[int]) -> tuple[int, ...]:
     return dists
 
 
+def _offset_edges(n: int, offsets: Iterable[int], *,
+                  periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Edges ``i -> i + o`` for every rank ``i`` and every offset ``o``.
+
+    Periodic partners wrap ``mod n`` (an offset that is a multiple of
+    ``n`` would wrap onto the rank itself and adds nothing); open ones
+    keep only the in-range partners.  Offset-major order: each offset
+    contributes one sorted run, which ``from_edge_arrays`` merges.
+    """
+    i = np.arange(n, dtype=np.intp)
+    offs = np.asarray(tuple(offsets), dtype=np.intp)
+    if periodic:
+        offs = np.unique(offs % n)
+        offs = offs[offs != 0]
+        j = i + offs[:, None]
+        j[j >= n] -= n
+        return np.tile(i, offs.size), j.ravel()
+    j = i + np.unique(offs)[:, None]
+    keep = (j >= 0) & (j < n)
+    return np.tile(i, j.shape[0])[keep.ravel()], j[keep]
+
+
+def _symmetric(dists: tuple[int, ...], symmetrize: bool) -> tuple[int, ...]:
+    """The offsets a distance set couples: with the reverses if symmetric."""
+    return dists + tuple(-d for d in dists) if symmetrize else dists
+
+
 def ring(n: int, distances: Iterable[int] = (1, -1), *,
          symmetrize: bool = True) -> Topology:
     """Periodic 1-D process chain with the given distance set.
@@ -349,43 +382,11 @@ def ring(n: int, distances: Iterable[int] = (1, -1), *,
     if n < 2:
         raise ValueError("need at least two processes")
     dists = _normalise_distances(distances)
-    m = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for d in dists:
-            j = (i + d) % n
-            m[i, j] = 1.0
-            if symmetrize:
-                m[j, i] = 1.0
-    np.fill_diagonal(m, 0.0)
-    return Topology(matrix=m, distances=dists,
-                    name=f"ring{sorted(set(dists))}", periodic=True)
-
-
-def ring_edges(n: int, distances: Iterable[int] = (1, -1), *,
-               symmetrize: bool = True) -> Topology:
-    """Edge-backed :func:`ring` for large N.
-
-    Builds the identical edge set (and name/metadata) as ``ring(n,
-    distances)`` directly as vectorised index arrays — O(E) time and
-    memory instead of the O(N^2) dense matrix, which makes N >= 1e5
-    rings tractable for the edge-list and fused kernels.
-    """
-    if n < 2:
-        raise ValueError("need at least two processes")
-    dists = _normalise_distances(distances)
-    dset = set(dists)
-    if symmetrize:
-        dset |= {-d for d in dists}
-    i = np.arange(n, dtype=np.intp)
-    rows_parts, cols_parts = [], []
-    for d in sorted(dset):
-        j = (i + d) % n
-        keep = j != i                       # distances that are multiples of n
-        rows_parts.append(i[keep])
-        cols_parts.append(j[keep])
+    rows, cols = _offset_edges(n, _symmetric(dists, symmetrize),
+                               periodic=True)
     return Topology.from_edge_arrays(
-        n, np.concatenate(rows_parts), np.concatenate(cols_parts),
-        distances=dists, name=f"ring{sorted(set(dists))}", periodic=True)
+        n, rows, cols, distances=dists,
+        name=f"ring{sorted(set(dists))}", periodic=True)
 
 
 def chain(n: int, distances: Iterable[int] = (1, -1), *,
@@ -397,17 +398,11 @@ def chain(n: int, distances: Iterable[int] = (1, -1), *,
     if n < 2:
         raise ValueError("need at least two processes")
     dists = _normalise_distances(distances)
-    m = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for d in dists:
-            j = i + d
-            if 0 <= j < n:
-                m[i, j] = 1.0
-                if symmetrize:
-                    m[j, i] = 1.0
-    np.fill_diagonal(m, 0.0)
-    return Topology(matrix=m, distances=dists,
-                    name=f"chain{sorted(set(dists))}", periodic=False)
+    rows, cols = _offset_edges(n, _symmetric(dists, symmetrize),
+                               periodic=False)
+    return Topology.from_edge_arrays(
+        n, rows, cols, distances=dists,
+        name=f"chain{sorted(set(dists))}", periodic=False)
 
 
 def all_to_all(n: int) -> Topology:
@@ -418,66 +413,41 @@ def all_to_all(n: int) -> Topology:
     """
     if n < 2:
         raise ValueError("need at least two processes")
-    m = np.ones((n, n), dtype=float)
-    np.fill_diagonal(m, 0.0)
-    return Topology(matrix=m, distances=(), name="all-to-all", periodic=True)
+    rows, cols = _offset_edges(n, range(1, n), periodic=True)
+    return Topology.from_edge_arrays(n, rows, cols, distances=(),
+                                     name="all-to-all", periodic=True)
 
 
-def grid2d(nx_: int, ny_: int, *, periodic: bool = False) -> Topology:
+def grid2d(nx: int, ny: int, *, periodic: bool = False) -> Topology:
     """2-D Cartesian 5-point halo topology (row-major rank order).
 
-    Models ``MPI_Cart_create``-style domain decompositions.
+    Models ``MPI_Cart_create``-style domain decompositions: rank
+    ``iy*nx + ix`` couples to its four Cartesian neighbours, wrapped when
+    ``periodic`` (1-wide axes wrap onto the rank itself and add nothing).
     """
-    if nx_ < 1 or ny_ < 1 or nx_ * ny_ < 2:
+    nx, ny, periodic = int(nx), int(ny), bool(periodic)
+    if nx < 1 or ny < 1 or nx * ny < 2:
         raise ValueError("grid must contain at least two processes")
-    n = nx_ * ny_
-    m = np.zeros((n, n), dtype=float)
-
-    def rank(ix: int, iy: int) -> int:
-        return iy * nx_ + ix
-
-    for iy in range(ny_):
-        for ix in range(nx_):
-            i = rank(ix, iy)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                jx, jy = ix + dx, iy + dy
-                if periodic:
-                    jx %= nx_
-                    jy %= ny_
-                elif not (0 <= jx < nx_ and 0 <= jy < ny_):
-                    continue
-                j = rank(jx, jy)
-                if j != i:
-                    m[i, j] = 1.0
-    name = f"torus2d[{nx_}x{ny_}]" if periodic else f"grid2d[{nx_}x{ny_}]"
-    return Topology(matrix=m, distances=(), name=name, periodic=periodic)
-
-
-def torus2d(nx_: int, ny_: int) -> Topology:
-    """Periodic 2-D grid (convenience wrapper)."""
-    return grid2d(nx_, ny_, periodic=True)
-
-
-def torus2d_edges(nx_: int, ny_: int) -> Topology:
-    """Edge-backed :func:`torus2d` for large N (same edge set and name).
-
-    The 5-point periodic halo as vectorised index arrays: rank
-    ``iy*nx + ix`` couples to its four wrapped Cartesian neighbours.
-    """
-    if nx_ < 1 or ny_ < 1 or nx_ * ny_ < 2:
-        raise ValueError("grid must contain at least two processes")
-    n = nx_ * ny_
+    n = nx * ny
     r = np.arange(n, dtype=np.intp)
-    ix, iy = r % nx_, r // nx_
-    rows_parts, cols_parts = [], []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        j = ((iy + dy) % ny_) * nx_ + (ix + dx) % nx_
-        keep = j != r                       # 1-wide axes wrap onto self
-        rows_parts.append(r[keep])
-        cols_parts.append(j[keep])
+    jx = r % nx + np.array([[1], [-1], [0], [0]], dtype=np.intp)
+    jy = r // nx + np.array([[0], [0], [1], [-1]], dtype=np.intp)
+    if periodic:
+        jx %= nx
+        jy %= ny
+    j = jy * nx + jx                        # one row per direction
+    keep = j != r
+    if not periodic:
+        keep &= (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
+    name = f"torus2d[{nx}x{ny}]" if periodic else f"grid2d[{nx}x{ny}]"
     return Topology.from_edge_arrays(
-        n, np.concatenate(rows_parts), np.concatenate(cols_parts),
-        distances=(), name=f"torus2d[{nx_}x{ny_}]", periodic=True)
+        n, np.tile(r, 4)[keep.ravel()], j[keep], distances=(),
+        name=name, periodic=periodic)
+
+
+def torus2d(nx: int, ny: int) -> Topology:
+    """Periodic 2-D grid: ``grid2d(nx, ny, periodic=True)``."""
+    return grid2d(nx, ny, periodic=True)
 
 
 def _check_interconnect(topo: Topology, *, degree_min: int,
@@ -574,7 +544,7 @@ def dragonfly(groups: int, routers: int, terminals: int = 0,
     ordered pair of groups is joined by one global link, with the
     ``groups - 1`` global link slots of a group dealt round-robin over
     its routers (``global_links`` slots per router, so
-    ``routers * global_links >= groups - 1`` must hold — the canonical
+    ``routers * global_links >= groups - 1`` must hold — the standard
     balanced dragonfly has ``a = 2h``).  Optionally ``terminals`` leaf
     ranks hang off each router (star edges), modelling compute nodes
     behind the fabric: ``N = groups * routers * (1 + terminals)``.
@@ -666,34 +636,35 @@ def random_topology(n: int, p: float, *, rng: np.random.Generator | None = None,
 def from_edges(n: int, edges: Sequence[tuple[int, int]], *,
                symmetrize: bool = True, name: str = "edges") -> Topology:
     """Build a topology from an explicit edge list."""
-    m = np.zeros((n, n), dtype=float)
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        if i == j:
-            raise ValueError("self-edges are not allowed")
-        m[i, j] = 1.0
-        if symmetrize:
-            m[j, i] = 1.0
-    return Topology(matrix=m, distances=(), name=name, periodic=False)
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    bad = (pairs < 0) | (pairs >= n)
+    if bad.any():
+        i, j = pairs[np.flatnonzero(bad.any(axis=1))[0]]
+        raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    if np.any(rows == cols):
+        raise ValueError("self-edges are not allowed")
+    if symmetrize:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    return Topology.from_edge_arrays(n, rows, cols, distances=(), name=name,
+                                     periodic=False)
 
 
-def from_networkx(graph: nx.Graph | nx.DiGraph, *, name: str | None = None) -> Topology:
+def from_networkx(graph, *, name: str | None = None) -> Topology:
     """Build a topology from a networkx graph (nodes relabelled 0..N-1)."""
     nodes = sorted(graph.nodes())
     index = {v: k for k, v in enumerate(nodes)}
-    n = len(nodes)
-    m = np.zeros((n, n), dtype=float)
-    for u, v in graph.edges():
-        m[index[u], index[v]] = 1.0
-        if not graph.is_directed():
-            m[index[v], index[u]] = 1.0
-    return Topology(matrix=m, distances=(),
-                    name=name or f"nx[{graph.__class__.__name__}]",
-                    periodic=False)
+    pairs = np.array([(index[u], index[v]) for u, v in graph.edges()],
+                     dtype=np.intp).reshape(-1, 2)
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    if not graph.is_directed():
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    return Topology.from_edge_arrays(
+        len(nodes), rows, cols, distances=(),
+        name=name or f"nx[{graph.__class__.__name__}]", periodic=False)
 
 
-def dependency_topology(n: int, send_distances: Iterable[int], *,
+def dependency_topology(n: int, distances: Iterable[int], *,
                         rendezvous: bool = False,
                         periodic: bool = True) -> Topology:
     """Directed dependency matrix induced by an MPI send-distance set.
@@ -710,68 +681,44 @@ def dependency_topology(n: int, send_distances: Iterable[int], *,
     :func:`ring` builder (the paper's "connection between oscillators i
     and j"); experiments use :func:`ring`, ablations compare both.
     """
+    n = int(n)
     if n < 2:
         raise ValueError("need at least two processes")
-    dists = _normalise_distances(send_distances)
-    m = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for d in dists:
-            j = i - d          # we receive from i - d
-            if periodic:
-                m[i, j % n] = 1.0
-            elif 0 <= j < n:
-                m[i, j] = 1.0
-            if rendezvous:
-                k = i + d      # our send blocks on i + d
-                if periodic:
-                    m[i, k % n] = 1.0
-                elif 0 <= k < n:
-                    m[i, k] = 1.0
-    np.fill_diagonal(m, 0.0)
+    dists = _normalise_distances(distances)
+    offsets = tuple(-d for d in dists) + (dists if rendezvous else ())
+    rows, cols = _offset_edges(n, offsets, periodic=periodic)
     proto = "rdv" if rendezvous else "eager"
-    return Topology(matrix=m, distances=dists,
-                    name=f"dep[{proto}]{sorted(set(dists))}",
-                    periodic=periodic)
+    return Topology.from_edge_arrays(
+        n, rows, cols, distances=dists,
+        name=f"dep[{proto}]{sorted(set(dists))}", periodic=periodic)
 
 
 # ----------------------------------------------------------------------
 # Builder registry
 # ----------------------------------------------------------------------
-#: ``backing="auto"`` prefers the dense builder up to this many ranks
-#: (cheap, maximally compatible), then switches to the edge-backed
-#: builder when one exists so large topologies never allocate (N, N).
-_AUTO_DENSE_MAX_N = 512
-
-
 @dataclass(frozen=True)
 class TopologyKind:
-    """One registered topology kind: builders plus self-description.
+    """One registered topology kind: its builder plus self-description.
 
-    ``dense`` and ``edges`` are the two backings (either may be
-    ``None``); parameter names and defaults are introspected from the
-    canonical builder's signature, so registration is the single source
-    of truth for spec vocabulary, error messages, and docs.
+    Parameter names and defaults are introspected from ``build``'s
+    signature, so registration is the single source of truth for spec
+    vocabulary, error messages, and docs.
     """
 
     kind: str
+    build: Callable[..., Topology]
     n_formula: Callable[[dict], int]
     n_doc: str
     kappa_doc: str
     description: str
-    dense: Callable[..., Topology] | None = None
-    edges: Callable[..., Topology] | None = None
-
-    @property
-    def canonical(self) -> Callable[..., Topology]:
-        return self.edges if self.edges is not None else self.dense
 
     def param_names(self) -> tuple[str, ...]:
-        return tuple(inspect.signature(self.canonical).parameters)
+        return tuple(inspect.signature(self.build).parameters)
 
     def signature_doc(self) -> str:
         """``kind(param, opt=default, ...)`` for error messages/docs."""
         parts = []
-        for p in inspect.signature(self.canonical).parameters.values():
+        for p in inspect.signature(self.build).parameters.values():
             if p.default is inspect.Parameter.empty:
                 parts.append(p.name)
             else:
@@ -781,17 +728,15 @@ class TopologyKind:
 
 TOPOLOGY_REGISTRY: dict[str, TopologyKind] = {}
 
-#: spec-compat aliases: old edge-builder names force backing="edges"
-_TOPOLOGY_ALIASES: dict[str, tuple[str, str]] = {
-    "ring_edges": ("ring", "edges"),
-    "torus2d_edges": ("torus2d", "edges"),
+#: spec-compat aliases: stored specs name the retired edge builders
+_TOPOLOGY_ALIASES: dict[str, str] = {
+    "ring_edges": "ring",
+    "torus2d_edges": "torus2d",
 }
 
 
 def register_topology(entry: TopologyKind) -> TopologyKind:
     """Add a kind to the registry (new kinds need exactly this one call)."""
-    if entry.dense is None and entry.edges is None:
-        raise ValueError(f"kind {entry.kind!r} registers no builder")
     TOPOLOGY_REGISTRY[entry.kind] = entry
     return entry
 
@@ -805,13 +750,11 @@ def topology_kinds() -> dict[str, dict]:
     out = {}
     for name in sorted(TOPOLOGY_REGISTRY):
         e = TOPOLOGY_REGISTRY[name]
-        backings = [b for b in ("dense", "edges") if getattr(e, b)]
         out[name] = {
             "params": list(e.param_names()),
             "signature": e.signature_doc(),
             "n": e.n_doc,
             "kappa": e.kappa_doc,
-            "backings": backings,
             "description": e.description,
         }
     return out
@@ -821,26 +764,23 @@ def _unknown_kind_message(kind: str) -> str:
     lines = [f"unknown topology kind {kind!r}; registered kinds:"]
     for name, info in topology_kinds().items():
         lines.append(f"  {info['signature']} — {info['description']}")
-    aliases = ", ".join(f"{a} = {b} (backing={m!r})"
-                        for a, (b, m) in sorted(_TOPOLOGY_ALIASES.items()))
+    aliases = ", ".join(f"{a} = {b}"
+                        for a, b in sorted(_TOPOLOGY_ALIASES.items()))
     lines.append(f"aliases: {aliases}")
     return "\n".join(lines)
 
 
-def _resolve_kind(kind: str) -> tuple[TopologyKind, str | None]:
-    """Registry entry for ``kind`` plus the backing an alias forces."""
-    if kind in _TOPOLOGY_ALIASES:
-        base, backing = _TOPOLOGY_ALIASES[kind]
-        return TOPOLOGY_REGISTRY[base], backing
-    entry = TOPOLOGY_REGISTRY.get(kind)
+def _resolve_kind(kind: str) -> TopologyKind:
+    """Registry entry for ``kind`` (aliases resolve to their base kind)."""
+    entry = TOPOLOGY_REGISTRY.get(_TOPOLOGY_ALIASES.get(kind, kind))
     if entry is None:
         raise ValueError(_unknown_kind_message(kind))
-    return entry, None
+    return entry
 
 
 def _bind_params(entry: TopologyKind, params: dict) -> dict:
     """Validate spec params against the builder signature, fill defaults."""
-    sig = inspect.signature(entry.canonical)
+    sig = inspect.signature(entry.build)
     accepted = set(sig.parameters)
     extra = set(params) - accepted
     if extra:
@@ -859,43 +799,16 @@ def _bind_params(entry: TopologyKind, params: dict) -> dict:
     return dict(bound.arguments)
 
 
-def make_topology(kind: str, *, backing: str = "auto",
-                  **params) -> Topology:
+def make_topology(kind: str, **params) -> Topology:
     """Build any registered topology kind by name.
 
-    ``backing`` selects the storage mode: ``"dense"`` for an ``(N, N)``
-    matrix, ``"edges"`` for the edge-list form, or ``"auto"`` (default)
-    which stays dense up to ``_AUTO_DENSE_MAX_N`` ranks and switches to
-    the edge builder beyond — both backings of a kind produce the same
-    name, edge set (in dense ``np.nonzero`` order), and kappa metadata,
-    so the choice never changes results.  The legacy ``*_edges`` names
-    resolve as aliases that force ``backing="edges"``.
+    ``params`` are the builder's own keywords, validated against its
+    signature first.  The retired ``ring_edges``/``torus2d_edges`` names
+    resolve as aliases of ``ring``/``torus2d``.
     """
-    if backing not in ("auto", "dense", "edges"):
-        raise ValueError(
-            f"backing must be 'auto', 'dense' or 'edges', got {backing!r}")
-    entry, forced = _resolve_kind(str(kind))
-    if forced is not None:
-        if backing not in ("auto", forced):
-            raise ValueError(
-                f"kind {kind!r} is an alias that forces backing={forced!r}; "
-                f"got backing={backing!r}")
-        backing = forced
-    filled = _bind_params(entry, params)
-    if backing == "auto":
-        if entry.dense is not None and (
-                entry.edges is None
-                or int(entry.n_formula(filled)) <= _AUTO_DENSE_MAX_N):
-            backing = "dense"
-        else:
-            backing = "edges"
-    builder = entry.dense if backing == "dense" else entry.edges
-    if builder is None:
-        have = [b for b in ("dense", "edges") if getattr(entry, b)]
-        raise ValueError(
-            f"kind {entry.kind!r} has no {backing!r} builder "
-            f"(available: {have})")
-    return builder(**params)
+    entry = _resolve_kind(str(kind))
+    _bind_params(entry, params)
+    return entry.build(**params)
 
 
 def topology_n_from_spec(d: dict) -> int:
@@ -907,7 +820,7 @@ def topology_n_from_spec(d: dict) -> int:
     """
     spec = dict(d)
     kind = str(spec.pop("kind", "ring"))
-    entry, _ = _resolve_kind(kind)
+    entry = _resolve_kind(kind)
     filled = _bind_params(entry, spec)
     n = int(entry.n_formula(filled))
     if n < 1:
@@ -915,71 +828,49 @@ def topology_n_from_spec(d: dict) -> int:
     return n
 
 
-# --- canonical spec-facing wrappers (parameter names ARE the spec keys;
-# the local ``nx``/``ny`` shadow the networkx import only inside these
-# bodies, which never touch it) ------------------------------------------
-def _torus2d_dense(nx: int, ny: int) -> Topology:
-    return grid2d(int(nx), int(ny), periodic=True)
-
-
-def _torus2d_edges(nx: int, ny: int) -> Topology:
-    return torus2d_edges(int(nx), int(ny))
-
-
-def _grid2d_dense(nx: int, ny: int, periodic: bool = False) -> Topology:
-    return grid2d(int(nx), int(ny), periodic=bool(periodic))
-
-
-def _dependency_dense(n: int, distances: Iterable[int],
-                      rendezvous: bool = False,
-                      periodic: bool = True) -> Topology:
-    return dependency_topology(int(n), distances, rendezvous=bool(rendezvous),
-                               periodic=bool(periodic))
-
-
 register_topology(TopologyKind(
-    kind="ring", dense=ring, edges=ring_edges,
+    kind="ring", build=ring,
     n_formula=lambda p: int(p["n"]), n_doc="n",
     kappa_doc="sum|d| / max|d| over the distance set",
     description="periodic 1-D halo exchange over a distance set"))
 register_topology(TopologyKind(
-    kind="chain", dense=chain,
+    kind="chain", build=chain,
     n_formula=lambda p: int(p["n"]), n_doc="n",
     kappa_doc="sum|d| / max|d| over the distance set",
     description="open 1-D chain (no periodic wrap)"))
 register_topology(TopologyKind(
-    kind="all_to_all", dense=all_to_all,
+    kind="all_to_all", build=all_to_all,
     n_formula=lambda p: int(p["n"]), n_doc="n",
     kappa_doc="0 (no distance structure)",
     description="fully connected baseline (global-barrier-like)"))
 register_topology(TopologyKind(
-    kind="grid2d", dense=_grid2d_dense,
+    kind="grid2d", build=grid2d,
     n_formula=lambda p: int(p["nx"]) * int(p["ny"]), n_doc="nx*ny",
     kappa_doc="row-0 neighbour offsets (5-point stencil)",
     description="open 2-D Cartesian 5-point halo"))
 register_topology(TopologyKind(
-    kind="torus2d", dense=_torus2d_dense, edges=_torus2d_edges,
+    kind="torus2d", build=torus2d,
     n_formula=lambda p: int(p["nx"]) * int(p["ny"]), n_doc="nx*ny",
     kappa_doc="row-0 neighbour offsets (wrapped 5-point stencil)",
     description="periodic 2-D Cartesian 5-point halo"))
 register_topology(TopologyKind(
-    kind="dependency", dense=_dependency_dense,
+    kind="dependency", build=dependency_topology,
     n_formula=lambda p: int(p["n"]), n_doc="n",
     kappa_doc="sum|d| / max|d| over the send-distance set",
     description="directed eager/rendezvous MPI dependency matrix"))
 register_topology(TopologyKind(
-    kind="hypercube", edges=hypercube,
+    kind="hypercube", build=hypercube,
     n_formula=lambda p: 1 << int(p["dim"]), n_doc="2**dim",
     kappa_doc="distances (1, 2, ..., 2**(dim-1)): sum = N-1, max = N/2",
     description="binary hypercube, rank i <-> i XOR 2**b"))
 register_topology(TopologyKind(
-    kind="fattree", edges=fat_tree,
+    kind="fattree", build=fat_tree,
     n_formula=lambda p: int(p["k"]) ** 2 + (int(p["k"]) // 2) ** 2,
     n_doc="k**2 + (k//2)**2",
     kappa_doc="unit-hop distances (1,)*k: sum = k, max = 1",
     description="k-ary 3-tier fat-tree (edge/agg/core switches as ranks)"))
 register_topology(TopologyKind(
-    kind="dragonfly", edges=dragonfly,
+    kind="dragonfly", build=dragonfly,
     n_formula=lambda p: (int(p["groups"]) * int(p["routers"])
                          * (1 + int(p.get("terminals") or 0))),
     n_doc="groups*routers*(1+terminals)",

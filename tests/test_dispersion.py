@@ -15,6 +15,7 @@ from repro.core import (
     BottleneckPotential,
     PhysicalOscillatorModel,
     TanhPotential,
+    make_topology,
     ring,
     simulate,
 )
@@ -122,6 +123,14 @@ class TestRingDispersion:
         # rate = (v_p/N)*|V'(0)| * max_k sum(1-cos(k o)) = ... * 4.
         expected = (6.0 / 12) * (3 * np.pi / 2) * 4.0
         assert mode["rate"] == pytest.approx(expected, rel=1e-4)
+
+    def test_large_ring_reads_row_zero_only(self):
+        """Rank 0's partners come from the edge list: at N = 1e5 the
+        (N, N) matrix (80 GB) is never built."""
+        m = make(BottleneckPotential(sigma=1.0),
+                 topo=make_topology("ring", n=100_000))
+        mode = fastest_growing_mode(m)
+        assert mode["k"] == pytest.approx(np.pi)
 
     def test_symmetric_offsets_have_no_drift(self):
         disp = ring_dispersion((-1, 1), 12, 4.0, 1.0)

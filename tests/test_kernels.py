@@ -27,10 +27,8 @@ from repro.core import (
     chain,
     random_topology,
     ring,
-    ring_edges,
     simulate,
     torus2d,
-    torus2d_edges,
 )
 from repro.kernels import cc as cc_kernels
 from repro.kernels.coeffs import eval_coefficients, family_coefficients
@@ -489,24 +487,11 @@ class TestBuildCache:
 
 
 # ----------------------------------------------------------------------
-# edge-backed topologies at (moderately) large N
+# edge-list topologies at (moderately) large N
 # ----------------------------------------------------------------------
 class TestEdgeBackedTopology:
-    def test_ring_edges_matches_ring(self):
-        for dists in ((1, -1), (1, -1, -2)):
-            dense, edged = ring(50, dists), ring_edges(50, dists)
-            np.testing.assert_array_equal(dense.matrix, edged.matrix)
-            assert dense.name == edged.name
-            assert dense.distances == edged.distances
-            assert edged.is_symmetric == dense.is_symmetric
-
-    def test_torus_edges_matches_torus(self):
-        dense, edged = torus2d(6, 5), torus2d_edges(6, 5)
-        np.testing.assert_array_equal(dense.matrix, edged.matrix)
-        assert dense.name == edged.name
-
     def test_large_n_never_densifies(self):
-        topo = ring_edges(100_000, (1, -1))
+        topo = ring(100_000, (1, -1))
         assert topo.n_edges == 200_000
         assert topo.degree()[0] == 2.0
         assert topo.is_symmetric
@@ -514,10 +499,10 @@ class TestEdgeBackedTopology:
             _ = topo.matrix
 
     def test_batched_validation_never_densifies(self):
-        """Equal edge-backed topologies (distinct objects) must batch."""
+        """Equal large topologies (distinct objects) must batch."""
         models = [
             PhysicalOscillatorModel(
-                topology=ring_edges(100_000, (1, -1)),
+                topology=ring(100_000, (1, -1)),
                 potential=TanhPotential(),
                 t_comp=0.9, t_comm=0.1, v_p_override=0.1 * (i + 1))
             for i in range(2)
@@ -525,8 +510,8 @@ class TestEdgeBackedTopology:
         members = [m.realize(1.0, rng=0) for m in models]
         backend = HeteroBatchedBackend(members)   # must not raise MemoryError
         assert backend.n == 100_000
-        small = ring_edges(50, (1, -1))
-        other = ring_edges(50, (1, -1, -2))
+        small = ring(50, (1, -1))
+        other = ring(50, (1, -1, -2))
         mixed = [
             PhysicalOscillatorModel(topology=t, potential=TanhPotential(),
                                     t_comp=0.9, t_comm=0.1).realize(1.0, rng=0)
@@ -538,7 +523,7 @@ class TestEdgeBackedTopology:
             mixed, kernel="numpy").describe()["mixed_topologies"]
 
     def test_large_n_rhs_evaluates(self):
-        topo = ring_edges(50_000, (1, -1))
+        topo = ring(50_000, (1, -1))
         model = _model(topo, TanhPotential())
         realized = model.realize(1.0, rng=0)
         theta = np.random.default_rng(0).normal(0.0, 1.0, topo.n)

@@ -1,11 +1,16 @@
 """Tests for communication topologies and the kappa rules."""
 
-import networkx as nx
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import (
     Topology,
     all_to_all,
@@ -153,10 +158,88 @@ class TestOtherBuilders:
             from_edges(3, [(0, 7)])
 
     def test_from_networkx_roundtrip(self):
+        nx = pytest.importorskip("networkx")
         g = nx.cycle_graph(6)
         topo = from_networkx(g)
         expected = ring(6, (1, -1))
         np.testing.assert_array_equal(topo.matrix, expected.matrix)
+
+
+def _same_edges(topo: Topology, other: Topology) -> None:
+    assert topo.n == other.n
+    for got, want in zip(topo.edge_list(), other.edge_list()):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestNetworkxOracle:
+    """The vectorised builders against networkx's own generators."""
+
+    @pytest.fixture(autouse=True)
+    def _nx(self):
+        self.nx = pytest.importorskip("networkx")
+
+    @pytest.mark.parametrize("n", range(3, 20))
+    def test_ring_is_circulant(self, n):
+        _same_edges(ring(n, (1, -1, -2)),
+                    from_networkx(self.nx.circulant_graph(n, [1, 2])))
+
+    @pytest.mark.parametrize("n", range(2, 20))
+    def test_chain_is_path(self, n):
+        _same_edges(chain(n), from_networkx(self.nx.path_graph(n)))
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (2, 1), (2, 2), (3, 5),
+                                      (5, 3), (1, 7), (8, 8)])
+    def test_grid2d_is_grid_graph(self, a, b):
+        # networkx nodes (iy, ix) sort to rank iy*a + ix: row-major order.
+        _same_edges(grid2d(a, b), from_networkx(self.nx.grid_2d_graph(b, a)))
+
+    @pytest.mark.parametrize("a, b", [(3, 3), (3, 5), (5, 3), (4, 7),
+                                      (8, 8)])
+    def test_torus2d_is_periodic_grid_graph(self, a, b):
+        _same_edges(torus2d(a, b), from_networkx(
+            self.nx.grid_2d_graph(b, a, periodic=True)))
+
+
+class TestConnectivity:
+    def test_large_graphs_without_networkx(self, monkeypatch):
+        # a None entry makes any ``import networkx`` raise ImportError
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        half = 50_000
+        r = np.arange(half - 1)
+        two_chains = Topology.from_edge_arrays(
+            2 * half, np.concatenate([r, r + half]),
+            np.concatenate([r + 1, r + half + 1]))
+        assert not two_chains.is_connected()
+        assert ring(100_000).is_connected()
+        assert Topology.from_edge_arrays(1, [], []).is_connected()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_networkx_weak_connectivity(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            e = int(rng.integers(0, 2 * n))
+            rows, cols = rng.integers(0, n, e), rng.integers(0, n, e)
+            keep = rows != cols
+            rows, cols = rows[keep], cols[keep]
+            g = nx.DiGraph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(zip(rows.tolist(), cols.tolist()))
+            topo = Topology.from_edge_arrays(n, rows, cols)
+            assert topo.is_connected() == nx.is_weakly_connected(g)
+
+
+def test_runtime_imports_without_networkx():
+    """numpy is the only runtime dependency: the campaign layer (and the
+    core it pulls in) never imports networkx."""
+    code = ("import sys, repro.runs; "
+            "sys.exit('networkx imported' if 'networkx' in sys.modules else 0)")
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestKappaRules:

@@ -1,8 +1,8 @@
 """Tests for the topology-builder registry and the interconnect builders.
 
-The PR-10 API redesign routes every topology construction — dense or
-edge-backed, from code or from a spec dict — through one registry
-(:func:`repro.core.topology.make_topology`).  These tests pin:
+Every topology construction — from code or from a spec dict — routes
+through one registry (:func:`repro.core.topology.make_topology`), one
+builder per kind.  These tests pin:
 
 * structural invariants of the new interconnect builders (fat-tree /
   dragonfly / hypercube);
@@ -29,12 +29,7 @@ from repro.core import (
     topology_kinds,
     torus2d,
 )
-from repro.core.topology import (
-    TOPOLOGY_REGISTRY,
-    ring_edges,
-    topology_n_from_spec,
-    torus2d_edges,
-)
+from repro.core.topology import TOPOLOGY_REGISTRY, topology_n_from_spec
 from repro.runs import ScenarioSpec
 from repro.runs.spec import topology_from_spec
 
@@ -182,40 +177,28 @@ class TestRegistryWideProperties:
             assert all(p.isidentifier() for p in row["params"]), kind
             assert row["signature"].startswith(f"{kind}("), kind
             assert row["n"] and row["kappa"], kind
-            assert set(row["backings"]) <= {"dense", "edges"}
 
 
 class TestMakeTopologyAPI:
-    @pytest.mark.parametrize("kind, params", [
-        ("ring", {"n": 10, "distances": (1, -1, -2)}),
-        ("torus2d", {"nx": 4, "ny": 3}),
-    ])
-    def test_backings_agree(self, kind, params):
-        dense = make_topology(kind, backing="dense", **params)
-        edges = make_topology(kind, backing="edges", **params)
-        assert edges._matrix is None  # genuinely edge-backed
-        np.testing.assert_array_equal(dense.matrix, edges.matrix)
-        assert dense.name == edges.name
-        assert dense.kappa() == edges.kappa()
-
     def test_auto_backing_threshold(self):
-        small = make_topology("ring", n=12, distances=(1, -1))
-        large = make_topology("ring", n=1000, distances=(1, -1))
-        assert small._matrix is not None
-        assert large._matrix is None
+        """No size switch: even a small topology holds only its edge
+        list until ``.matrix`` is read, which densifies once and caches."""
+        topo = make_topology("ring", n=12, distances=(1, -1))
+        assert topo._matrix is None
+        m = topo.matrix
+        assert topo._matrix is m
+        assert topo.matrix is m
 
     def test_alias_forces_edges(self):
-        topo = make_topology("ring_edges", n=16, distances=(1, -1))
-        assert topo._matrix is None
-        with pytest.raises(ValueError, match="forces"):
-            make_topology("ring_edges", n=16, distances=(1, -1),
-                          backing="dense")
-
-    def test_legacy_builders_still_callable(self):
-        np.testing.assert_array_equal(
-            ring_edges(12, (1, -1)).matrix, ring(12, (1, -1)).matrix)
-        np.testing.assert_array_equal(
-            torus2d_edges(3, 4).matrix, torus2d(3, 4).matrix)
+        """The retired ``ring_edges`` spec kind is a plain alias of ``ring``."""
+        alias = make_topology("ring_edges", n=16)
+        ref = ring(16)
+        for got, want in zip(alias.edge_list(), ref.edge_list()):
+            np.testing.assert_array_equal(got, want)
+        assert (alias.name, alias.distances, alias.periodic) == (
+            ref.name, ref.distances, ref.periodic)
+        torus = make_topology("torus2d_edges", nx=3, ny=4)
+        np.testing.assert_array_equal(torus.matrix, torus2d(3, 4).matrix)
 
     def test_unknown_kind_lists_registry(self):
         with pytest.raises(ValueError) as err:
@@ -236,8 +219,9 @@ class TestMakeTopologyAPI:
             make_topology("fattree")
 
     def test_bad_backing_rejected(self):
-        with pytest.raises(ValueError, match="backing"):
-            make_topology("ring", n=8, backing="sparse")
+        """``backing`` is no longer a knob: it is an unknown builder key."""
+        with pytest.raises(ValueError, match="unknown key"):
+            make_topology("ring", n=8, backing="dense")
 
     def test_unknown_n_from_spec_raises(self):
         with pytest.raises(ValueError, match="unknown topology kind"):
