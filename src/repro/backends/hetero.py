@@ -7,8 +7,8 @@ disagree on
 
 * the coupling strength ``v_p`` (broadcast as an ``(R, 1)`` column),
 * the cycle period ``T = t_comp + t_comm`` (idem),
-* the interaction potential (members are grouped by potential value and
-  each group is evaluated in one vectorised ``(k, E)`` pass),
+* the interaction potential (each member's ``(kind, p0, p1)``
+  coefficient row, evaluated once per distinct potential kind),
 * the one-off delay schedule (evaluated per member, or broadcast when
   all members share one),
 * the noise realisation (stacked into one ``(n_intervals, R, N)``
@@ -30,12 +30,15 @@ The inner coupling loop is delegated to a selectable *kernel*
 
 * ``"numpy"`` — one gather from the flattened ``(R*N,)`` super-state
   through per-member edge indices offset by ``r*N`` (padded to the
-  widest member only when the members' edge lists differ), one
-  family-vectorised potential call over ``(R, Emax)``, and one
-  ``np.bincount`` whose overflow bin ``R*N`` swallows the pads.  Works
-  for any potential, including ``CustomPotential`` groups.
-  Memory-bound at N ≳ a few thousand (every evaluation streams several
-  ``(R, E)`` arrays).
+  widest member only when the members' edge lists differ), one pass of
+  the coefficient formulas (:func:`repro.kernels.eval_coefficients`,
+  the ones the compiled kernel inlines) over ``(R, Emax)``, and one
+  ``np.bincount`` whose overflow bin ``R*N`` swallows the pads.  A
+  batch with a ``CustomPotential`` calls each member's potential on its
+  row instead.  Delayed (DDE) couplings take this path under either
+  kernel: delayed members overwrite their delayed edge differences
+  before the potential pass.  Memory-bound at N ≳ a few thousand (every
+  evaluation streams several ``(R, E)`` arrays).
 * ``"cc"`` — the fused compiled kernel that evaluates the potential
   family inline per edge block (per-member ``(kind, p0, p1)``
   coefficients, so members may even mix families), eliminating the
@@ -51,6 +54,7 @@ fall back to the NumPy path.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -80,26 +84,6 @@ def same_topology(a, b) -> bool:
     ra, ca = a.edge_list()
     rb, cb = b.edge_list()
     return np.array_equal(ra, rb) and np.array_equal(ca, cb)
-
-#: potential classes whose behaviour is fully determined by describe()
-_VALUE_KEYED_POTENTIALS = frozenset(
-    {"TanhPotential", "BottleneckPotential", "KuramotoPotential",
-     "LinearPotential"})
-
-
-def _potential_key(potential) -> tuple:
-    """Grouping key: members with equal keys share one vectorised call.
-
-    The shipped potential classes are value types (their ``describe()``
-    dict pins the behaviour), so separately-constructed-but-equal
-    potentials merge into one group.  Unknown or custom potentials fall
-    back to object identity — never merged unless literally shared.
-    """
-    cls = type(potential)
-    if cls.__name__ in _VALUE_KEYED_POTENTIALS and \
-            cls.__module__.endswith("core.potentials"):
-        return (cls.__name__, tuple(sorted(potential.describe().items())))
-    return ("id", id(potential))
 
 
 class HeteroBatchedBackend:
@@ -149,8 +133,8 @@ class HeteroBatchedBackend:
         self._per_rows = [rc[0] for rc in per]
         self._per_cols = [rc[1] for rc in per]
         self._edge_sizes = [int(r.size) for r in self._per_rows]
-        self._total_edges = int(sum(self._edge_sizes))
-        self._zero_coupling = self._total_edges == 0 or not np.any(self._vps)
+        self._zero_coupling = (sum(self._edge_sizes) == 0
+                               or not np.any(self._vps))
         self._zeta_stack = self._stack_zeta()
         self._has_delays = any(m.has_delays for m in self.members)
         # Delay schedules: broadcast one evaluation when all members
@@ -161,29 +145,27 @@ class HeteroBatchedBackend:
         self._sched_shared = all(
             s.delays == scheds[0].delays and s.period == scheds[0].period
             for s in scheds[1:])
-        # Potential groups: (row-index array, potential) pairs.
-        groups: dict[tuple, list[int]] = {}
-        for i, m in enumerate(self.members):
-            groups.setdefault(_potential_key(m.model.potential), []).append(i)
-        self._pot_groups = [
-            (np.asarray(ix, dtype=np.intp), self.members[ix[0]].model.potential)
-            for ix in groups.values()
-        ]
         self._pots = [m.model.potential for m in self.members]
-        # Family vectorisation: a parameterised potential family (e.g. a
-        # sigma grid of BottleneckPotentials) broadcasts its parameters
-        # as an (R, 1) column — one vectorised call instead of R groups.
-        self._pot_stacked = None
-        if len(self._pot_groups) > 1:
-            self._pot_stacked = type(self._pots[0]).stack(self._pots) \
-                if hasattr(type(self._pots[0]), "stack") else None
-        # Kernel selection (see repro.kernels): the fused compiled kernel
-        # needs per-member potential coefficients; numpy goes through
-        # the Python potential callables above.
+        # Kernel selection (see repro.kernels): both kernels evaluate
+        # the per-member (kind, p0, p1) coefficient rows; only a
+        # CustomPotential (no coefficients) calls back into Python.
         self._kernel_request = kernels.normalize_kernel_name(kernel)
         self._coeffs = kernels.family_coefficients(self._pots)
         self.kernel = kernels.resolve_kernel(
             kernel, has_coefficients=self._coeffs is not None)
+        # The numpy kernel's potential pass as (member rows, evaluator)
+        # pairs: one per distinct coefficient kind, with the parameters
+        # as (k, 1) columns, or one per member for a CustomPotential.
+        if self._coeffs is None:
+            self._row_evals = list(enumerate(self._pots))
+        else:
+            kinds, p0, p1 = self._coeffs
+            self._row_evals = []
+            for kind in np.unique(kinds):
+                ix = np.flatnonzero(kinds == kind)
+                self._row_evals.append((ix, partial(
+                    kernels.eval_coefficients, int(kind),
+                    p0[ix, None], p1[ix, None])))
         self._threads_request = threads
         self.threads = kernels.resolve_threads(threads)
         self._cc_call = None
@@ -195,7 +177,8 @@ class HeteroBatchedBackend:
                 self._cc_call = cc_kernels.bind(
                     self._per_rows, self._per_cols, self._n,
                     self._coeffs, self._vps.ravel(), threads=self.threads)
-            else:
+            if self.kernel == "numpy" or self._has_delays:
+                # Delayed (DDE) couplings always take the numpy gather.
                 self._setup_gather()
         # One-slot intrinsic-frequency memo, ``(key, freq)`` in a single
         # attribute so a concurrent reader never pairs one entry's key
@@ -319,19 +302,20 @@ class HeteroBatchedBackend:
         return freq
 
     def _edge_potential(self, d_edge: np.ndarray) -> np.ndarray:
-        """Evaluate each member's potential on its ``(E,)`` edge row.
+        """Evaluate each member's potential on its row of ``d_edge``.
 
-        Members sharing a potential value are evaluated in one ``(k, E)``
-        block; the elementwise arithmetic is identical to the per-row
-        evaluation, so grouping never changes the result bits.
+        The coefficient formulas of :func:`repro.kernels.eval_coefficients`
+        run once per distinct kind (a one-kind batch in one call, with
+        no row copy); the elementwise arithmetic is that of
+        ``Potential.__call__``, so each row carries the same bits as a
+        one-member evaluation.
         """
-        if len(self._pot_groups) == 1:
-            return np.asarray(self._pot_groups[0][1](d_edge), dtype=float)
-        if self._pot_stacked is not None:
-            return np.asarray(self._pot_stacked(d_edge), dtype=float)
+        evals = self._row_evals
+        if len(evals) == 1 and self._coeffs is not None:
+            return evals[0][1](d_edge)
         out = np.empty_like(d_edge)
-        for ix, pot in self._pot_groups:
-            out[ix] = pot(d_edge[ix])
+        for ix, fn in evals:
+            out[ix] = fn(d_edge[ix])
         return out
 
     def coupling(self, t: float, theta: np.ndarray,
@@ -339,46 +323,39 @@ class HeteroBatchedBackend:
         """Stacked interaction terms for the super-state ``theta (R, N)``."""
         if self._zero_coupling:
             return np.zeros((self._r, self._n))
-
-        if not self._has_delays or history is None:
-            call = self._cc_call
-            if call is not None:
-                # Looked up on the module at call time, by the entry the
-                # call was bound for (ring_batched or fused_batched).
-                return getattr(cc_kernels, call.entry)(
-                    call, np.ascontiguousarray(theta, dtype=float),
-                    np.empty((self._r, self._n)))
-            # One gather from the flattened (R*N,) super-state, one
-            # family-vectorised potential pass over (R, Emax), one
-            # bincount whose overflow bin swallows every pad slot.
-            flat = theta.reshape(-1)
-            d_edge = flat[self._gcols] - flat[self._grows]
-            v_edge = self._edge_potential(d_edge)
-            rn = self._r * self._n
-            acc = np.bincount(self._scatter, weights=v_edge.ravel(),
-                              minlength=rn + 1)
-            out = acc[:rn].reshape(self._r, self._n)
-            out *= self._vps
-            return out
-
-        # Delayed path: the history holds (R, N) super-states; each
-        # member patches its own edge subset per distinct delay level
-        # (per-member edge lists, so mixed topologies work unchanged).
-        out = np.empty((self._r, self._n))
-        for r, m in enumerate(self.members):
-            rows, cols = self._per_rows[r], self._per_cols[r]
-            th = theta[r]
-            d_edge = th[cols] - th[rows]
-            if m.has_delays:
+        delayed = self._has_delays and history is not None
+        call = self._cc_call
+        if call is not None and not delayed:
+            # Looked up on the module at call time, by the entry the
+            # call was bound for (ring_batched or fused_batched).
+            return getattr(cc_kernels, call.entry)(
+                call, np.ascontiguousarray(theta, dtype=float),
+                np.empty((self._r, self._n)))
+        # One gather from the flattened (R*N,) super-state (delayed
+        # edges patched in), one coefficient-row potential pass over
+        # (R, Emax), one bincount whose overflow bin swallows every pad
+        # slot.
+        flat = theta.reshape(-1)
+        d_edge = flat[self._gcols] - flat[self._grows]
+        if delayed:
+            # A delayed member's edges with tau > 0 read the partner
+            # phase theta_j(t - tau) from the (R, N) history, one history
+            # evaluation per distinct delay level.
+            for r, m in enumerate(self.members):
+                if not m.has_delays:
+                    continue
+                rows, cols = self._per_rows[r], self._per_cols[r]
                 tau_edge = m.tau(t)[rows, cols]
-                for v in np.unique(tau_edge):
-                    if v == 0.0:
-                        continue
-                    delayed = history(t - float(v))[r]
+                d_row = d_edge[r, :rows.size]
+                for v in np.unique(tau_edge[tau_edge != 0.0]):
                     sel = tau_edge == v
-                    d_edge[sel] = delayed[cols[sel]] - th[rows[sel]]
-            v_edge = np.asarray(self._pots[r](d_edge), dtype=float)
-            out[r] = np.bincount(rows, weights=v_edge, minlength=self._n)
+                    d_row[sel] = (history(t - float(v))[r][cols[sel]]
+                                  - theta[r, rows[sel]])
+        v_edge = self._edge_potential(d_edge)
+        rn = self._r * self._n
+        acc = np.bincount(self._scatter, weights=v_edge.ravel(),
+                          minlength=rn + 1)
+        out = acc[:rn].reshape(self._r, self._n)
         out *= self._vps
         return out
 
@@ -428,6 +405,5 @@ class HeteroBatchedBackend:
     def describe(self) -> dict:
         """Metadata dictionary used by exporters."""
         return {"backend": self.name, "n": self._n, "members": self._r,
-                "potential_groups": len(self._pot_groups),
                 "mixed_topologies": self._mixed,
                 "kernel": self.kernel, "threads": self.threads}

@@ -57,23 +57,6 @@ class Potential(ABC):
     def __call__(self, dtheta: np.ndarray | float) -> np.ndarray | float:
         """Evaluate the potential at phase difference(s) ``dtheta``."""
 
-    @classmethod
-    def stack(cls, potentials) -> Callable | None:
-        """Row-wise vectorised evaluator for a family of potentials.
-
-        Given R potentials of one parameterised family, return a
-        callable mapping ``(R, E)`` phase differences to ``(R, E)``
-        values where row ``r`` is evaluated with member ``r``'s
-        parameters (broadcast as an ``(R, 1)`` column) — the arithmetic
-        per row must be bit-identical to ``potentials[r](dtheta[r])``.
-        Used by the heterogeneous batched backend so a parameter grid
-        over e.g. ``sigma`` costs one vectorised call per RHS evaluation
-        instead of R.  The base implementation returns ``None`` (no
-        family vectorisation available; the backend falls back to a
-        per-group loop).
-        """
-        return None
-
     def kernel_coefficients(self) -> tuple[int, float, float] | None:
         """Coefficient triple ``(kind, p0, p1)`` for the fused kernels.
 
@@ -174,17 +157,6 @@ class TanhPotential(Potential):
         """The only zero is at 0: full synchrony."""
         return 0.0
 
-    @classmethod
-    def stack(cls, potentials) -> Callable | None:
-        if not all(type(p) is TanhPotential for p in potentials):
-            return None
-        gains = np.array([p.gain for p in potentials], dtype=float)[:, None]
-
-        def stacked(dtheta: np.ndarray) -> np.ndarray:
-            return np.tanh(gains * dtheta)
-
-        return stacked
-
     def kernel_coefficients(self) -> tuple[int, float, float]:
         from ..kernels.coeffs import KIND_TANH
         return (KIND_TANH, self.gain, 0.0)
@@ -269,24 +241,9 @@ class BottleneckPotential(Potential):
         """
         return 2.0 * self.sigma / 3.0
 
-    @classmethod
-    def stack(cls, potentials) -> Callable | None:
-        if not all(type(p) is BottleneckPotential for p in potentials):
-            return None
-        sigmas = np.array([p.sigma for p in potentials], dtype=float)[:, None]
-        coefs = 3.0 * np.pi / (2.0 * sigmas)
-
-        def stacked(dtheta: np.ndarray) -> np.ndarray:
-            out = np.sign(dtheta)
-            inside = np.abs(dtheta) < sigmas
-            out[inside] = -np.sin((coefs * dtheta)[inside])
-            return out
-
-        return stacked
-
     def kernel_coefficients(self) -> tuple[int, float, float]:
-        # p1 pre-bakes the sine argument scale exactly as the stacked
-        # family evaluator does, so all paths share one formula.
+        # p1 pre-bakes the sine argument scale exactly as __call__
+        # computes it, so every kernel shares one formula.
         from ..kernels.coeffs import KIND_BOTTLENECK
         return (KIND_BOTTLENECK, self.sigma, 3.0 * np.pi / (2.0 * self.sigma))
 
@@ -369,17 +326,6 @@ class LinearPotential(Potential):
         if d.ndim == 0:
             return float(out)
         return out
-
-    @classmethod
-    def stack(cls, potentials) -> Callable | None:
-        if not all(type(p) is LinearPotential for p in potentials):
-            return None
-        ks = np.array([p.k for p in potentials], dtype=float)[:, None]
-
-        def stacked(dtheta: np.ndarray) -> np.ndarray:
-            return ks * dtheta
-
-        return stacked
 
     def kernel_coefficients(self) -> tuple[int, float, float]:
         from ..kernels.coeffs import KIND_LINEAR

@@ -144,7 +144,8 @@ class Topology:
     # ------------------------------------------------------------------
     @property
     def matrix(self) -> np.ndarray:
-        """The dense ``(N, N)`` coupling matrix (densified once, cached)."""
+        """The dense ``(N, N)`` coupling matrix (densified once, cached,
+        read-only like the edge arrays)."""
         if self._matrix is None:
             n = self._n
             if n * n > _DENSE_LIMIT_ENTRIES:
@@ -155,6 +156,7 @@ class Topology:
                 )
             m = np.zeros((n, n))
             m[self._edges] = 1.0
+            m.setflags(write=False)
             self._matrix = m
         return self._matrix
 

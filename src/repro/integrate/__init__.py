@@ -5,9 +5,9 @@ The paper's artifact solves Eq. (2) with MATLAB's ``ode45``
 
 * :func:`solve_dopri45` — the same embedded RK pair with PI step-size
   control and dense output,
-* :func:`solve_rk4` — classic fixed-step RK4,
-* :func:`solve_euler` / :func:`solve_euler_maruyama` — explicit Euler and
-  its stochastic variant for white-noise jitter,
+* :func:`solve_rk4`, :func:`solve_euler`, :func:`solve_euler_maruyama` —
+  fixed-step RK4, explicit Euler and its stochastic variant for
+  white-noise jitter, sharing one march (:mod:`.fixed_step`),
 * :class:`HistoryBuffer` — Hermite-interpolated state history for the
   delayed interaction term ``theta_j(t - tau_ij)``.
 
@@ -16,9 +16,8 @@ All solvers return a :class:`Solution`.
 
 from .controller import StepController, error_norm, error_norm_members, initial_step
 from .dopri import solve_dopri45
-from .euler import solve_euler, solve_euler_maruyama
+from .fixed_step import solve_euler, solve_euler_maruyama, solve_rk4
 from .history import HistoryBuffer
-from .rk4 import solve_rk4
 from .solution import Solution, SolverStats, record_stride
 
 __all__ = [

@@ -7,9 +7,10 @@ potential, scatter-accumulate per row — to one of two interchangeable
 ``make_batched_backend``, ``simulate*``, and the CLI:
 
 ``"numpy"``
-    The vectorised edge-list path (one ``(R, E)`` round-trip per
-    evaluation).  Always available, works for any potential including
-    ``CustomPotential``; the reference implementation.
+    The vectorised edge-list path: one ``(R, E)`` round-trip through
+    the coefficient formulas ``cc`` inlines (:func:`eval_coefficients`).
+    Always available, any potential (``CustomPotential`` included); the
+    reference implementation.
 ``"cc"``
     Fused kernel compiled on first use with the system C compiler into a
     CPython extension (:mod:`repro.kernels.cc`).  Needs a working ``cc``,
@@ -18,8 +19,9 @@ potential, scatter-accumulate per row — to one of two interchangeable
 ``"auto"`` resolves to ``cc`` when every potential in the batch exposes
 :meth:`~repro.core.potentials.Potential.kernel_coefficients` and a
 compiler works, else to ``numpy``.  Delayed (DDE) evaluations always
-use the NumPy edge-patching path regardless of the knob; the kernels
-cover the non-delayed fast path that dominates every paper workload.
+run the NumPy gather with the delayed edge differences patched in,
+regardless of the knob; ``cc`` covers the non-delayed fast path that
+dominates every paper workload.
 
 Orthogonal to the kernel choice, :func:`resolve_threads` resolves the
 in-kernel thread count (the ``threads=`` knob on the backend /

@@ -1,12 +1,11 @@
-"""Vectorisable potential coefficients for the fused kernels.
+"""Potential coefficient rows shared by both coupling kernels.
 
 The compiled kernel (:mod:`repro.kernels.cc`) evaluates the interaction
 potential *inline* per edge block, so it cannot call back into an
 arbitrary Python :class:`~repro.core.potentials.Potential`.
 Instead, every shipped potential family exposes its behaviour as a
 ``(kind, p0, p1)`` coefficient triple via
-:meth:`~repro.core.potentials.Potential.kernel_coefficients` (the compiled
-counterpart of the ``Potential.stack`` family vectorisation):
+:meth:`~repro.core.potentials.Potential.kernel_coefficients`:
 
 ========== =============================== ======================== =====
 kind        family                          p0                       p1
@@ -18,13 +17,12 @@ kind        family                          p0                       p1
 ========== =============================== ======================== =====
 
 ``CustomPotential`` (and any third-party subclass that does not override
-``kernel_coefficients``) returns ``None``: the backends then fall back to
-the NumPy paths, which go through the Python callable (per potential
-group for heterogeneous batches).
+``kernel_coefficients``) returns ``None``: the batch then runs the NumPy
+kernel, which calls each member's potential on its own edge row.
 
-:func:`eval_coefficients` is the NumPy reference semantics of the inline
-evaluation; the kernel-equivalence tests pin the compiled kernel against
-it, and against the original ``Potential.__call__``.
+:func:`eval_coefficients` is the NumPy kernel's potential evaluation and
+the reference semantics of the inline one; the kernel-equivalence tests
+pin it bitwise to ``Potential.__call__`` and the compiled kernel to it.
 """
 
 from __future__ import annotations
@@ -55,9 +53,9 @@ def family_coefficients(
 
     Returns ``(kinds, p0, p1)`` arrays of length R, or ``None`` as soon
     as any member's potential has no coefficient representation (the
-    batched backends then keep the NumPy per-group path).  Unlike
-    ``Potential.stack``, the members do *not* need to belong to one
-    family — the compiled kernels dispatch on ``kinds[r]`` per member.
+    batched backend then calls each member's potential itself).  The
+    members need not belong to one family: both kernels dispatch on
+    ``kinds[r]`` per member.
     """
     kinds = np.empty(len(potentials), dtype=np.int64)
     p0 = np.zeros(len(potentials))
@@ -70,12 +68,14 @@ def family_coefficients(
     return kinds, p0, p1
 
 
-def eval_coefficients(kind: int, p0: float, p1: float, d: np.ndarray) -> np.ndarray:
-    """NumPy reference of the inline potential evaluation.
+def eval_coefficients(kind: int, p0, p1, d: np.ndarray) -> np.ndarray:
+    """Evaluate one potential kind on phase differences ``d``.
 
-    Bit-compatible with the corresponding ``Potential.__call__`` (same
-    formulas, same operation order); the compiled kernels match it to
-    within the ulp-level differences of the libm/SIMD transcendentals.
+    ``p0``/``p1`` are scalars, or ``(k, 1)`` columns broadcast against
+    ``(k, E)`` rows (one member per row).  Bit-compatible with the
+    corresponding ``Potential.__call__`` (same formulas, same operation
+    order); the compiled kernels match it to within the ulp-level
+    differences of the libm/SIMD transcendentals.
     """
     d = np.asarray(d, dtype=float)
     if kind == KIND_TANH:

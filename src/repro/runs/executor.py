@@ -33,7 +33,9 @@ True/False), which the CLI renders as a live campaign log.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import sys
 import tempfile
 import time
 import warnings
@@ -64,6 +66,28 @@ _PIN_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS before forking a pool.
+
+    Once a multi-MB buffer (a shard's trajectories, a fetched artefact)
+    has been freed, glibc serves buffers up to that size from the heap
+    and trims the heap only when twice that much is free at its top.
+    The orchestrator then keeps tens of MB of freed heap resident, and
+    every fork worker counts those pages in its own RSS.  How much stays
+    depends on heap layout, which unrelated allocation changes move:
+    perfbench campaign_cache's peak RSS (orchestrator + largest worker)
+    read 311-394 MB over 8 runs on a 2-core x86-64 host, and 266-302 MB
+    with this call.  ``malloc_trim(0)`` takes ~0.3 ms; C libraries
+    without it are left alone.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (OSError, AttributeError):  # not glibc (e.g. musl)
+        pass
 
 
 def _worker_env(threads: int | None) -> dict[str, str]:
@@ -516,6 +540,7 @@ def run_plan(plan: Plan, *,
                 # must share one fire-count budget.
                 ensure_shared_state_dir(
                     tempfile.mkdtemp(prefix="pom-faults-"))
+            _release_free_heap()
             try:
                 with ProcessPoolExecutor(
                         max_workers=min(jobs, len(pending)),

@@ -29,6 +29,7 @@ experiment registry, and the executor workers all go through them.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -103,7 +104,25 @@ def topology_from_spec(d: dict):
     with its introspected parameters; unknown/missing params raise the
     same way.  ``distances`` values are coerced to ints up front so
     JSON floats round-trip like the legacy dispatch did.
+
+    Memoised on the dict's canonical JSON (a small LRU), so a shard's
+    members, the planner and the result views share one build.  That
+    is safe because every registered builder is a pure function of its
+    params and a :class:`~repro.core.Topology` is read-only.
     """
+    try:
+        key = json.dumps(d, sort_keys=True)
+    except TypeError:  # a non-JSON value (e.g. a numpy scalar)
+        return _build_topology(d)
+    return _topology_from_json(key)
+
+
+@functools.lru_cache(maxsize=16)
+def _topology_from_json(key: str):
+    return _build_topology(json.loads(key))
+
+
+def _build_topology(d: dict):
     params = dict(d)
     kind = str(params.pop("kind", "ring"))
     if "distances" in params and params["distances"] is not None:

@@ -16,13 +16,18 @@ from repro.backends import (
 )
 from repro.core import (
     BottleneckPotential,
+    ConstantInteractionNoise,
     GaussianJitter,
+    KuramotoPotential,
+    LinearPotential,
     OneOffDelay,
     PhysicalOscillatorModel,
     RandomInteractionNoise,
     TanhPotential,
     chain,
+    hypercube,
     ring,
+    torus2d,
 )
 from repro.integrate import HistoryBuffer
 
@@ -69,19 +74,24 @@ class TestHeteroEquivalence:
             ])
             np.testing.assert_allclose(got, ref, **TIGHT)
 
-    def test_potential_groups_share_vectorised_calls(self):
+    def test_mixed_potential_rows_equal_single_member_coupling(self):
         topo = ring(12, (1, -1))
-        # Separately-constructed-but-equal potentials must merge into
-        # one group; distinct sigmas must not.
-        models = [make_model(topology=topo, potential=TanhPotential()),
-                  make_model(topology=topo, potential=TanhPotential()),
-                  make_model(topology=topo,
-                             potential=BottleneckPotential(sigma=1.0)),
-                  make_model(topology=topo,
-                             potential=BottleneckPotential(sigma=2.0))]
-        stacked = HeteroBatchedBackend(
-            [m.realize(5.0, rng=i) for i, m in enumerate(models)])
-        assert stacked.describe()["potential_groups"] == 3
+        # Equal tanh potentials, two bottleneck sigmas, linear and
+        # kuramoto: three coefficient kinds with several rows each.
+        pots = [TanhPotential(), TanhPotential(),
+                BottleneckPotential(sigma=1.0),
+                BottleneckPotential(sigma=2.0),
+                LinearPotential(0.4), KuramotoPotential()]
+        members = [make_model(topology=topo, potential=p)
+                   .realize(5.0, rng=i, kernel="numpy")
+                   for i, p in enumerate(pots)]
+        stacked = HeteroBatchedBackend(members, kernel="numpy")
+        thetas = np.random.default_rng(6).normal(0.0, 2.0,
+                                                 (len(pots), topo.n))
+        got = stacked.coupling(0.0, thetas)
+        for i, m in enumerate(members):
+            np.testing.assert_array_equal(
+                got[i], m.coupling_term(0.0, thetas[i]))
 
     def test_mixed_delay_schedules_evaluate_per_member(self):
         topo = ring(8, (1, -1))
@@ -148,6 +158,46 @@ class TestHeteroEquivalence:
 
             ref = m.coupling(1.2, thetas[i], _Slice())
             np.testing.assert_allclose(got[i], ref, **TIGHT)
+
+    @pytest.mark.parametrize("kernel", ["numpy", "auto"])
+    def test_padded_delayed_rows_match_single_member(self, kernel):
+        # A topology-axis batch pads the 32-edge rings to the 64-edge
+        # torus/hypercube rows; one member is undelayed.
+        models = [
+            make_model(topology=ring(16, (1, -1)),
+                       interaction_noise=ConstantInteractionNoise(tau=0.3)),
+            make_model(topology=torus2d(4, 4),
+                       potential=BottleneckPotential(sigma=1.2),
+                       interaction_noise=RandomInteractionNoise(
+                           lo=0.0, hi=0.3, refresh=1.0)),
+            make_model(topology=hypercube(4), v_p_override=2.0),
+            make_model(topology=ring(16, (1, -1)),
+                       potential=LinearPotential(0.5),
+                       interaction_noise=RandomInteractionNoise(
+                           lo=0.0, hi=0.2, refresh=1.0)),
+        ]
+        members = [m.realize(5.0, rng=i, kernel=kernel)
+                   for i, m in enumerate(models)]
+        stacked = HeteroBatchedBackend(members, kernel=kernel)
+        assert stacked.has_delays and not members[2].has_delays
+
+        rng = np.random.default_rng(7)
+        r, n = len(members), 16
+        hist = HistoryBuffer(0.0, rng.normal(0, 1, (r, n)))
+        for t in (0.4, 0.8, 1.2):
+            hist.append(t, rng.normal(0, 1, (r, n)),
+                        f=rng.normal(0, 0.1, (r, n)))
+        thetas = rng.normal(0, 1, (r, n))
+        got = stacked.coupling(1.2, thetas, hist)
+        for i, m in enumerate(members):
+            def row(t, _i=i):
+                return hist(t)[_i]
+
+            np.testing.assert_array_equal(
+                got[i], m.coupling_term(1.2, thetas[i], row))
+            dense = DenseBackend(models[i].realize(5.0, rng=i))
+            np.testing.assert_allclose(
+                got[i], dense.coupling(1.2, thetas[i], row), **TIGHT)
 
     def test_em_drift_matches_sequential_formula(self):
         from repro.backends import frequency_from_period

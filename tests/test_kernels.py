@@ -124,6 +124,23 @@ class TestCoefficients:
             eval_coefficients(kind, p0, p1, d.copy()),
             np.asarray(pot(d), dtype=float))
 
+    @pytest.mark.parametrize("pots", [
+        pytest.param([BottleneckPotential(s) for s in (0.3, 0.8, 1.0, 2.5)],
+                     id="sigma-grid"),
+        pytest.param([TanhPotential(g) for g in (0.5, 1.0, 1.3, 4.0)],
+                     id="gain-grid"),
+        pytest.param([LinearPotential(k) for k in (-0.5, 0.1, 0.6, 2.0)],
+                     id="k-grid"),
+    ])
+    def test_eval_coefficient_columns_match_rows(self, pots):
+        """(k, 1) parameter columns give each row its member's bits."""
+        kinds, p0, p1 = family_coefficients(pots)
+        d = np.random.default_rng(8).normal(0.0, 2.0, (len(pots), 257))
+        got = eval_coefficients(int(kinds[0]), p0[:, None], p1[:, None], d)
+        for r, pot in enumerate(pots):
+            np.testing.assert_array_equal(got[r],
+                                          np.asarray(pot(d[r]), dtype=float))
+
     def test_custom_potential_has_no_coefficients(self):
         pot = CustomPotential(lambda d: np.tanh(d), "wrapped-tanh")
         assert pot.kernel_coefficients() is None
@@ -204,7 +221,7 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("kernel", ["auto", "numpy"])
     def test_hetero_custom_potential_fallback(self, kernel):
-        """CustomPotential groups (no Potential.stack, no coefficients)."""
+        """CustomPotential members (no coefficients) call their own potential."""
         topo = ring(48, (1, -1))
         pots = [TanhPotential(),
                 CustomPotential(lambda d: 0.5 * np.sin(d), "half-sin"),

@@ -229,6 +229,20 @@ class TestTransportAndPinning:
         res = run_spec(grid_spec(), jobs=2, shard_members=2, threads=2)
         assert res.worker_omp == "2"
 
+    def test_free_heap_released_once_before_the_pool_forks(self,
+                                                           monkeypatch):
+        from repro.runs import executor
+
+        calls = []
+        monkeypatch.setattr(executor, "_release_free_heap",
+                            lambda: calls.append(1))
+        run_spec(grid_spec(), jobs=1, shard_members=2)
+        assert calls == []
+        run_spec(grid_spec(), jobs=2, shard_members=2)
+        assert calls == [1]
+        monkeypatch.undo()
+        executor._release_free_heap()  # the real call must not raise
+
     def test_inline_run_has_no_pool_metadata(self):
         res = run_spec(grid_spec(), jobs=1, shard_members=2)
         assert res.transport is None

@@ -223,3 +223,37 @@ class TestSerialisation:
         with pytest.raises(ValueError, match="unknown spec key"):
             ScenarioSpec.from_dict({"name": "x", "model": {}, "t_end": 1.0,
                                     "axis": []})
+
+
+class TestTopologyMemo:
+    def test_run_plan_builds_the_ring_once(self, monkeypatch):
+        """Members, planner and result views share one memoised build."""
+        import dataclasses
+        import functools
+
+        from repro.core import topology as topology_module
+        from repro.runs import compile_plan, run_plan
+        from repro.runs.spec import _topology_from_json
+
+        entry = topology_module.TOPOLOGY_REGISTRY["ring"]
+        calls = []
+
+        @functools.wraps(entry.build)
+        def counting_ring(*args, **kwargs):
+            calls.append(kwargs)
+            return entry.build(*args, **kwargs)
+
+        monkeypatch.setitem(topology_module.TOPOLOGY_REGISTRY, "ring",
+                            dataclasses.replace(entry, build=counting_ring))
+        _topology_from_json.cache_clear()
+        try:
+            spec = base_spec(axes=[("seed", list(range(8)))], t_end=2.0,
+                             solver={"method": "rk4"})
+            result = run_plan(compile_plan(spec))
+            result.summary_table()
+            for m in result.members:
+                m.trajectory()
+        finally:
+            _topology_from_json.cache_clear()
+        assert len(result.members) == 8
+        assert len(calls) == 1
