@@ -90,7 +90,8 @@ class DenseBackend:
 
         # Delayed partner phases: evaluate the history once per distinct
         # delay value (tau fields are piecewise constant with few levels).
-        tau_now = self.realized.tau(t)
+        tau_now = np.zeros((self._n, self._n))
+        tau_now[self.model.topology.edge_list()] = self.realized.tau(t)
         dmat = np.empty((self._n, self._n))
         uniq = np.unique(tau_now[self._coupled]) if self._any_coupled else []
         dmat[:] = theta[None, :] - theta[:, None]

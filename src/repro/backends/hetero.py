@@ -36,7 +36,7 @@ The inner coupling loop is delegated to a selectable *kernel*
   ``np.bincount`` whose overflow bin ``R*N`` swallows the pads.  A
   batch with a ``CustomPotential`` calls each member's potential on its
   row instead.  Delayed (DDE) couplings take this path under either
-  kernel: delayed members overwrite their delayed edge differences
+  kernel, each delay level patching its edges from one history call
   before the potential pass.  Memory-bound at N ≳ a few thousand (every
   evaluation streams several ``(R, E)`` arrays).
 * ``"cc"`` — the fused compiled kernel that evaluates the potential
@@ -136,7 +136,7 @@ class HeteroBatchedBackend:
         self._zero_coupling = (sum(self._edge_sizes) == 0
                                or not np.any(self._vps))
         self._zeta_stack = self._stack_zeta()
-        self._has_delays = any(m.has_delays for m in self.members)
+        self._delayed = [r for r, m in enumerate(members) if m.has_delays]
         # Delay schedules: broadcast one evaluation when all members
         # share the same schedule, else evaluate per member.
         scheds = [m.delay_schedule for m in self.members]
@@ -177,13 +177,13 @@ class HeteroBatchedBackend:
                 self._cc_call = cc_kernels.bind(
                     self._per_rows, self._per_cols, self._n,
                     self._coeffs, self._vps.ravel(), threads=self.threads)
-            if self.kernel == "numpy" or self._has_delays:
+            if self.kernel == "numpy" or self._delayed:
                 # Delayed (DDE) couplings always take the numpy gather.
                 self._setup_gather()
-        # One-slot intrinsic-frequency memo, ``(key, freq)`` in a single
-        # attribute so a concurrent reader never pairs one entry's key
-        # with another entry's array.
-        self._freq_memo: tuple | None = None
+        # One-slot ``(key, value)`` memos of the intrinsic frequency and
+        # the delay groups, each in a single attribute so a concurrent
+        # reader never pairs one entry's key with another entry's value.
+        self._freq_memo = self._delay_memo = None
 
     def _setup_gather(self) -> None:
         """Flat gather/scatter indices for the numpy kernel.
@@ -235,11 +235,7 @@ class HeteroBatchedBackend:
     @property
     def has_delays(self) -> bool:
         """True if any member carries interaction delays (cached)."""
-        return self._has_delays
-
-    def max_delay(self) -> float:
-        """History horizon needed by the DDE integrator."""
-        return max(m.max_delay() for m in self.members)
+        return bool(self._delayed)
 
     def subset(self, idx: Sequence[int]) -> "HeteroBatchedBackend":
         """A backend over the member rows ``idx`` (for per-member re-steps).
@@ -271,7 +267,7 @@ class HeteroBatchedBackend:
     def __getstate__(self) -> dict:
         # A copied memo array would come back writable; rebuild it lazily.
         state = self.__dict__.copy()
-        state["_freq_memo"] = None
+        state["_freq_memo"] = state["_delay_memo"] = None
         return state
 
     def intrinsic_frequency(self, t: float) -> np.ndarray:
@@ -301,6 +297,25 @@ class HeteroBatchedBackend:
         self._freq_memo = (key, freq)
         return freq
 
+    def _delay_groups(self, t: float) -> list:
+        """``(v, slots, partners, owners)`` per delay level ``v > 0`` at
+        ``t``: flat ``(R, Emax)`` edge slots and ``(R*N,)`` partner/own
+        indices, memoised on the members' tau intervals."""
+        key = tuple(self.members[r].tau.interval(t) for r in self._delayed)
+        memo = self._delay_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        tau = np.zeros(self._grows.shape)          # padded (R, Emax)
+        for r, k in zip(self._delayed, key):
+            tau[r, :self._edge_sizes[r]] = self.members[r].tau.values[k]
+        partners, owners = self._gcols.reshape(-1), self._grows.reshape(-1)
+        groups = []
+        for v in np.unique(tau[tau != 0.0]):
+            sel = np.flatnonzero(tau == v)
+            groups.append((float(v), sel, partners[sel], owners[sel]))
+        self._delay_memo = (key, groups)
+        return groups
+
     def _edge_potential(self, d_edge: np.ndarray) -> np.ndarray:
         """Evaluate each member's potential on its row of ``d_edge``.
 
@@ -323,7 +338,7 @@ class HeteroBatchedBackend:
         """Stacked interaction terms for the super-state ``theta (R, N)``."""
         if self._zero_coupling:
             return np.zeros((self._r, self._n))
-        delayed = self._has_delays and history is not None
+        delayed = bool(self._delayed) and history is not None
         call = self._cc_call
         if call is not None and not delayed:
             # Looked up on the module at call time, by the entry the
@@ -338,19 +353,12 @@ class HeteroBatchedBackend:
         flat = theta.reshape(-1)
         d_edge = flat[self._gcols] - flat[self._grows]
         if delayed:
-            # A delayed member's edges with tau > 0 read the partner
-            # phase theta_j(t - tau) from the (R, N) history, one history
-            # evaluation per distinct delay level.
-            for r, m in enumerate(self.members):
-                if not m.has_delays:
-                    continue
-                rows, cols = self._per_rows[r], self._per_cols[r]
-                tau_edge = m.tau(t)[rows, cols]
-                d_row = d_edge[r, :rows.size]
-                for v in np.unique(tau_edge[tau_edge != 0.0]):
-                    sel = tau_edge == v
-                    d_row[sel] = (history(t - float(v))[r][cols[sel]]
-                                  - theta[r, rows[sel]])
+            # Edges with tau > 0 read theta_j(t - tau) from the (R, N)
+            # history: one evaluation per delay level of the batch.
+            d_flat = d_edge.reshape(-1)
+            for v, slots, partners, owners in self._delay_groups(t):
+                d_flat[slots] = (history(t - v).reshape(-1)[partners]
+                                 - flat[owners])
         v_edge = self._edge_potential(d_edge)
         rn = self._r * self._n
         acc = np.bincount(self._scatter, weights=v_edge.ravel(),

@@ -692,7 +692,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         topo = (f"topologies={row['topologies']}  "
                 if row.get("topologies", 1) > 1 else "")
         print(f"  shard {row['shard']:>3}  members={row['members']:<4} "
-              f"{topo}method={row['method']}  t_end={row['t_end']:g}  "
+              f"{topo}method={row['method']}  kernel={row['kernel']}  "
+              f"t_end={row['t_end']:g}  "
               f"key={row['key']}{state}")
     if cache is not None:
         c = info["cache"]

@@ -17,7 +17,7 @@ with
 * an interaction potential ``V`` (scalable: tanh; bottlenecked:
   short-range-repulsive sine/sgn),
 * coupling strength ``v_p = beta * kappa / (t_comp + t_comm)``,
-* optional interaction delays ``tau_ij`` that turn the ODE into a DDE.
+* optional per-edge interaction delays ``tau_ij`` (ODE -> DDE).
 
 :class:`PhysicalOscillatorModel` is a declarative description; calling
 :meth:`~PhysicalOscillatorModel.realize` freezes the random noise
@@ -167,7 +167,7 @@ class PhysicalOscillatorModel:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         zeta = self.local_noise.realize(self.n, t_end, rng)
-        tau = self.interaction_noise.realize(self.n, t_end, rng)
+        tau = self.interaction_noise.realize(self.topology, t_end, rng)
         schedule = DelaySchedule(self.delays, self.period)
         return RealizedModel(model=self, zeta=zeta, tau=tau,
                              delay_schedule=schedule,
@@ -247,7 +247,7 @@ class RealizedModel:
 
     @property
     def has_delays(self) -> bool:
-        """True if the interaction-noise channel actually delays."""
+        """True if the interaction-noise channel delays some edge."""
         return not self.tau.is_zero
 
     def max_delay(self) -> float:

@@ -27,9 +27,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .topology import Topology
 
 __all__ = [
     "ZetaProcess",
@@ -47,7 +50,6 @@ __all__ = [
     "ConstantInteractionNoise",
     "RandomInteractionNoise",
     "TauField",
-    "ZeroTauField",
 ]
 
 
@@ -127,6 +129,15 @@ def _n_intervals(t_end: float, dt: float) -> int:
     return max(1, int(np.ceil(t_end / dt + 1e-12)))
 
 
+class _Refreshed:
+    """Rejects a non-positive ``refresh`` at construction (dataclass
+    mixin), before a spec validates and a solve divides by it."""
+
+    def __post_init__(self) -> None:
+        if not self.refresh > 0:
+            raise ValueError(f"refresh must be positive, got {self.refresh!r}")
+
+
 class NoNoise(LocalNoise):
     """The silent system: ``zeta_i(t) = 0``."""
 
@@ -136,7 +147,7 @@ class NoNoise(LocalNoise):
 
 
 @dataclass
-class GaussianJitter(LocalNoise):
+class GaussianJitter(_Refreshed, LocalNoise):
     """Zero-mean Gaussian period jitter, refreshed every ``refresh`` s.
 
     ``std`` is in seconds (same unit as ``t_comp``/``t_comm``).  Values
@@ -165,7 +176,7 @@ class GaussianJitter(LocalNoise):
 
 
 @dataclass
-class UniformJitter(LocalNoise):
+class UniformJitter(_Refreshed, LocalNoise):
     """Uniform period jitter on ``[-half_width, +half_width]`` seconds."""
 
     half_width: float
@@ -185,7 +196,7 @@ class UniformJitter(LocalNoise):
 
 
 @dataclass
-class LognormalJitter(LocalNoise):
+class LognormalJitter(_Refreshed, LocalNoise):
     """One-sided (slowdown-only) noise: ``zeta >= 0`` lognormal.
 
     OS noise only ever *delays* work, so a one-sided distribution is the
@@ -384,73 +395,47 @@ class DelaySchedule:
 class TauField:
     """Frozen realisation of the interaction delays ``tau_ij(t)``.
 
-    Piecewise-constant per-edge delays; shape per interval is ``(n, n)``.
+    Piecewise-constant per-edge delays of shape ``(n_intervals,
+    n_edges)``, in the topology's row-major edge order: Eq. 2 only
+    retards the partner phase where ``T_ij != 0``, so pairs without an
+    edge store nothing, and an edgeless topology's field is zero.  The
+    constant channels realise a read-only broadcast of one value.
     """
 
     def __init__(self, values: np.ndarray, dt: float) -> None:
         values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise ValueError("values must have shape (n_intervals, n, n)")
+        if values.ndim != 2:
+            raise ValueError("values must be 2-D (n_intervals, n_edges)")
+        if dt <= 0:
+            raise ValueError("dt must be positive")
         if np.any(values < 0):
             raise ValueError("delays must be non-negative")
         self.values = values
         self.dt = float(dt)
-        self._is_zero = bool(np.all(values == 0.0))
+        #: True when the field never delays (the pure-ODE fast path)
+        self.is_zero = bool(np.all(values == 0.0))
 
-    @property
-    def n(self) -> int:
-        """Number of processes."""
-        return int(self.values.shape[1])
+    def interval(self, t: float) -> int:
+        """Index of the (clamped) refresh interval that holds ``t``."""
+        k = int(np.floor(t / self.dt))
+        return min(max(k, 0), self.values.shape[0] - 1)
 
     def __call__(self, t: float) -> np.ndarray:
-        """Delay matrix at time ``t`` (shape ``(n, n)``)."""
-        k = int(np.floor(t / self.dt))
-        k = min(max(k, 0), self.values.shape[0] - 1)
-        return self.values[k]
+        """Per-edge delays at time ``t`` (shape ``(n_edges,)``)."""
+        return self.values[self.interval(t)]
 
     def max_delay(self) -> float:
         """Upper bound on any delay (bounds the DDE history horizon)."""
         return float(self.values.max()) if self.values.size else 0.0
-
-    @property
-    def is_zero(self) -> bool:
-        """True when the field never delays (pure-ODE fast path).
-
-        Cached at construction: the RHS backends consult this on every
-        evaluation, and the field is immutable once realised.
-        """
-        return self._is_zero
-
-
-class ZeroTauField(TauField):
-    """A delay-free field that never materialises its ``(n, n)`` zeros.
-
-    ``NoInteractionNoise`` used to realise a literal ``(1, n, n)`` zero
-    array — 80 GB at N = 1e5.  Every consumer checks :attr:`is_zero`
-    before touching the values, so the delay-free case only needs the
-    metadata; the dense zero matrix is produced on demand in the
-    (never-taken) ``__call__`` path.
-    """
-
-    def __init__(self, n: int, dt: float) -> None:
-        super().__init__(np.zeros((1, 0, 0)), dt)
-        self._n_override = int(n)
-
-    @property
-    def n(self) -> int:
-        return self._n_override
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.zeros((self._n_override, self._n_override))
 
 
 class InteractionNoise(ABC):
     """Specification of the interaction-delay channel ``tau_ij(t)``."""
 
     @abstractmethod
-    def realize(self, n: int, t_end: float,
+    def realize(self, topology: "Topology", t_end: float,
                 rng: np.random.Generator) -> TauField:
-        """Draw a realisation covering ``[0, t_end]``."""
+        """Draw the per-edge delays over ``[0, t_end]``."""
 
     def describe(self) -> dict:
         """Metadata dictionary used by exporters."""
@@ -460,9 +445,9 @@ class InteractionNoise(ABC):
 class NoInteractionNoise(InteractionNoise):
     """tau_ij = 0: the pure-ODE model."""
 
-    def realize(self, n: int, t_end: float,
+    def realize(self, topology: "Topology", t_end: float,
                 rng: np.random.Generator) -> TauField:
-        return ZeroTauField(n, dt=max(t_end, 1.0))
+        return ConstantInteractionNoise(0.0).realize(topology, t_end, rng)
 
 
 @dataclass
@@ -471,34 +456,40 @@ class ConstantInteractionNoise(InteractionNoise):
 
     tau: float
 
-    def realize(self, n: int, t_end: float,
+    def realize(self, topology: "Topology", t_end: float,
                 rng: np.random.Generator) -> TauField:
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
-        return TauField(np.full((1, n, n), self.tau), dt=max(t_end, 1.0))
+        vals = np.broadcast_to(float(self.tau), (1, topology.n_edges))
+        return TauField(vals, dt=max(t_end, 1.0))
 
     def describe(self) -> dict:
         return {"type": "ConstantInteractionNoise", "tau": self.tau}
 
 
 @dataclass
-class RandomInteractionNoise(InteractionNoise):
+class RandomInteractionNoise(_Refreshed, InteractionNoise):
     """Per-edge uniform random delays in ``[lo, hi]``, refreshed.
 
     Models varying communication time (network contention); the paper's
-    ``tau_ij(t)`` with a uniform distribution.
+    ``tau_ij(t)`` with a uniform distribution.  Each interval keeps the
+    edge entries of one ``(N, N)`` draw: the stream of a dense
+    ``(n_intervals, N, N)`` draw, bit for bit.
     """
 
     lo: float = 0.0
     hi: float = 0.0
     refresh: float = 1.0
 
-    def realize(self, n: int, t_end: float,
+    def realize(self, topology: "Topology", t_end: float,
                 rng: np.random.Generator) -> TauField:
         if self.lo < 0 or self.hi < self.lo:
             raise ValueError("need 0 <= lo <= hi")
-        m = _n_intervals(t_end, self.refresh)
-        vals = rng.uniform(self.lo, self.hi, size=(m, n, n))
+        m, n = _n_intervals(t_end, self.refresh), topology.n
+        rows, cols = topology.edge_list()
+        vals = np.empty((m, rows.size))
+        for k in range(m):
+            vals[k] = rng.uniform(self.lo, self.hi, size=(n, n))[rows, cols]
         return TauField(vals, dt=self.refresh)
 
     def describe(self) -> dict:

@@ -72,6 +72,7 @@ from importlib.machinery import ExtensionFileLoader
 import numpy as np
 
 __all__ = [
+    "build_tag",
     "cc_available",
     "openmp_available",
     "load_library",
@@ -559,10 +560,17 @@ def _compiler_tag(compiler: str | None) -> str:
     return f"{real}:{st.st_size}:{st.st_mtime_ns}"
 
 
-def _cache_path() -> str | None:
+def build_tag() -> str:
+    """sha1 identity of the extension this host builds (source, Python,
+    NumPy, CPU flags, compiler, flag sets, include path, ``EXT_SUFFIX``):
+    names the build cache and enters every cc shard's cache key."""
     key = _SOURCE + sys.version + np.__version__ + _cpu_tag()
     key += _compiler_tag(_compiler()) + repr(_FLAG_SETS) + _INCLUDE + _EXT_SUFFIX
-    tag = hashlib.sha1(key.encode()).hexdigest()[:16]
+    return hashlib.sha1(key.encode()).hexdigest()[:16]
+
+
+def _cache_path() -> str | None:
+    tag = build_tag()
     uid = os.getuid() if hasattr(os, "getuid") else "u"
     d = os.path.join(tempfile.gettempdir(), f"pom-cc-kernel-{uid}-{tag}")
     # The directory sits in a world-writable location: create it private

@@ -14,6 +14,7 @@ hash-compatible:
   ``fuse_topologies=False`` restores one shard per topology value, and
   adaptive (``dopri``) campaigns always group per topology because
   shard members share one adaptive mesh;
+* identical resolved kernel (one shard runs one kernel, below);
 * identical horizon ``t_end`` (one shared time mesh per solve) and, for
   merged topology groups, identical resolved solver settings —
   including the plan-time ``dt``, so a topology sweep only fuses under
@@ -26,6 +27,12 @@ noise, seeds, one-off delays, initial conditions — batches freely.
 The fixed step ``dt`` is resolved *at plan time* (the spec's value, or
 the smallest :func:`~repro.core.simulation.default_dt` over the fused
 group), so how a group is later chunked can never change the step.
+
+So is the coupling kernel: each payload member names the kernel that
+runs it (``"auto"`` becomes ``"cc"`` or ``"numpy"``), and a payload with
+a ``cc`` member carries :func:`repro.kernels.cc.build_tag`.  The kernels
+differ in the last bits, so a shared cache never mixes them, and a
+worker that cannot build cc fails a cc shard instead of running numpy.
 
 Chunking (``shard_members=``) splits fused groups into bounded shards
 so the multiprocess executor has units to spread: for the fixed-step
@@ -40,6 +47,7 @@ what reproduces ``grid_sweep`` over the same grid bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -47,8 +55,11 @@ from dataclasses import dataclass
 
 from ..core.simulation import default_dt
 from ..core.topology import topology_n_from_spec
+from ..kernels import cc as cc_kernels
+from ..kernels import resolve_kernel
 from .cache import shard_key
-from .spec import FIXED_STEP_METHODS, MemberSpec, ScenarioSpec
+from .spec import (FIXED_STEP_METHODS, MemberSpec, ScenarioSpec,
+                   potential_from_spec)
 
 __all__ = ["Shard", "Plan", "compile_plan", "TRAJ_WARN_ENV_VAR"]
 
@@ -61,6 +72,11 @@ _TRAJ_WARN_DEFAULT = 128 * 1024 * 1024
 #: spec hashes already warned about (the warning is one-time per spec
 #: per process — a campaign is typically compiled more than once)
 _footprint_warned: set[str] = set()
+
+#: the cc build identity, hashed once per process: the extension a
+#: process loaded never changes under it, and every plan (the service
+#: compiles one per request) would otherwise re-read the CPU flags
+_cc_build_tag = functools.cache(cc_kernels.build_tag)
 
 
 def _topology_n(topo: dict) -> int:
@@ -111,7 +127,8 @@ class Shard:
     payload:
         JSON-able solve description handed to the worker process:
         ``{"members": [member dicts], "t_end": float, "solver": dict,
-        "metrics": [names], "trajectories": mode}``.  The metric set and
+        "metrics": [names], "trajectories": mode}``, plus ``"cc_build"``
+        when a member runs the compiled kernel.  The metric set and
         capture mode are part of the cache key — a metric-only shard and
         a full-trajectory shard of the same members are distinct cached
         artefacts.
@@ -169,6 +186,7 @@ class Plan:
                     for m in s.payload["members"]}),
                 "t_end": s.payload["t_end"],
                 "method": s.payload["solver"]["method"],
+                "kernel": s.payload["members"][0]["model"]["kernel"],
                 "key": s.key[:16],
             }
             if cache is not None:
@@ -183,6 +201,14 @@ class Plan:
         if cache is not None:
             out["cache"] = cache.describe()
         return out
+
+
+def _resolved_member(m: MemberSpec) -> dict:
+    """The member's payload dict, naming the kernel that runs it here."""
+    pot = potential_from_spec(m.model.get("potential", {"kind": "tanh"}))
+    kernel = resolve_kernel(m.model.get("kernel", "auto"), has_coefficients=(
+        pot.kernel_coefficients() is not None))
+    return {**m.to_dict(), "model": {**m.model, "kernel": kernel}}
 
 
 def _chunks(seq: list, size: int | None) -> list[list]:
@@ -232,12 +258,15 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
             "one adaptive mesh per shard, so merging topology groups "
             "would change results")
 
-    # Stage 1: fuse hash-compatible members (identical topology dict and
-    # t_end), preserving first-seen group order.
+    # Stage 1: fuse hash-compatible members (identical topology dict,
+    # t_end and resolved kernel: a shard's solve runs one kernel),
+    # preserving first-seen group order.
+    payloads = {m.index: _resolved_member(m) for m in members}
+    kernel_of = {i: p["model"]["kernel"] for i, p in payloads.items()}
     groups: dict[str, list[MemberSpec]] = {}
     for m in members:
-        gkey = json.dumps([m.model["topology"], m.t_end], sort_keys=True,
-                          separators=(",", ":"))
+        gkey = json.dumps([m.model["topology"], m.t_end, kernel_of[m.index]],
+                          sort_keys=True, separators=(",", ":"))
         groups.setdefault(gkey, []).append(m)
 
     # Stage 2: resolve the solver per group (dt over the fused group).
@@ -284,7 +313,8 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
         for group, resolved in resolved_groups:
             mkey = json.dumps(
                 [_topology_n(group[0].model["topology"]), group[0].t_end,
-                 resolved], sort_keys=True, separators=(",", ":"))
+                 kernel_of[group[0].index], resolved],
+                sort_keys=True, separators=(",", ":"))
             if mkey in merged:
                 merged[mkey][0].extend(group)
             else:
@@ -296,12 +326,15 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
     for group, resolved in resolved_groups:
         for chunk in _chunks(group, shard_members):
             payload = {
-                "members": [m.to_dict() for m in chunk],
+                "members": [payloads[m.index] for m in chunk],
                 "t_end": chunk[0].t_end,
                 "solver": resolved,
                 "metrics": list(spec.metrics),
                 "trajectories": spec.trajectories,
             }
+            if any(m["model"]["kernel"] == "cc"
+                   for m in payload["members"]):
+                payload["cc_build"] = _cc_build_tag()
             shards.append(Shard(index=len(shards), payload=payload,
                                 key=shard_key(payload)))
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.cli import build_parser, main
 from repro.experiments.registry import REGISTRY
 
@@ -119,6 +120,8 @@ class TestPlanCommand:
         out = capsys.readouterr().out
         assert "6 members -> 3 shard(s)" in out
         assert "method=rk4" in out
+        kernel = "cc" if kernels.cc_available() else "numpy"
+        assert f"kernel={kernel}" in out
 
     def test_plan_registry_spec(self, capsys):
         assert main(["plan", "sigma", "--quick"]) == 0

@@ -389,3 +389,80 @@ class TestFrequencyMemo:
                 for mod, m in zip(models, members)])
             ref = ref + stacked.coupling(t, thetas, None)
             np.testing.assert_array_equal(drift(t, thetas), ref)
+
+
+class TestDelayGroups:
+    """Delayed couplings patch each distinct delay level once per call."""
+
+    @staticmethod
+    def counting(history):
+        calls = []
+
+        def wrapped(t):
+            calls.append(t)
+            return history(t)
+
+        return wrapped, calls
+
+    @staticmethod
+    def history(r, n, seed=0):
+        rng = np.random.default_rng(seed)
+        hist = HistoryBuffer(0.0, rng.normal(0.0, 0.5, (r, n)))
+        hist.append(1.0, rng.normal(0.0, 0.5, (r, n)), f=np.ones((r, n)))
+        return hist
+
+    def test_one_history_call_per_coupling_for_a_shared_delay(self):
+        model = make_model(topology=ring(64),
+                           interaction_noise=ConstantInteractionNoise(tau=0.3))
+        stacked = HeteroBatchedBackend(
+            [model.realize(5.0, rng=s) for s in range(8)])
+        history, calls = self.counting(self.history(8, 64))
+        theta = np.random.default_rng(1).normal(0.0, 0.5, (8, 64))
+        for t in (1.1, 1.2, 1.3):
+            stacked.coupling(t, theta, history)
+        assert calls == [1.1 - 0.3, 1.2 - 0.3, 1.3 - 0.3]
+
+    def test_one_history_call_per_distinct_level(self):
+        topo = ring(16)
+        stacked = HeteroBatchedBackend([
+            make_model(topology=topo, interaction_noise=(
+                ConstantInteractionNoise(tau=tau))).realize(5.0, rng=i)
+            for i, tau in enumerate((0.2, 0.0, 0.4, 0.2))])
+        history, calls = self.counting(self.history(4, 16))
+        theta = np.random.default_rng(2).normal(0.0, 0.5, (4, 16))
+        got = stacked.coupling(1.5, theta, history)
+        assert sorted(calls) == [1.5 - 0.4, 1.5 - 0.2]
+        hist = self.history(4, 16)
+        for r, member in enumerate(stacked.members):
+            np.testing.assert_array_equal(got[r], member.coupling_term(
+                1.5, theta[r], lambda s, r=r: hist(s)[r]))
+
+    def test_groups_follow_the_tau_interval(self):
+        model = make_model(topology=ring(12, (1, -1, 2)),
+                           interaction_noise=RandomInteractionNoise(
+                               lo=0.0, hi=0.3, refresh=0.5))
+        members = [model.realize(5.0, rng=s) for s in range(3)]
+        stacked = HeteroBatchedBackend(members)
+        hist = self.history(3, 12)
+        theta = np.random.default_rng(3).normal(0.0, 0.5, (3, 12))
+        for t in (0.2, 0.3, 0.7, 1.9, 0.2):
+            fresh = HeteroBatchedBackend(members).coupling(t, theta, hist)
+            np.testing.assert_array_equal(
+                stacked.coupling(t, theta, hist), fresh)
+
+    def test_large_ring_constant_delay_stays_per_edge(self):
+        # Per-edge storage: a dense (N, N) field would need 80 GB here.
+        topo = ring(100_000)
+        model = make_model(topology=topo, v_p_override=1.0,
+                           interaction_noise=ConstantInteractionNoise(tau=0.3))
+        realized = model.realize(5.0, rng=0, kernel="numpy")
+        assert realized.tau.values.shape == (1, topo.n_edges)
+        assert realized.has_delays
+        theta = np.random.default_rng(4).normal(0.0, 0.5, (1, topo.n))
+        history, calls = self.counting(HistoryBuffer(0.0, theta))
+        stacked = realized.backend
+        # The history before t = 0 is the frozen initial state, so the
+        # delayed coupling equals the undelayed one bit for bit.
+        np.testing.assert_array_equal(stacked.coupling(0.1, theta, history),
+                                      stacked.coupling(0.1, theta))
+        assert len(calls) == 1

@@ -13,6 +13,7 @@ from repro.core import (
     PhysicalOscillatorModel,
     Protocol,
     TanhPotential,
+    Topology,
     ring,
 )
 from repro.integrate import HistoryBuffer
@@ -177,6 +178,18 @@ class TestDelayedCoupling:
         with_hist = realized.coupling_term(0.0, theta, hist)
         without = realized.coupling_term(0.0, theta, None)
         np.testing.assert_allclose(with_hist, without, atol=1e-14)
+
+    def test_edgeless_topology_has_no_delays(self):
+        # Delays live on edges: with no edge there is nothing to retard,
+        # so the model is an ODE and the ODE solvers accept it.
+        m = make_model(topology=Topology.from_edge_arrays(4, [], []),
+                       interaction_noise=ConstantInteractionNoise(tau=0.5))
+        realized = m.realize(10.0, rng=0)
+        assert not realized.has_delays
+        assert realized.max_delay() == 0.0
+        rhs = realized.backend.make_ode_rhs()
+        np.testing.assert_array_equal(rhs(0.0, np.zeros((1, 4))),
+                                      np.full((1, 4), m.omega))
 
 
 class TestLinearPotentialAnalytics:

@@ -17,8 +17,11 @@ from repro.core import (
     RandomInteractionNoise,
     StaticLoadImbalance,
     TauField,
+    Topology,
     UniformJitter,
     ZetaProcess,
+    ring,
+    torus2d,
 )
 
 
@@ -167,34 +170,83 @@ class TestDelaySchedule:
 
 
 class TestInteractionNoise:
+    """Delays are realised per edge, in the topology's edge order."""
+
     def test_no_interaction_noise_zero_field(self, rng):
-        tau = NoInteractionNoise().realize(4, 10.0, rng)
+        topo = ring(4)
+        tau = NoInteractionNoise().realize(topo, 10.0, rng)
+        assert tau.values.shape == (1, topo.n_edges)
         assert tau.is_zero
         assert tau.max_delay() == 0.0
 
     def test_constant_field(self, rng):
-        tau = ConstantInteractionNoise(tau=0.05).realize(3, 10.0, rng)
-        np.testing.assert_allclose(tau(2.0), np.full((3, 3), 0.05))
+        topo = ring(3)
+        tau = ConstantInteractionNoise(tau=0.05).realize(topo, 10.0, rng)
+        assert tau.values.shape == (1, topo.n_edges)
+        np.testing.assert_allclose(tau(2.0), np.full(topo.n_edges, 0.05))
         assert not tau.is_zero
 
     def test_random_field_bounds(self, rng):
+        topo = ring(4, (1, -1, 2))
         tau = RandomInteractionNoise(lo=0.01, hi=0.1,
-                                     refresh=1.0).realize(4, 10.0, rng)
+                                     refresh=1.0).realize(topo, 10.0, rng)
+        assert tau.values.shape[1] == topo.n_edges
         assert np.all(tau.values >= 0.01)
         assert np.all(tau.values <= 0.1)
         assert tau.max_delay() <= 0.1
 
+    @pytest.mark.parametrize("topo", [ring(6), ring(5, (1, 2)), torus2d(3, 3)],
+                             ids=["ring", "offsets", "torus"])
+    def test_random_field_is_edge_projection_of_dense_stream(self, topo):
+        noise = RandomInteractionNoise(lo=0.02, hi=0.3, refresh=0.5)
+        tau = noise.realize(topo, 3.0, np.random.default_rng(11))
+        m, n = tau.values.shape[0], topo.n
+        rows, cols = topo.edge_list()
+        dense = np.random.default_rng(11).uniform(0.02, 0.3, (m, n, n))
+        assert tau.values.tobytes() == dense[:, rows, cols].tobytes()
+
+    def test_field_lookup_by_interval(self):
+        tau = TauField(np.array([[0.1, 0.2], [0.3, 0.4]]), dt=1.0)
+        assert tau.interval(0.5) == 0 and tau.interval(1.5) == 1
+        assert tau.interval(-3.0) == 0 and tau.interval(9.0) == 1
+        np.testing.assert_array_equal(tau(1.5), [0.3, 0.4])
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            TauField(-np.ones((1, 2, 2)), dt=1.0)
+            TauField(-np.ones((1, 2)), dt=1.0)
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            TauField(np.zeros((2, 3, 4)), dt=1.0)
+        with pytest.raises(ValueError, match="2-D"):
+            TauField(np.zeros((2, 3, 3)), dt=1.0)
+        with pytest.raises(ValueError, match="2-D"):
+            TauField(np.zeros(3), dt=1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_non_positive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            TauField(np.zeros((1, 2)), dt=dt)
+
+    def test_edgeless_topology_field_is_zero(self, rng):
+        topo = Topology.from_edge_arrays(4, [], [])
+        tau = ConstantInteractionNoise(tau=0.5).realize(topo, 5.0, rng)
+        assert tau.values.shape == (1, 0)
+        assert tau.is_zero and tau.max_delay() == 0.0
 
     def test_random_field_invalid_range(self, rng):
         with pytest.raises(ValueError):
-            RandomInteractionNoise(lo=0.5, hi=0.1).realize(3, 5.0, rng)
+            RandomInteractionNoise(lo=0.5, hi=0.1).realize(ring(3), 5.0, rng)
+
+
+@pytest.mark.parametrize("make", [
+    lambda r: GaussianJitter(std=0.1, refresh=r),
+    lambda r: UniformJitter(half_width=0.1, refresh=r),
+    lambda r: LognormalJitter(median=0.1, refresh=r),
+    lambda r: RandomInteractionNoise(lo=0.0, hi=0.1, refresh=r),
+], ids=["gaussian", "uniform", "lognormal", "random-tau"])
+@pytest.mark.parametrize("refresh", [0.0, -1.0, float("nan")])
+def test_non_positive_refresh_rejected_at_construction(make, refresh):
+    with pytest.raises(ValueError, match="refresh"):
+        make(refresh)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import kernels
 from repro.core.simulation import default_dt
+from repro.kernels import cc as cc_kernels
 from repro.runs import ScenarioSpec, compile_plan
 
 
@@ -101,6 +103,53 @@ class TestDeterminism:
         b = compile_plan(spec_with(name="beta"))
         assert a.shards[0].key == b.shards[0].key
         assert a.spec.content_hash() != b.spec.content_hash()
+
+
+class TestKernelResolution:
+    """The kernel that runs a shard is part of its cache key."""
+
+    @staticmethod
+    def plan_with(monkeypatch, cc, kernel=None):
+        monkeypatch.setattr(kernels, "cc_available", lambda: cc)
+        spec = spec_with()
+        if kernel is not None:
+            spec.model["kernel"] = kernel
+        return compile_plan(spec)
+
+    def test_auto_resolves_per_host_into_the_key(self, monkeypatch):
+        with_cc = self.plan_with(monkeypatch, True).shards[0]
+        without = self.plan_with(monkeypatch, False).shards[0]
+        assert with_cc.key != without.key
+        assert {m["model"]["kernel"] for m in with_cc.payload["members"]} \
+            == {"cc"}
+        assert {m["model"]["kernel"] for m in without.payload["members"]} \
+            == {"numpy"}
+        assert with_cc.payload["cc_build"] == cc_kernels.build_tag()
+        assert "cc_build" not in without.payload
+
+    def test_explicit_numpy_key_is_host_independent(self, monkeypatch):
+        a = self.plan_with(monkeypatch, True, kernel="numpy").shards[0]
+        b = self.plan_with(monkeypatch, False, kernel="numpy").shards[0]
+        assert a.key == b.key
+        assert "cc_build" not in a.payload
+
+    def test_kernel_axis_splits_shards(self, monkeypatch):
+        # One solve runs one kernel: a numpy member fused with cc ones
+        # would run cc under a key that says numpy.
+        monkeypatch.setattr(kernels, "cc_available", lambda: True)
+        plan = compile_plan(spec_with(axes=[("kernel", ["numpy", "auto"]),
+                                            ("v_p_override", [0.5, 1.0])]))
+        assert [[m["model"]["kernel"] for m in s.payload["members"]]
+                for s in plan.shards] == [["numpy", "numpy"], ["cc", "cc"]]
+
+    def test_spec_dicts_keep_the_request(self, monkeypatch):
+        plan = self.plan_with(monkeypatch, True)
+        assert "kernel" not in plan.spec.model
+        assert all("kernel" not in m.model for m in plan.spec.members())
+
+    def test_describe_reports_the_kernel(self, monkeypatch):
+        info = self.plan_with(monkeypatch, False).describe()
+        assert info["shards"][0]["kernel"] == "numpy"
 
 
 class TestDescribe:

@@ -192,6 +192,17 @@ class TestExpansion:
         with pytest.raises(ValueError):
             spec.validate()
 
+    @pytest.mark.parametrize("channel,noise", [
+        ("local_noise", {"kind": "gaussian", "std": 0.01, "refresh": 0.0}),
+        ("interaction_noise", {"kind": "random", "hi": 0.1, "refresh": 0.0}),
+        ("interaction_noise", {"kind": "random", "hi": 0.1, "refresh": -1.0}),
+    ])
+    def test_validate_rejects_non_positive_refresh(self, channel, noise):
+        spec = base_spec()
+        spec.model[channel] = noise
+        with pytest.raises(ValueError, match="refresh"):
+            spec.validate()
+
 
 class TestSerialisation:
     def test_json_roundtrip(self, tmp_path):

@@ -163,6 +163,15 @@ class TestErrors:
         assert excinfo.value.code == 400
         assert "not valid JSON" in json.loads(excinfo.value.read())["error"]
 
+    def test_non_positive_refresh_400(self, server):
+        bad = json.loads(json.dumps(SPEC_DICT))
+        bad["model"]["interaction_noise"] = {"kind": "random", "hi": 0.1,
+                                             "refresh": 0.0}
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(server.url).submit(spec=bad)
+        assert excinfo.value.status == 400
+        assert "refresh must be positive" in str(excinfo.value)
+
     def test_spec_and_scenario_together_400(self, server):
         with pytest.raises(ServiceError) as excinfo:
             ServiceClient(server.url)._json(
