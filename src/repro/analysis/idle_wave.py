@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..metrics.wave import _ring_distance
 from ..simulator.trace import Trace
 
 __all__ = ["TraceWaveFit", "lag_matrix", "trace_arrival_times",
@@ -65,12 +66,6 @@ def lag_matrix(baseline: Trace, disturbed: Trace) -> np.ndarray:
     if baseline.iteration_ends.shape != disturbed.iteration_ends.shape:
         raise ValueError("traces have different shapes")
     return disturbed.iteration_ends - baseline.iteration_ends
-
-
-def _ring_distance(n: int, src: int) -> np.ndarray:
-    idx = np.arange(n)
-    raw = np.abs(idx - src)
-    return np.minimum(raw, n - raw).astype(float)
 
 
 def trace_arrival_times(

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..core.model import PhysicalOscillatorModel
 from ..core.trajectory import OscillatorTrajectory
+from .streaming import sample_energy
 
 __all__ = ["system_energy", "energy_series", "pair_energy_curve",
            "wavefront_energy", "sync_energy"]
@@ -44,10 +45,10 @@ def system_energy(model: PhysicalOscillatorModel,
     if theta.shape != (model.n,):
         raise ValueError(f"theta has shape {theta.shape}, "
                          f"expected ({model.n},)")
-    t = model.topology.matrix
-    dmat = theta[:, None] - theta[None, :]        # x_i - x_j
-    u = np.asarray(model.potential.antiderivative(dmat), dtype=float)
-    return float((model.v_p / (2.0 * model.n)) * (t * u).sum())
+    rows, cols = model.topology.edge_list()
+    return float(sample_energy(theta[None, :], rows, cols,
+                               [model.potential],
+                               np.array([model.v_p / (2.0 * model.n)]))[0])
 
 
 def energy_series(traj: OscillatorTrajectory) -> np.ndarray:

@@ -26,8 +26,8 @@ Registry
     ``max(theta) - min(theta)`` per member, shape ``(R, n_t)``.
 ``energy``
     Interaction energy ``(v_p / 2N) * sum_edges U(theta_i - theta_j)``
-    per member, shape ``(R, n_t)``, evaluated on the cached edge list
-    (the uniform rotation cancels in the differences, so raw phases
+    per member, shape ``(R, n_t)``, evaluated on each member's own edge
+    list (the uniform rotation cancels in the differences, so raw phases
     equal the co-moving frame here).
 ``wavefront``
     Per-rank first arrival time of the idle wave, shape ``(R, N)``:
@@ -147,7 +147,11 @@ def sample_phase_spread(y: np.ndarray) -> np.ndarray:
 
 def sample_energy(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                   potentials: Sequence, vp_over_2n: np.ndarray) -> np.ndarray:
-    """Interaction energy of each member row, on the shared edge list."""
+    """Interaction energy of each member row, on one shared edge list.
+
+    The one energy formula: :func:`repro.metrics.energy.system_energy`
+    and the streamed ``energy`` metric both call it.
+    """
     d = y[:, rows] - y[:, cols]
     out = np.empty(len(potentials), dtype=float)
     for r, pot in enumerate(potentials):
@@ -190,12 +194,25 @@ class StreamingObserver:
         self._threshold = float(wavefront_threshold)
 
         if "energy" in self.metrics:
-            rows, cols = models[0].topology.edge_list()
-            self._rows = np.asarray(rows, dtype=np.intp)
-            self._cols = np.asarray(cols, dtype=np.intp)
-            self._potentials = [m.potential for m in models]
-            self._vp_over_2n = np.array(
-                [m.v_p / (2.0 * m.n) for m in models], dtype=float)
+            # One pass per distinct edge list: a topology-fused shard
+            # stacks members of different topologies.
+            from ..backends.hetero import same_topology
+
+            groups: list[tuple] = []
+            for r, m in enumerate(models):
+                for topo, members in groups:
+                    if same_topology(topo, m.topology):
+                        members.append(r)
+                        break
+                else:
+                    groups.append((m.topology, [r]))
+            vp_over_2n = np.array([m.v_p / (2.0 * m.n) for m in models],
+                                  dtype=float)
+            self._energy_groups = [
+                (np.asarray(members, dtype=np.intp), *topo.edge_list(),
+                 [models[r].potential for r in members],
+                 vp_over_2n[members])
+                for topo, members in groups]
         if "wavefront" in self.metrics:
             self._omegas = np.array([m.omega for m in models],
                                     dtype=float)[:, None]
@@ -214,9 +231,11 @@ class StreamingObserver:
             elif name == "phase_spread":
                 self._series[name].append(sample_phase_spread(y))
             elif name == "energy":
-                self._series[name].append(sample_energy(
-                    y, self._rows, self._cols, self._potentials,
-                    self._vp_over_2n))
+                energy = np.empty(y.shape[0])
+                for idx, rows, cols, pots, vps in self._energy_groups:
+                    energy[idx] = sample_energy(y[idx], rows, cols, pots,
+                                                vps)
+                self._series[name].append(energy)
             elif name == "wavefront":
                 x = y - self._omegas * t
                 if self._baseline is None:

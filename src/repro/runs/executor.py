@@ -29,14 +29,25 @@ shards inline.
 
 ``progress`` receives one event dict per completed shard (``cached``
 True/False), which the CLI renders as a live campaign log.
+
+:func:`run_plan_queue` runs the same plan through a durable
+:class:`~repro.runs.queue.WorkQueue` instead of a pool: drainer
+processes (:func:`drain_queue`, the body of ``pom worker``) claim
+shards under leases and persist them to the cache.  :class:`WorkerPool`
+is the one supervisor of those drainers, ticked from
+:func:`run_plan_queue`'s own loop and from ``pom serve``'s monitor
+thread.  Supervisors and idle drainers wake every :data:`POLL_S`
+seconds.
 """
 
 from __future__ import annotations
 
 import ctypes
+import multiprocessing as mp
 import os
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -55,8 +66,13 @@ from .faults import FaultInjector, ensure_shared_state_dir, injector_from_env
 from .plan import Plan, compile_plan
 from .spec import MemberSpec, ScenarioSpec
 
-__all__ = ["MemberResult", "RunResult", "collect_cached", "drain_queue",
-           "execute_shard", "run_plan", "run_plan_queue", "run_spec"]
+__all__ = ["POLL_S", "MemberResult", "RunResult", "WorkerPool",
+           "collect_cached", "drain_queue", "execute_shard", "run_plan",
+           "run_plan_queue", "run_spec"]
+
+#: seconds between queue-supervisor ticks and between an idle drainer's
+#: claim attempts (tests monkeypatch it)
+POLL_S = 0.2
 
 #: thread-count environment knobs pinned inside pool workers
 _PIN_ENV_VARS = (
@@ -425,6 +441,25 @@ def _assemble_members(
     return results, solve_s
 
 
+def _load_cached(shards, cache: ResultCache | None
+                 ) -> tuple[dict[int, _ShardOutcome], list]:
+    """Load ``shards`` from ``cache``: ``(outcomes by shard index, missing)``.
+
+    The one cache probe: a shard whose entry is absent or fails its
+    checksum lands in ``missing`` (in ``shards`` order).  ``cache=None``
+    loads nothing.
+    """
+    outcomes: dict[int, _ShardOutcome] = {}
+    missing = []
+    for shard in shards:
+        data = cache.load(shard.key) if cache is not None else None
+        if data is None:
+            missing.append(shard)
+        else:
+            outcomes[shard.index] = _ShardOutcome(data=data, cached=True)
+    return outcomes, missing
+
+
 def collect_cached(plan: Plan, cache: ResultCache) -> RunResult | None:
     """Assemble a campaign purely from cached shard solves, or ``None``.
 
@@ -436,12 +471,9 @@ def collect_cached(plan: Plan, cache: ResultCache) -> RunResult | None:
     result is bit-identical to an executed campaign.
     """
     t0 = time.perf_counter()
-    outcomes: dict[int, _ShardOutcome] = {}
-    for shard in plan.shards:
-        data = cache.load(shard.key)
-        if data is None:
-            return None
-        outcomes[shard.index] = _ShardOutcome(data=data, cached=True)
+    outcomes, missing = _load_cached(plan.shards, cache)
+    if missing:
+        return None
     results, solve_s = _assemble_members(plan, outcomes)
     return RunResult(
         spec=plan.spec,
@@ -491,20 +523,14 @@ def run_plan(plan: Plan, *,
         cache = ResultCache(cache)
 
     t0 = time.perf_counter()
-    outcomes: dict[int, _ShardOutcome] = {}
-    pending = []
-    for shard in plan.shards:
-        data = cache.load(shard.key) if (cache is not None and resume) \
-            else None
-        if data is not None:
-            outcomes[shard.index] = _ShardOutcome(data=data, cached=True)
-        else:
-            pending.append(shard)
-
+    outcomes, pending = _load_cached(plan.shards,
+                                     cache if resume else None)
     done = 0
     total = plan.n_shards
 
     def _notify(shard, data, cached: bool) -> None:
+        nonlocal done
+        done += 1
         if progress is not None:
             progress({
                 "kind": "shard",
@@ -516,74 +542,56 @@ def run_plan(plan: Plan, *,
                 "total": total,
             })
 
+    def _solved(shard, data) -> None:
+        # Persist immediately: a kill after this point loses at most
+        # the in-flight shards.
+        if cache is not None:
+            cache.save(shard.key, data)
+        outcomes[shard.index] = _ShardOutcome(data=data, cached=False)
+        _notify(shard, data, False)
+
     for shard in plan.shards:
         if shard.index in outcomes:
-            done += 1
             _notify(shard, outcomes[shard.index].data, True)
 
     transport: str | None = None
     worker_omp: str | None = None
-    if pending:
-        if jobs == 1 or len(pending) == 1:
-            for shard in pending:
-                data = execute_shard(shard.payload, threads=threads)
-                if cache is not None:
-                    cache.save(shard.key, data)
-                outcomes[shard.index] = _ShardOutcome(data=data,
-                                                      cached=False)
-                done += 1
-                _notify(shard, data, False)
-        else:
-            transport = "pickle"
-            if injector_from_env():
-                # Chaos run: all workers (and any inline fallback here)
-                # must share one fire-count budget.
-                ensure_shared_state_dir(
-                    tempfile.mkdtemp(prefix="pom-faults-"))
-            _release_free_heap()
-            try:
-                with ProcessPoolExecutor(
-                        max_workers=min(jobs, len(pending)),
-                        initializer=_init_worker,
-                        initargs=(_worker_env(threads),)) as pool:
-                    futures = {
-                        pool.submit(_execute_shard_pickle, s.payload,
-                                    s.index): s
-                        for s in pending
-                    }
-                    remaining = set(futures)
-                    while remaining:
-                        finished, remaining = wait(
-                            remaining, return_when=FIRST_COMPLETED)
-                        for fut in finished:
-                            shard = futures[fut]
-                            data = fut.result()
-                            worker_omp = data["worker_omp"]
-                            # Persist immediately: a kill after this point
-                            # loses at most the in-flight shards.
-                            if cache is not None:
-                                cache.save(shard.key, data)
-                            outcomes[shard.index] = _ShardOutcome(
-                                data=data, cached=False)
-                            done += 1
-                            _notify(shard, data, False)
-            except BrokenProcessPool:
-                # A worker died abnormally (SIGKILL, OOM).  Shard solves
-                # are pure functions, so the campaign degrades to inline
-                # execution of whatever the pool did not finish instead
-                # of losing the run.
-                missing = [s for s in pending if s.index not in outcomes]
-                warnings.warn(
-                    f"worker process died; re-solving {len(missing)} "
-                    "unfinished shard(s) inline", RuntimeWarning)
-                for shard in missing:
-                    data = execute_shard(shard.payload, threads=threads)
-                    if cache is not None:
-                        cache.save(shard.key, data)
-                    outcomes[shard.index] = _ShardOutcome(data=data,
-                                                          cached=False)
-                    done += 1
-                    _notify(shard, data, False)
+    if jobs > 1 and len(pending) > 1:
+        transport = "pickle"
+        if injector_from_env():
+            # Chaos run: all workers (and any inline fallback here)
+            # must share one fire-count budget.
+            ensure_shared_state_dir(tempfile.mkdtemp(prefix="pom-faults-"))
+        _release_free_heap()
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(pending)),
+                    initializer=_init_worker,
+                    initargs=(_worker_env(threads),)) as pool:
+                futures = {
+                    pool.submit(_execute_shard_pickle, s.payload, s.index): s
+                    for s in pending
+                }
+                remaining = set(futures)
+                while remaining:
+                    finished, remaining = wait(
+                        remaining, return_when=FIRST_COMPLETED)
+                    for fut in finished:
+                        data = fut.result()
+                        worker_omp = data["worker_omp"]
+                        _solved(futures[fut], data)
+        except BrokenProcessPool:
+            # A worker died abnormally (SIGKILL, OOM).  Shard solves are
+            # pure functions, so the campaign degrades to inline
+            # execution of whatever the pool did not finish instead of
+            # losing the run.
+            n_left = sum(s.index not in outcomes for s in pending)
+            warnings.warn(
+                f"worker process died; re-solving {n_left} "
+                "unfinished shard(s) inline", RuntimeWarning)
+    for shard in pending:
+        if shard.index not in outcomes:
+            _solved(shard, execute_shard(shard.payload, threads=threads))
 
     results, solve_s = _assemble_members(plan, outcomes)
 
@@ -616,8 +624,6 @@ class _Heartbeat:
 
     def __init__(self, queue, lease, *, every: float, lease_ttl: float,
                  timeout: float | None) -> None:
-        import threading
-
         self.queue = queue
         self.lease = lease
         self.every = every
@@ -657,8 +663,7 @@ def drain_queue(queue, cache: ResultCache, *,
                 max_shards: int | None = None,
                 probe_cache: bool = True,
                 faults: FaultInjector | None = None,
-                progress: Callable[[dict], None] | None = None,
-                poll: float = 0.2) -> dict:
+                progress: Callable[[dict], None] | None = None) -> dict:
     """Worker loop: claim, heartbeat, solve, persist, complete.
 
     The body of ``pom worker`` and of the processes
@@ -703,7 +708,7 @@ def drain_queue(queue, cache: ResultCache, *,
                 break
             # Everything claimable is leased out or inside a retry
             # backoff window; linger — leases may be reaped back.
-            time.sleep(poll)
+            time.sleep(POLL_S)
             continue
         try:
             fired = faults.fire("shard-start", shard=lease.index)
@@ -778,6 +783,87 @@ def _queue_worker_entry(queue_path: str, cache_root: str,
                 probe_cache=opts.get("probe_cache", True))
 
 
+class WorkerPool:
+    """Keep up to ``jobs`` queue-drainer processes alive while work exists.
+
+    The one supervisor of queue drainers.  Each :meth:`tick` reaps
+    expired leases, forgets dead workers, and spawns replacements up to
+    ``min(jobs, unfinished)``.  :func:`run_plan_queue` ticks it from its
+    own loop; ``pom serve`` ticks it from the monitor thread behind
+    :meth:`start`, every :data:`POLL_S` seconds.  Workers are plain
+    :func:`_queue_worker_entry` processes — the same body as ``pom
+    worker`` — so they exit on their own when the queue drains, and
+    quarantine (``max_attempts``) bounds how long a poisoned shard can
+    keep the pool busy.
+
+    ``queue`` is the caller's :class:`~repro.runs.queue.WorkQueue`.
+    ``max_spawns`` caps the processes started over the pool's life
+    (``None``: no cap); once it is spent and every worker has died,
+    :meth:`tick` returns 0 and the caller decides what to do.
+    """
+
+    def __init__(self, queue, cache_root: str | Path, jobs: int, *,
+                 worker_opts: dict | None = None,
+                 max_spawns: int | None = None) -> None:
+        if jobs < 0:
+            raise ValueError("jobs must be non-negative")
+        self.queue = queue
+        self.cache_root = Path(cache_root)
+        self.jobs = int(jobs)
+        self.worker_opts = dict(worker_opts or {})
+        self.max_spawns = max_spawns
+        self.spawned = 0
+        self._procs: list[mp.Process] = []
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def tick(self) -> int:
+        """One supervision round; returns the live worker count."""
+        self.queue.reap()
+        self._procs = [p for p in self._procs if p.is_alive()]
+        deficit = min(self.jobs, self.queue.unfinished()) - len(self._procs)
+        while deficit > 0 and (self.max_spawns is None
+                               or self.spawned < self.max_spawns):
+            opts = dict(self.worker_opts,
+                        worker=f"{os.uname().nodename}-w{self.spawned}")
+            proc = mp.Process(target=_queue_worker_entry,
+                              args=(str(self.queue.path),
+                                    str(self.cache_root), opts),
+                              daemon=True)
+            proc.start()
+            self._procs.append(proc)
+            self.spawned += 1
+            deficit -= 1
+        return len(self._procs)
+
+    def start(self) -> "WorkerPool":
+        """Tick from a background monitor thread until :meth:`stop`."""
+        if self.jobs > 0 and not self._thread.is_alive():
+            self._thread.start()
+        return self
+
+    def _run(self) -> None:
+        while not self._stop.wait(POLL_S):
+            self.tick()
+
+    def stop(self) -> None:
+        """Stop the monitor and terminate any live workers."""
+        self._stop.set()
+        if self._thread.is_alive():
+            self._thread.join(timeout=5.0)
+        for p in self._procs:
+            if p.is_alive():
+                p.terminate()
+        for p in self._procs:
+            p.join(timeout=5.0)
+        self._procs = []
+
+    @property
+    def alive(self) -> int:
+        """Currently live worker processes."""
+        return sum(1 for p in self._procs if p.is_alive())
+
+
 def run_plan_queue(plan: Plan, queue_path: str | Path, *,
                    jobs: int = 1,
                    cache: ResultCache | str | Path | None = None,
@@ -788,19 +874,20 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
                    max_attempts: int = 3,
                    backoff: float = 0.5,
                    timeout: float | None = None,
-                   progress: Callable[[dict], None] | None = None,
-                   poll: float = 0.2) -> RunResult:
+                   progress: Callable[[dict], None] | None = None
+                   ) -> RunResult:
     """Execute a plan through a durable work queue (crash-safe).
 
     Shards become leased messages in a SQLite-backed
-    :class:`~repro.runs.queue.WorkQueue` at ``queue_path``; ``jobs``
-    worker processes are spawned to drain it (any number of *external*
-    ``pom worker`` processes — on this host or any host sharing the
-    filesystem — may drain the same queue concurrently).  The
-    orchestrator reaps expired leases, respawns dead workers, verifies
-    every completed shard is actually loadable from the shared
-    content-addressed cache (requeueing any that are not — e.g. a
-    corrupt entry from a kill mid-write), and assembles the result.
+    :class:`~repro.runs.queue.WorkQueue` at ``queue_path``; a
+    :class:`WorkerPool` keeps ``jobs`` worker processes draining it (any
+    number of *external* ``pom worker`` processes — on this host or any
+    host sharing the filesystem — may drain the same queue
+    concurrently).  The orchestrator reaps expired leases, respawns dead
+    workers, verifies every completed shard is actually loadable from
+    the shared content-addressed cache (requeueing any that are not —
+    e.g. a corrupt entry from a kill mid-write), and assembles the
+    result.  Each shard is read from the cache once by the orchestrator.
 
     The bit-identical contract of :func:`run_plan` holds: shard solves
     are pure, the cache round-trip is exact, and assembly orders by
@@ -812,16 +899,15 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
     * an unwritable ``queue_path`` falls back to plain in-process
       execution with a warning (never fails a campaign over a missing
       mount);
-    * if workers keep dying past the respawn budget, the orchestrator
-      drains the remainder inline (fault injection disabled — the
-      orchestrator is the recovery path, not a chaos target).
+    * if workers keep dying past the respawn budget (``2 * n_shards +
+      4`` spawns), the orchestrator drains the remainder inline (fault
+      injection disabled — the orchestrator is the recovery path, not a
+      chaos target).
 
     Raises ``RuntimeError`` if shards end up quarantined: the campaign
     is incomplete, and the report (also available via ``pom queue``)
     carries each quarantined shard's captured traceback.
     """
-    import multiprocessing as mp
-
     from .queue import (WorkQueue, default_queue_sibling,
                         writable_queue_path)
 
@@ -851,41 +937,23 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
     if not resume:
         queue.requeue(plan_keys)
 
-    # Trust-but-verify the prior state: a row marked done whose cached
-    # result is missing or corrupt goes back to pending.
-    done_at_start: set[str] = set()
-    for row in queue.rows():
-        if row.key not in plan_keys:
-            continue
-        if row.state == "done":
-            if resume and cache.load(row.key) is not None:
-                done_at_start.add(row.key)
-            else:
-                queue.requeue([row.key])
-
-    worker_opts = {"lease_ttl": lease_ttl,
-                   "heartbeat_every": heartbeat_every,
-                   "timeout": timeout, "backoff": backoff,
-                   "threads": threads, "probe_cache": resume}
-
-    def _spawn(i: int) -> mp.Process:
-        opts = dict(worker_opts, worker=f"{os.uname().nodename}-w{i}")
-        proc = mp.Process(target=_queue_worker_entry,
-                          args=(str(queue_path), str(cache.root), opts),
-                          daemon=True)
-        proc.start()
-        return proc
+    # Trust-but-verify the prior state: a shard marked done whose cached
+    # result is missing or corrupt goes back to pending.  The arrays
+    # that load are kept for assembly.
+    rows = [r for r in queue.rows() if r.key in plan_keys]
+    done_keys = {r.key for r in rows if r.state == "done"}
+    outcomes, bad = _load_cached(
+        [s for s in plan.shards if s.key in done_keys], cache)
+    queue.requeue([s.key for s in bad])
 
     total = plan.n_shards
-    respawn_budget = 2 * total + 4
-    spawned = 0
-    workers: list[mp.Process] = []
-    seen_done: set[str] = set(done_at_start)
-    n_cached = len(done_at_start)
-    n_executed = 0
-    done = len(done_at_start)
+    seen_done = {plan.shards[i].key for i in outcomes}
+    n_cached = len(outcomes)
+    n_executed = done = 0
 
     def _emit(row, cached: bool) -> None:
+        nonlocal done
+        done += 1
         if progress is not None:
             shard = plan.shards[row.index]
             progress({"kind": "shard", "shard": row.index,
@@ -894,40 +962,42 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
                       "seconds": float(row.seconds or 0.0),
                       "done": done, "total": total})
 
-    for row in queue.rows():
-        if row.key in done_at_start:
+    for row in rows:
+        if row.key in seen_done:
             _emit(row, True)
 
+    pool = WorkerPool(queue, cache.root, jobs,
+                      worker_opts={"lease_ttl": lease_ttl,
+                                   "heartbeat_every": heartbeat_every,
+                                   "timeout": timeout, "backoff": backoff,
+                                   "threads": threads,
+                                   "probe_cache": resume},
+                      max_spawns=2 * total + 4)
     verify_rounds = 0
     try:
         while True:
-            queue.reap()
-            rows = [r for r in queue.rows() if r.key in plan_keys]
-            for row in rows:
+            rows_by_key = {r.key: r for r in queue.rows()
+                           if r.key in plan_keys}
+            for row in rows_by_key.values():
                 if row.state == "done" and row.key not in seen_done:
                     seen_done.add(row.key)
-                    done += 1
                     if row.cached:
                         n_cached += 1
                     else:
                         n_executed += 1
                     _emit(row, row.cached)
-            unfinished = sum(r.state in ("pending", "leased") for r in rows)
-            if unfinished == 0:
+            if all(r.state not in ("pending", "leased")
+                   for r in rows_by_key.values()):
                 # Drained.  Verify the result tier before declaring
                 # victory: `done` in the queue means nothing unless the
-                # cached shard actually loads.  The loaded arrays are
-                # kept for assembly, so each shard is read once here.
-                loaded: dict[str, dict] = {}
-                bad = []
-                for r in rows:
-                    if r.state != "done":
-                        continue
-                    data = cache.load(r.key)
-                    if data is None:
-                        bad.append(r)
-                    else:
-                        loaded[r.key] = data
+                # cached shard actually loads.  Shards loaded at start
+                # are not read again.
+                loaded, bad = _load_cached(
+                    [s for s in plan.shards if s.index not in outcomes
+                     and rows_by_key[s.key].state == "done"], cache)
+                for i, out in loaded.items():
+                    out.cached = rows_by_key[plan.shards[i].key].cached
+                outcomes.update(loaded)
                 if not bad:
                     break
                 verify_rounds += 1
@@ -936,25 +1006,16 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
                         f"{len(bad)} shard result(s) remained unloadable "
                         "after 3 recompute rounds; cache tier is "
                         "persistently failing")
-                for r in bad:
-                    seen_done.discard(r.key)
+                for s in bad:
+                    seen_done.discard(s.key)
                     done -= 1
-                    if r.key in done_at_start:
-                        done_at_start.discard(r.key)
-                        n_cached -= 1
-                    elif r.cached:
+                    if rows_by_key[s.key].cached:
                         n_cached -= 1
                     else:
                         n_executed -= 1
-                queue.requeue([r.key for r in bad])
+                queue.requeue([s.key for s in bad])
                 continue
-            workers = [w for w in workers if w.is_alive()]
-            deficit = min(jobs, unfinished) - len(workers)
-            while deficit > 0 and spawned < respawn_budget:
-                workers.append(_spawn(spawned))
-                spawned += 1
-                deficit -= 1
-            if not workers:
+            if not pool.tick():
                 # Respawn budget exhausted (workers keep dying): the
                 # orchestrator is the last line — drain inline with
                 # fault injection off.
@@ -963,17 +1024,13 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
                             probe_cache=resume,
                             faults=FaultInjector.disabled())
                 continue
-            time.sleep(poll)
+            time.sleep(POLL_S)
     finally:
-        for w in workers:
-            if w.is_alive():
-                w.terminate()
-        for w in workers:
-            w.join(timeout=5.0)
+        pool.stop()
 
     report = queue.describe()
     report["workers"] = jobs
-    report["spawned"] = spawned
+    report["spawned"] = pool.spawned
     quarantined = [{"shard": r.index, "attempts": r.attempts,
                     "error": r.error}
                    for r in queue.quarantined() if r.key in plan_keys]
@@ -986,11 +1043,6 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
             f"quarantined ({details}); inspect with `pom queue "
             f"{queue_path}` and requeue with --requeue-quarantined")
 
-    outcomes = {
-        shard.index: _ShardOutcome(data=loaded[shard.key],
-                                   cached=shard.key in done_at_start)
-        for shard in plan.shards
-    }
     results, solve_s = _assemble_members(plan, outcomes)
 
     return RunResult(

@@ -19,14 +19,9 @@ Every request is logged as one JSON line (latency, cache hit/miss,
 queue depth) to the metrics file for scraping.
 """
 
+from ..runs.executor import WorkerPool
 from .client import ServiceClient, ServiceError
-from .server import (
-    ApiError,
-    CampaignServer,
-    CampaignService,
-    MetricsLog,
-    WorkerPool,
-)
+from .server import ApiError, CampaignServer, CampaignService, MetricsLog
 
 __all__ = [
     "ApiError",

@@ -39,10 +39,12 @@ on any host sharing the filesystem) serve one coherent campaign tier,
 and a restarted server still answers for campaigns submitted before it
 died.
 
-Execution comes from :class:`WorkerPool`, the service-side version of
-the PR-6 respawn loop: up to ``workers`` drainer processes are kept
-alive while the queue has work (dead workers are respawned, expired
-leases reaped), and they exit on their own when the queue drains.
+Execution comes from :class:`~repro.runs.executor.WorkerPool`, the
+queue supervisor ``pom run --queue`` also runs: a monitor thread ticks
+it every :data:`~repro.runs.executor.POLL_S` seconds, keeping up to
+``workers`` drainer processes alive while the queue has work (dead
+workers are respawned, expired leases reaped); the drainers exit on
+their own when the queue drains.
 
 Every request is recorded as one JSON line (latency ms, hit/miss,
 queue depth) through :class:`MetricsLog` for scraping.
@@ -51,7 +53,6 @@ queue depth) through :class:`MetricsLog` for scraping.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -60,15 +61,14 @@ from urllib.parse import parse_qs, urlparse
 
 from ..experiments.registry import REGISTRY, get_experiment
 from ..runs import ResultCache, ScenarioSpec, WorkQueue, compile_plan
-from ..runs.executor import _queue_worker_entry, collect_cached
+from ..runs.executor import WorkerPool, collect_cached
 from ..runs.faults import ensure_shared_state_dir
 from ..runs.plan import Plan
 from ..runs.queue import default_queue_sibling
 from ..runs.store import ArtifactStore
 from ..viz.export import csv_text
 
-__all__ = ["ApiError", "CampaignServer", "CampaignService", "MetricsLog",
-           "WorkerPool"]
+__all__ = ["ApiError", "CampaignServer", "CampaignService", "MetricsLog"]
 
 #: result artefact formats served by ``GET .../result``
 RESULT_FORMATS = ("npz", "csv")
@@ -103,83 +103,6 @@ class MetricsLog:
         with self._lock:
             with self.path.open("a") as fh:
                 fh.write(line + "\n")
-
-
-class WorkerPool:
-    """Keep up to ``jobs`` queue-drainer processes alive while work exists.
-
-    The PR-6 respawn loop, detached from any single campaign: a monitor
-    thread reaps expired leases and compares the queue's unfinished
-    count against the live worker set, spawning replacements for dead
-    (or never-started) drainers.  Workers are plain
-    :func:`~repro.runs.executor._queue_worker_entry` processes — the
-    same body as ``pom worker`` — so they exit on their own when the
-    queue drains, and quarantine (``max_attempts``) bounds how long a
-    poisoned shard can keep the pool busy.
-    """
-
-    def __init__(self, queue_path: str | Path, cache_root: str | Path,
-                 jobs: int, *, worker_opts: dict | None = None,
-                 poll: float = 0.2) -> None:
-        if jobs < 0:
-            raise ValueError("jobs must be non-negative")
-        self.queue_path = Path(queue_path)
-        self.cache_root = Path(cache_root)
-        self.jobs = int(jobs)
-        self.worker_opts = dict(worker_opts or {})
-        self.poll = float(poll)
-        self.spawned = 0
-        self._procs: list = []
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def start(self) -> "WorkerPool":
-        if self.jobs > 0 and not self._thread.is_alive():
-            self._thread.start()
-        return self
-
-    def _spawn(self):
-        import multiprocessing as mp
-
-        opts = dict(self.worker_opts,
-                    worker=f"{os.uname().nodename}-svc{self.spawned}")
-        proc = mp.Process(target=_queue_worker_entry,
-                          args=(str(self.queue_path), str(self.cache_root),
-                                opts),
-                          daemon=True)
-        proc.start()
-        self.spawned += 1
-        return proc
-
-    def _run(self) -> None:
-        queue = WorkQueue(self.queue_path,
-                          backoff=self.worker_opts.get("backoff", 0.5))
-        while not self._stop.wait(self.poll):
-            queue.reap()
-            self._procs = [p for p in self._procs if p.is_alive()]
-            unfinished = queue.unfinished()
-            if unfinished == 0:
-                continue
-            deficit = min(self.jobs, unfinished) - len(self._procs)
-            for _ in range(max(deficit, 0)):
-                self._procs.append(self._spawn())
-
-    def stop(self) -> None:
-        """Stop the monitor and terminate any live workers."""
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=5.0)
-        for p in self._procs:
-            if p.is_alive():
-                p.terminate()
-        for p in self._procs:
-            p.join(timeout=5.0)
-        self._procs = []
-
-    @property
-    def alive(self) -> int:
-        """Currently live worker processes."""
-        return sum(1 for p in self._procs if p.is_alive())
 
 
 class CampaignService:
@@ -537,8 +460,7 @@ class CampaignServer:
                  metrics: str | Path | None = None,
                  shard_members: int | None = None,
                  max_attempts: int = 3,
-                 worker_opts: dict | None = None,
-                 poll: float = 0.2) -> None:
+                 worker_opts: dict | None = None) -> None:
         self.service = CampaignService(queue, cache,
                                        shard_members=shard_members,
                                        max_attempts=max_attempts,
@@ -547,9 +469,8 @@ class CampaignServer:
             metrics = default_queue_sibling(self.service.queue_path,
                                             "metrics.jsonl")
         self.metrics = MetricsLog(metrics)
-        self.pool = WorkerPool(self.service.queue_path,
-                               self.service.cache.root, workers,
-                               worker_opts=worker_opts, poll=poll)
+        self.pool = WorkerPool(self.service.queue, self.service.cache.root,
+                               workers, worker_opts=worker_opts)
         self.service.pool = self.pool
         handler = type("_BoundHandler", (_Handler,),
                        {"service": self.service, "metrics": self.metrics})

@@ -87,3 +87,15 @@ def small_memory_spec(tiny_machine):
         distances=(1, -1),
         network=NetworkModel(),
     )
+
+
+@pytest.fixture
+def fast_poll(monkeypatch):
+    """Tick queue supervisors and idle drainers every 0.05 s.
+
+    Drainer processes fork from the test process and inherit the
+    patched interval.
+    """
+    from repro.runs import executor
+
+    monkeypatch.setattr(executor, "POLL_S", 0.05)

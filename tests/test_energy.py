@@ -12,8 +12,10 @@ from repro.core import (
     TanhPotential,
     ring,
     simulate,
+    simulate_grid,
 )
 from repro.metrics import (
+    StreamingObserver,
     energy_series,
     pair_energy_curve,
     sync_energy,
@@ -123,6 +125,20 @@ class TestLyapunovProperty:
         m = make(TanhPotential())
         traj = simulate(m, 5.0, seed=0)
         assert energy_series(traj).shape == (traj.n_samples,)
+
+    def test_energy_series_equals_streamed_metric(self):
+        # One formula: the post-hoc series and the in-solve metric both
+        # evaluate the potential on the edge list.
+        m = make(BottleneckPotential(sigma=1.0), n=24)
+        rng = np.random.default_rng(2)
+        obs = StreamingObserver([m], ["energy"])
+        (traj,) = simulate_grid([m], 20.0, theta0=rng.normal(0, 1e-2, 24),
+                                method="rk4", dt=0.01, observer=obs)
+        streamed = obs.finalize()
+        np.testing.assert_array_equal(streamed["metrics_ts"], traj.ts)
+        np.testing.assert_allclose(energy_series(traj),
+                                   streamed["metric_energy"][0],
+                                   rtol=0, atol=1e-12)
 
 
 class TestPairEnergyCurve:

@@ -1,6 +1,7 @@
 """Tests for the durable work queue and the queue executor (repro.runs)."""
 
 import multiprocessing as mp
+import os
 import signal
 
 import numpy as np
@@ -198,6 +199,37 @@ class TestQueueExecutor:
         assert res.n_executed == 4
         assert counts == {s.key: 1 for s in plan.shards}
 
+        # A resumed campaign keeps the arrays its start-of-run check
+        # loads: still one read per shard.
+        counts.clear()
+        events = []
+        resumed = run_plan_queue(plan, tmp_path / "q.db", jobs=2,
+                                 progress=events.append)
+        assert resumed.n_cached == 4 and resumed.n_executed == 0
+        assert counts == {s.key: 1 for s in plan.shards}
+        assert [e["done"] for e in events] == [1, 2, 3, 4]
+        assert all(e["cached"] for e in events)
+        for a, b in zip(res.members, resumed.members):
+            np.testing.assert_array_equal(a.thetas, b.thetas)
+
+    def test_spent_respawn_budget_drains_inline(self, tmp_path,
+                                                monkeypatch):
+        # Workers that die before claiming anything use up the respawn
+        # budget; the orchestrator then drains the queue itself.
+        from repro.runs import executor
+
+        monkeypatch.setattr(executor, "POLL_S", 0.01)
+        monkeypatch.setattr(executor, "_queue_worker_entry",
+                            lambda *args: os._exit(1))
+        plan = compile_plan(grid_spec(), shard_members=2)
+        res = run_plan_queue(plan, tmp_path / "q.db", jobs=2)
+        assert res.queue["spawned"] == 2 * plan.n_shards + 4
+        assert res.n_executed == plan.n_shards
+        ref = run_plan(plan)
+        for a, b in zip(ref.members, res.members):
+            np.testing.assert_array_equal(a.ts, b.ts)
+            np.testing.assert_array_equal(a.thetas, b.thetas)
+
     def test_unwritable_queue_degrades_to_inline(self, tmp_path):
         blocker = tmp_path / "a-file"
         blocker.write_text("x")
@@ -278,9 +310,9 @@ class TestKilledWorkerResume:
         monkeypatch.setenv("POM_FAULTS", "kill:shard=1")
         monkeypatch.setenv("POM_FAULTS_STATE", str(tmp_path / "faults"))
         # A replacement is spawned only while queued work outnumbers the
-        # live workers at the orchestrator's next poll (every 0.2 s), so
-        # the surviving worker's shards must take longer than that: ~0.2 s
-        # each on a 2-core host.
+        # live workers at the orchestrator's next tick (every POLL_S =
+        # 0.2 s), so the surviving worker's shards must take longer than
+        # that: ~0.2 s each on a 2-core host.
         spec = grid_spec(t_end=24.0)
         res = run_spec(spec, jobs=2, shard_members=2,
                        queue=tmp_path / "q.db",

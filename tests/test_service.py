@@ -40,10 +40,10 @@ def spec():
 
 
 @pytest.fixture
-def server(tmp_path):
+def server(tmp_path, fast_poll):
     """A serving instance with 2 drainer workers on an ephemeral port."""
     srv = CampaignServer(tmp_path / "q.db", workers=2,
-                        worker_opts={"lease_ttl": 10.0}, poll=0.05)
+                        worker_opts={"lease_ttl": 10.0})
     with srv:
         yield srv
 
@@ -54,6 +54,13 @@ def idle_server(tmp_path):
     srv = CampaignServer(tmp_path / "q.db", workers=0)
     with srv:
         yield srv
+
+
+def test_worker_pool_is_the_queue_supervisor():
+    from repro import service
+    from repro.runs import executor
+
+    assert service.WorkerPool is executor.WorkerPool
 
 
 class TestEndpoints:
@@ -245,7 +252,7 @@ class TestConcurrency:
 
 class TestFaultTolerance:
     def test_worker_kill_during_served_campaign_converges(
-            self, tmp_path, spec, monkeypatch):
+            self, tmp_path, spec, monkeypatch, fast_poll):
         # A drainer worker SIGKILLs at shard start; the reaper expires
         # its lease and the pool respawns — the served result must
         # still be bit-identical to a clean direct run.
@@ -253,7 +260,7 @@ class TestFaultTolerance:
         monkeypatch.delenv("POM_FAULTS_STATE", raising=False)
         srv = CampaignServer(tmp_path / "q.db", workers=2,
                              worker_opts={"lease_ttl": 1.0,
-                                          "backoff": 0.1}, poll=0.05)
+                                          "backoff": 0.1})
         with srv:
             client = ServiceClient(srv.url)
             out = client.submit(spec, shard_members=2)
@@ -293,13 +300,13 @@ class TestMetrics:
 
 
 class TestServiceRestart:
-    def test_campaign_survives_server_restart(self, tmp_path, spec):
+    def test_campaign_survives_server_restart(self, tmp_path, spec,
+                                              fast_poll):
         # Manifests and results are on disk next to the queue, so a new
         # server instance answers for campaigns submitted before it.
         queue_path = tmp_path / "q.db"
         with CampaignServer(queue_path, workers=2,
-                            worker_opts={"lease_ttl": 10.0},
-                            poll=0.05) as srv:
+                            worker_opts={"lease_ttl": 10.0}) as srv:
             client = ServiceClient(srv.url)
             out = client.submit(spec, shard_members=2)
             client.wait(out["id"], timeout=120)

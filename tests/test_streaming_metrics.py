@@ -417,7 +417,8 @@ class TestFootprintWarning:
 
 
 class TestService:
-    def test_metric_only_campaign_through_service(self, tmp_path):
+    def test_metric_only_campaign_through_service(self, tmp_path,
+                                                  fast_poll):
         """Satellite bugfix: the result endpoint must assemble a
         metric-only campaign (no KeyError on missing trajectory arrays)
         and the status payload must surface the metric set."""
@@ -425,8 +426,7 @@ class TestService:
 
         spec = metric_spec(trajectories="none", name="svc-metrics")
         with CampaignServer(tmp_path / "q.db", workers=2,
-                            worker_opts={"lease_ttl": 10.0},
-                            poll=0.05) as srv:
+                            worker_opts={"lease_ttl": 10.0}) as srv:
             client = ServiceClient(srv.url)
             out = client.submit(spec, shard_members=2)
             assert out["metrics"] == list(ALL_METRICS)
