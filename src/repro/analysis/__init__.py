@@ -1,5 +1,5 @@
 """Trace phenomenology: idle waves, desynchronisation, bandwidth curves,
-and model-vs-simulator comparison."""
+stability and calibration."""
 
 from .bandwidth import (
     ScalingCurve,
@@ -15,7 +15,6 @@ from .calibrate import (
     estimate_sigma_from_trace,
     fit_model_to_trace,
 )
-from .compare import ScenarioResult, compare_scenario
 from .desync import (
     DesyncReport,
     analyze_desync,
@@ -46,7 +45,6 @@ __all__ = [
     "CycleEstimate", "calibrate_beta_kappa", "estimate_cycle_from_trace",
     "estimate_sigma_from_gaps", "estimate_sigma_from_trace",
     "fit_model_to_trace",
-    "ScenarioResult", "compare_scenario",
     "DesyncReport", "analyze_desync", "iteration_skew", "trace_phase_gaps",
     "wavefront_slope",
     "StabilityReport", "analyze_stability", "fastest_growing_mode",

@@ -534,32 +534,43 @@ def _cmd_queue(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .runs import WorkQueue
-    from .runs.queue import STATES
+    from .runs.queue import summarise
 
     if not Path(args.queue).exists():
         # Inspection must never create the database as a side effect —
         # a typo'd path would otherwise leave a stray empty queue file.
-        print(f"queue {args.queue} (spec None): no such queue file")
-        print("  " + "  ".join(f"{state}=0" for state in STATES))
+        _print_ledger(f"queue {args.queue} (spec None): no such queue file",
+                      summarise([]))
         return 0
     queue = WorkQueue(args.queue)
     if args.requeue_quarantined:
         n = queue.requeue_quarantined()
         print(f"requeued {n} quarantined shard(s)")
-    info = queue.describe()
-    counts = info["counts"]
-    print(f"queue {info['path']} (spec {str(info['spec_hash'])[:16]}):")
+    spec_hash = str(queue.spec_hash())[:16]
+    _print_ledger(f"queue {queue.path} (spec {spec_hash}):",
+                  queue.describe())
+    return 0
+
+
+def _print_ledger(header: str, ledger: dict) -> None:
+    """Print a queue ledger (``WorkQueue.describe`` or a service status).
+
+    Quarantined shards show their captured error when the ledger
+    carries one.
+    """
+    counts = ledger["counts"]
+    print(header)
     print("  " + "  ".join(f"{state}={counts[state]}"
                            for state in ("pending", "leased", "done",
                                          "quarantined")))
-    for shard, attempts in sorted((info["retried"] or {}).items()):
+    for shard, attempts in sorted(ledger["retried"].items(),
+                                  key=lambda kv: int(kv[0])):
         print(f"  shard {shard}: done after {attempts} attempts (retried)")
-    for q in info["quarantined"]:
+    for q in ledger["quarantined"]:
         print(f"  shard {q['shard']}: QUARANTINED after {q['attempts']} "
               "attempt(s)")
         for line in (q["error"] or "").rstrip().splitlines():
             print(f"    | {line}")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -636,26 +647,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_campaign_status(status: dict) -> None:
-    counts = status["counts"]
-    print(f"campaign {status['id']} [{status['name']}]: "
-          f"{status['status']}")
-    print("  " + "  ".join(f"{state}={counts[state]}"
-                           for state in ("pending", "leased", "done",
-                                         "quarantined")))
-    for shard, attempts in sorted(status.get("retried", {}).items()):
-        print(f"  shard {shard}: done after {attempts} attempts (retried)")
-    for q in status.get("quarantined", []):
-        print(f"  shard {q['shard']}: QUARANTINED after {q['attempts']} "
-              "attempt(s)")
-
-
 def _cmd_status(args: argparse.Namespace) -> int:
     from .service import ServiceClient, ServiceError
 
     cid = _campaign_id(args.campaign, quick=args.quick)
     try:
-        _print_campaign_status(ServiceClient(args.url).status(cid))
+        status = ServiceClient(args.url).status(cid)
+        _print_ledger(f"campaign {status['id']} [{status['name']}]: "
+                      f"{status['status']}", status)
     except ServiceError as exc:
         raise SystemExit(f"status failed: {exc}") from exc
     return 0

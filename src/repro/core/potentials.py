@@ -375,6 +375,9 @@ def potential_from_name(name: str, **kwargs) -> Potential:
     if key in ("bottleneck", "bottlenecked", "saturating"):
         return BottleneckPotential(**kwargs)
     if key in ("kuramoto", "sin", "sine"):
+        if kwargs:
+            raise ValueError(f"potential {name!r} takes no parameters; "
+                             f"got {sorted(kwargs)}")
         return KuramotoPotential()
     if key == "linear":
         return LinearPotential(**kwargs)

@@ -37,7 +37,10 @@ shards under leases and persist them to the cache.  :class:`WorkerPool`
 is the one supervisor of those drainers, ticked from
 :func:`run_plan_queue`'s own loop and from ``pom serve``'s monitor
 thread.  Supervisors and idle drainers wake every :data:`POLL_S`
-seconds.
+seconds.  Campaign state (counts, retries, quarantines, overall
+status) comes from one ledger, :meth:`WorkQueue.describe` scoped to
+the plan's shard keys; "done" means loadable (:func:`load_done`) for
+the queue run and the service's result endpoint alike.
 """
 
 from __future__ import annotations
@@ -66,9 +69,9 @@ from .faults import FaultInjector, ensure_shared_state_dir, injector_from_env
 from .plan import Plan, compile_plan
 from .spec import MemberSpec, ScenarioSpec
 
-__all__ = ["POLL_S", "MemberResult", "RunResult", "WorkerPool",
-           "collect_cached", "drain_queue", "execute_shard", "run_plan",
-           "run_plan_queue", "run_spec"]
+__all__ = ["POLL_S", "MemberResult", "RunResult", "WorkerPool", "assemble",
+           "collect_cached", "drain_queue", "execute_shard", "load_done",
+           "run_plan", "run_plan_queue", "run_spec"]
 
 #: seconds between queue-supervisor ticks and between an idle drainer's
 #: claim attempts (tests monkeypatch it)
@@ -263,11 +266,14 @@ class RunResult:
         ``OMP_NUM_THREADS`` as reported from inside a pool worker (the
         pinning witness asserted by CI), or ``None`` when no pool ran.
     queue:
-        Durable-queue execution report (:meth:`WorkQueue.describe` plus
-        worker accounting) when the campaign ran through
-        :func:`run_plan_queue`; ``None`` for in-process runs.  The
-        ``retried`` map (shard index -> attempts) is how recovered
-        worker deaths stay visible in the run report.
+        Durable-queue execution report when the campaign ran through
+        :func:`run_plan_queue` (``None`` for in-process runs): the
+        ledger of the plan's own shards (``counts``, ``retried``,
+        ``quarantined``, ``missing``, ``status``, as
+        :meth:`WorkQueue.describe` gives them) plus ``path``,
+        ``workers`` and ``spawned``.  The ``retried`` map (shard index
+        -> attempts) is how recovered worker deaths stay visible in the
+        run report.
     """
 
     spec: ScenarioSpec
@@ -404,22 +410,24 @@ class _ShardOutcome:
     cached: bool
 
 
-def _assemble_members(
-        plan: Plan,
-        outcomes: dict[int, _ShardOutcome]) -> tuple[list[MemberResult],
-                                                     float]:
-    """Fan shard outcomes back out to ordered member results.
+def assemble(plan: Plan, outcomes: dict[int, _ShardOutcome], t0: float,
+             **report) -> RunResult:
+    """Fan shard outcomes back out to an ordered :class:`RunResult`.
 
     Member order is the expansion order, never completion order — the
     bit-for-bit anchor across ``jobs=`` settings and executors.
     Members are rebuilt from the shard payloads (no second grid
-    expansion).  Returns ``(members, solve_s)``.
+    expansion).  Shard accounting comes from each outcome's ``cached``
+    flag, ``wall_s`` runs from ``t0``, and ``report`` fills the
+    remaining :class:`RunResult` fields.
     """
     results: list[MemberResult] = []
     solve_s = 0.0
+    n_executed = 0
     for shard in plan.shards:
         out = outcomes[shard.index]
         if not out.cached:
+            n_executed += 1
             solve_s += float(out.data.get("seconds", 0.0))
         ts = out.data.get("ts")
         thetas = out.data.get("thetas")
@@ -438,7 +446,11 @@ def _assemble_members(
                 metrics_ts=metrics_ts,
                 metrics=metrics))
     results.sort(key=lambda m: m.index)
-    return results, solve_s
+    return RunResult(spec=plan.spec, members=results,
+                     n_shards=plan.n_shards, n_executed=n_executed,
+                     n_cached=plan.n_shards - n_executed,
+                     wall_s=time.perf_counter() - t0, solve_s=solve_s,
+                     **report)
 
 
 def _load_cached(shards, cache: ResultCache | None
@@ -460,30 +472,33 @@ def _load_cached(shards, cache: ResultCache | None
     return outcomes, missing
 
 
+def load_done(shards, cache: ResultCache, queue
+              ) -> tuple[dict[int, _ShardOutcome], list]:
+    """Done means loadable: load ``shards`` once, requeue what fails.
+
+    The check :func:`run_plan_queue` and the campaign service's result
+    endpoint run on shards the queue marks done: one whose cached
+    result is missing or corrupt (a torn write, bit rot) goes back to
+    ``pending`` instead of being assembled.  Returns ``(outcomes by
+    shard index, requeued shards)``.
+    """
+    outcomes, bad = _load_cached(shards, cache)
+    if bad:
+        queue.requeue([s.key for s in bad])
+    return outcomes, bad
+
+
 def collect_cached(plan: Plan, cache: ResultCache) -> RunResult | None:
     """Assemble a campaign purely from cached shard solves, or ``None``.
 
-    The zero-execution path behind the campaign service's result
-    endpoint: every shard of ``plan`` must load (checksum-verified)
-    from ``cache``.  Any missing or corrupt shard returns ``None`` —
-    the caller decides whether to enqueue, requeue, or 409.  Assembly
+    Every shard of ``plan`` must load (checksum-verified) from
+    ``cache``; any missing or corrupt shard returns ``None``.  Assembly
     is the same member-ordered fan-out as :func:`run_plan`, so the
     result is bit-identical to an executed campaign.
     """
     t0 = time.perf_counter()
     outcomes, missing = _load_cached(plan.shards, cache)
-    if missing:
-        return None
-    results, solve_s = _assemble_members(plan, outcomes)
-    return RunResult(
-        spec=plan.spec,
-        members=results,
-        n_shards=plan.n_shards,
-        n_executed=0,
-        n_cached=plan.n_shards,
-        wall_s=time.perf_counter() - t0,
-        solve_s=solve_s,
-    )
+    return None if missing else assemble(plan, outcomes, t0)
 
 
 def run_plan(plan: Plan, *,
@@ -593,19 +608,8 @@ def run_plan(plan: Plan, *,
         if shard.index not in outcomes:
             _solved(shard, execute_shard(shard.payload, threads=threads))
 
-    results, solve_s = _assemble_members(plan, outcomes)
-
-    return RunResult(
-        spec=plan.spec,
-        members=results,
-        n_shards=total,
-        n_executed=len(pending),
-        n_cached=total - len(pending),
-        wall_s=time.perf_counter() - t0,
-        solve_s=solve_s,
-        transport=transport,
-        worker_omp=worker_omp,
-    )
+    return assemble(plan, outcomes, t0, transport=transport,
+                    worker_omp=worker_omp)
 
 
 # ======================================================================
@@ -883,11 +887,15 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
     :class:`WorkerPool` keeps ``jobs`` worker processes draining it (any
     number of *external* ``pom worker`` processes — on this host or any
     host sharing the filesystem — may drain the same queue
-    concurrently).  The orchestrator reaps expired leases, respawns dead
-    workers, verifies every completed shard is actually loadable from
-    the shared content-addressed cache (requeueing any that are not —
-    e.g. a corrupt entry from a kill mid-write), and assembles the
-    result.  Each shard is read from the cache once by the orchestrator.
+    concurrently).  Each tick the orchestrator reads the queue once,
+    summarises the plan's shards (:func:`~repro.runs.queue.summarise`,
+    the ledger behind :meth:`WorkQueue.describe`), loads the shards
+    newly marked done through :func:`load_done` (requeueing any whose
+    cached result does not load — e.g. a corrupt entry from a kill
+    mid-write), and ticks the pool, which reaps expired leases and
+    respawns dead workers.  Each shard is read from the cache once by
+    the orchestrator.  Other campaigns sharing the queue file are
+    neither waited for nor reported.
 
     The bit-identical contract of :func:`run_plan` holds: shard solves
     are pure, the cache round-trip is exact, and assembly orders by
@@ -906,9 +914,11 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
 
     Raises ``RuntimeError`` if shards end up quarantined: the campaign
     is incomplete, and the report (also available via ``pom queue``)
-    carries each quarantined shard's captured traceback.
+    carries each quarantined shard's captured traceback; also if a
+    shard's freshly computed result fails to load four times (the cache
+    tier is persistently failing).
     """
-    from .queue import (WorkQueue, default_queue_sibling,
+    from .queue import (WorkQueue, default_queue_sibling, summarise,
                         writable_queue_path)
 
     if jobs < 1:
@@ -933,38 +943,34 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
     ensure_shared_state_dir(default_queue_sibling(queue_path, "faults"))
     queue = WorkQueue(queue_path, backoff=backoff)
     queue.enqueue_plan(plan, max_attempts=max_attempts)
-    plan_keys = {s.key for s in plan.shards}
+    plan_keys = [s.key for s in plan.shards]
     if not resume:
         queue.requeue(plan_keys)
 
-    # Trust-but-verify the prior state: a shard marked done whose cached
-    # result is missing or corrupt goes back to pending.  The arrays
-    # that load are kept for assembly.
-    rows = [r for r in queue.rows() if r.key in plan_keys]
-    done_keys = {r.key for r in rows if r.state == "done"}
-    outcomes, bad = _load_cached(
-        [s for s in plan.shards if s.key in done_keys], cache)
-    queue.requeue([s.key for s in bad])
+    outcomes: dict[int, _ShardOutcome] = {}
 
-    total = plan.n_shards
-    seen_done = {plan.shards[i].key for i in outcomes}
-    n_cached = len(outcomes)
-    n_executed = done = 0
+    def _absorb(rows: dict, at_start: bool) -> list:
+        """Load the shards newly marked done; return the ones requeued.
 
-    def _emit(row, cached: bool) -> None:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            shard = plan.shards[row.index]
-            progress({"kind": "shard", "shard": row.index,
-                      "members": shard.n_members, "cached": cached,
-                      "attempts": row.attempts,
-                      "seconds": float(row.seconds or 0.0),
-                      "done": done, "total": total})
-
-    for row in rows:
-        if row.key in seen_done:
-            _emit(row, True)
+        Shards already done when the run started count as cache hits.
+        """
+        fresh = [s for s in plan.shards if s.index not in outcomes
+                 and rows[s.key].state == "done"]
+        loaded, bad = load_done(fresh, cache, queue)
+        for shard in fresh:
+            out = loaded.get(shard.index)
+            if out is None:
+                continue
+            row = rows[shard.key]
+            out.cached = at_start or row.cached
+            outcomes[shard.index] = out
+            if progress is not None:
+                progress({"kind": "shard", "shard": shard.index,
+                          "members": shard.n_members, "cached": out.cached,
+                          "attempts": row.attempts,
+                          "seconds": float(row.seconds or 0.0),
+                          "done": len(outcomes), "total": plan.n_shards})
+        return bad
 
     pool = WorkerPool(queue, cache.root, jobs,
                       worker_opts={"lease_ttl": lease_ttl,
@@ -972,49 +978,28 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
                                    "timeout": timeout, "backoff": backoff,
                                    "threads": threads,
                                    "probe_cache": resume},
-                      max_spawns=2 * total + 4)
-    verify_rounds = 0
+                      max_spawns=2 * plan.n_shards + 4)
+    at_start = True
+    # Per shard: how often a result this run computed failed to load.
+    unloadable: dict[str, int] = {}
     try:
         while True:
-            rows_by_key = {r.key: r for r in queue.rows()
-                           if r.key in plan_keys}
-            for row in rows_by_key.values():
-                if row.state == "done" and row.key not in seen_done:
-                    seen_done.add(row.key)
-                    if row.cached:
-                        n_cached += 1
-                    else:
-                        n_executed += 1
-                    _emit(row, row.cached)
-            if all(r.state not in ("pending", "leased")
-                   for r in rows_by_key.values()):
-                # Drained.  Verify the result tier before declaring
-                # victory: `done` in the queue means nothing unless the
-                # cached shard actually loads.  Shards loaded at start
-                # are not read again.
-                loaded, bad = _load_cached(
-                    [s for s in plan.shards if s.index not in outcomes
-                     and rows_by_key[s.key].state == "done"], cache)
-                for i, out in loaded.items():
-                    out.cached = rows_by_key[plan.shards[i].key].cached
-                outcomes.update(loaded)
-                if not bad:
-                    break
-                verify_rounds += 1
-                if verify_rounds > 3:
+            snapshot = queue.rows()
+            ledger = summarise(snapshot, plan_keys)
+            bad = _absorb({r.key: r for r in snapshot}, at_start)
+            for shard in () if at_start else bad:
+                unloadable[shard.key] = unloadable.get(shard.key, 0) + 1
+                if unloadable[shard.key] > 3:
                     raise RuntimeError(
-                        f"{len(bad)} shard result(s) remained unloadable "
+                        f"shard {shard.index}'s result remained unloadable "
                         "after 3 recompute rounds; cache tier is "
                         "persistently failing")
-                for s in bad:
-                    seen_done.discard(s.key)
-                    done -= 1
-                    if rows_by_key[s.key].cached:
-                        n_cached -= 1
-                    else:
-                        n_executed -= 1
-                queue.requeue([s.key for s in bad])
+            at_start = False
+            if bad:
                 continue
+            counts = ledger["counts"]
+            if counts["pending"] + counts["leased"] == 0:
+                break
             if not pool.tick():
                 # Respawn budget exhausted (workers keep dying): the
                 # orchestrator is the last line — drain inline with
@@ -1028,12 +1013,7 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
     finally:
         pool.stop()
 
-    report = queue.describe()
-    report["workers"] = jobs
-    report["spawned"] = pool.spawned
-    quarantined = [{"shard": r.index, "attempts": r.attempts,
-                    "error": r.error}
-                   for r in queue.quarantined() if r.key in plan_keys]
+    quarantined = ledger["quarantined"]
     if quarantined:
         details = "; ".join(
             f"shard {q['shard']} after {q['attempts']} attempt(s)"
@@ -1042,19 +1022,9 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
             f"campaign incomplete: {len(quarantined)} shard(s) "
             f"quarantined ({details}); inspect with `pom queue "
             f"{queue_path}` and requeue with --requeue-quarantined")
-
-    results, solve_s = _assemble_members(plan, outcomes)
-
-    return RunResult(
-        spec=plan.spec,
-        members=results,
-        n_shards=total,
-        n_executed=n_executed,
-        n_cached=n_cached,
-        wall_s=time.perf_counter() - t0,
-        solve_s=solve_s,
-        queue=report,
-    )
+    return assemble(plan, outcomes, t0,
+                    queue=dict(ledger, path=str(queue_path), workers=jobs,
+                               spawned=pool.spawned))
 
 
 def run_spec(spec: ScenarioSpec, *,

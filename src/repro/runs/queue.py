@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["Lease", "QueueRow", "WorkQueue"]
+__all__ = ["Lease", "QueueRow", "WorkQueue", "ledger_status", "summarise"]
 
 #: shard lifecycle states
 STATES = ("pending", "leased", "done", "quarantined")
@@ -286,28 +286,34 @@ class WorkQueue:
         with self._db() as con:
             con.execute("BEGIN IMMEDIATE")
             row = con.execute(
-                "SELECT attempts, max_attempts FROM shards "
+                "SELECT key, attempts, max_attempts FROM shards "
                 "WHERE key=? AND lease_id=? AND state='leased'",
                 (key, lease_id)).fetchone()
-            if row is None:
-                con.execute("COMMIT")
-                return "fenced"
-            if row["attempts"] >= row["max_attempts"]:
-                con.execute(
-                    "UPDATE shards SET state='quarantined', lease_id=NULL, "
-                    "lease_expires=NULL, error=?, updated_at=? WHERE key=?",
-                    (error, now, key))
-                verdict = "quarantined"
-            else:
-                delay = self.backoff * 2.0 ** (row["attempts"] - 1)
-                con.execute(
-                    "UPDATE shards SET state='pending', lease_id=NULL, "
-                    "lease_expires=NULL, not_before=?, error=?, "
-                    "updated_at=? WHERE key=?",
-                    (now + delay, error, now, key))
-                verdict = "retry"
+            verdict = ("fenced" if row is None
+                       else self._release(con, row, error, now))
             con.execute("COMMIT")
         return verdict
+
+    def _release(self, con, row, error: str, now: float) -> str:
+        """Retry a failed or lost lease with backoff, or quarantine it.
+
+        The one transition behind :meth:`fail` and :meth:`reap`, run
+        inside the caller's transaction on a ``(key, attempts,
+        max_attempts)`` row.  Returns ``"retry"`` or ``"quarantined"``.
+        """
+        if row["attempts"] >= row["max_attempts"]:
+            con.execute(
+                "UPDATE shards SET state='quarantined', lease_id=NULL, "
+                "lease_expires=NULL, error=?, updated_at=? WHERE key=?",
+                (error, now, row["key"]))
+            return "quarantined"
+        delay = self.backoff * 2.0 ** (row["attempts"] - 1)
+        con.execute(
+            "UPDATE shards SET state='pending', lease_id=NULL, "
+            "lease_expires=NULL, not_before=?, error=?, "
+            "updated_at=? WHERE key=?",
+            (now + delay, error, now, row["key"]))
+        return "retry"
 
     # ------------------------------------------------------------------
     # reaper / orchestrator side
@@ -322,30 +328,18 @@ class WorkQueue:
         times.  Returns the keys it transitioned.
         """
         now = time.time() if now is None else now
-        moved: list[str] = []
         with self._db() as con:
             con.execute("BEGIN IMMEDIATE")
             rows = con.execute(
                 "SELECT key, attempts, max_attempts FROM shards "
                 "WHERE state='leased' AND lease_expires<?", (now,)).fetchall()
             for row in rows:
-                note = (f"lease expired after attempt {row['attempts']} "
-                        "(worker killed, hung, or partitioned)")
-                if row["attempts"] >= row["max_attempts"]:
-                    con.execute(
-                        "UPDATE shards SET state='quarantined', "
-                        "lease_id=NULL, lease_expires=NULL, error=?, "
-                        "updated_at=? WHERE key=?", (note, now, row["key"]))
-                else:
-                    delay = self.backoff * 2.0 ** (row["attempts"] - 1)
-                    con.execute(
-                        "UPDATE shards SET state='pending', lease_id=NULL, "
-                        "lease_expires=NULL, not_before=?, error=?, "
-                        "updated_at=? WHERE key=?",
-                        (now + delay, note, now, row["key"]))
-                moved.append(row["key"])
+                self._release(con, row,
+                              f"lease expired after attempt "
+                              f"{row['attempts']} (worker killed, hung, "
+                              "or partitioned)", now)
             con.execute("COMMIT")
-        return moved
+        return [row["key"] for row in rows]
 
     # ------------------------------------------------------------------
     # introspection
@@ -377,31 +371,62 @@ class WorkQueue:
                          cached=bool(r["cached"]), seconds=r["seconds"],
                          error=r["error"]) for r in rows]
 
-    def quarantined(self) -> list[QueueRow]:
-        """The quarantined shards (with their captured tracebacks)."""
-        return [r for r in self.rows() if r.state == "quarantined"]
-
     def spec_hash(self) -> str | None:
-        """Content hash of the enqueued campaign, if any."""
+        """Content hash of the most recently enqueued campaign, if any."""
         with self._db() as con:
             row = con.execute(
                 "SELECT v FROM meta WHERE k='spec_hash'").fetchone()
         return row["v"] if row is not None else None
 
-    def describe(self) -> dict:
-        """Status summary for ``pom queue`` and run reports."""
-        rows = self.rows()
-        return {
-            "path": str(self.path),
-            "spec_hash": self.spec_hash(),
-            "counts": self.counts(),
-            "retried": {r.index: r.attempts for r in rows
-                        if r.attempts > 1 and r.state == "done"},
-            "quarantined": [
-                {"shard": r.index, "attempts": r.attempts, "error": r.error}
-                for r in rows if r.state == "quarantined"
-            ],
-        }
+    def describe(self, keys=None) -> dict:
+        """The campaign ledger (:func:`summarise`) from one :meth:`rows` read.
+
+        ``keys`` (a plan's shard keys) scopes it to one campaign; the
+        default covers the whole queue.
+        """
+        return summarise(self.rows(), keys)
+
+
+def summarise(rows, keys=None) -> dict:
+    """Summarise queue rows: what is done, retried, or quarantined.
+
+    Returns ``counts`` (rows per state), ``retried`` (shard index ->
+    attempts of each shard done after more than one attempt),
+    ``quarantined`` (shard, attempts, and captured error of each
+    quarantined shard), ``missing`` (the ``keys`` that have no row) and
+    ``status`` (:func:`ledger_status`).  With ``keys`` only those
+    shards are covered; two campaigns sharing one queue file each see
+    their own shards.
+    """
+    if keys is not None:
+        wanted = set(keys)
+        rows = [r for r in rows if r.key in wanted]
+    counts = dict.fromkeys(STATES, 0)
+    retried: dict[int, int] = {}
+    quarantined: list[dict] = []
+    for r in rows:
+        counts[r.state] += 1
+        if r.state == "done" and r.attempts > 1:
+            retried[r.index] = r.attempts
+        elif r.state == "quarantined":
+            quarantined.append({"shard": r.index, "attempts": r.attempts,
+                                "error": r.error})
+    have = {r.key for r in rows}
+    missing = [k for k in keys if k not in have] if keys is not None else []
+    return {"counts": counts, "retried": retried,
+            "quarantined": quarantined, "missing": missing,
+            "status": ledger_status(counts, len(have) + len(missing))}
+
+
+def ledger_status(counts: dict[str, int], total: int) -> str:
+    """Overall state of ``total`` shards from their per-state ``counts``.
+
+    ``failed`` if any shard is quarantined, ``done`` when all are done,
+    otherwise ``running``.
+    """
+    if counts["quarantined"]:
+        return "failed"
+    return "done" if counts["done"] == total else "running"
 
 
 def default_queue_sibling(path: str | Path, suffix: str) -> Path:

@@ -458,14 +458,28 @@ class ScenarioSpec:
         return list(self.iter_members())
 
     def validate(self) -> None:
-        """Build the first member's model/initial state; raises on typos."""
+        """Build the first member, then once more per further axis value.
+
+        Raises on typos in the base model or in any value of any axis
+        (``seed`` and ``t_end`` values cannot fail a build) at the cost
+        of one build per axis value, not one per member.
+        """
         first = next(self.iter_members())
-        model = first.build_model()
-        theta0 = first.build_theta0(model.n)
-        if theta0.shape != (model.n,):
-            raise ValueError(
-                f"initial condition has shape {theta0.shape}, "
-                f"expected ({model.n},)")
+        variants = [first.model]
+        for path, values in self.axes:
+            if path in ("seed", "t_end"):
+                continue
+            for value in values[1:]:
+                model = copy.deepcopy(first.model)
+                _set_path(model, path, value)
+                variants.append(model)
+        for d in variants:
+            model = model_from_spec(d)
+            theta0 = first.build_theta0(model.n)
+            if theta0.shape != (model.n,):
+                raise ValueError(
+                    f"initial condition has shape {theta0.shape}, "
+                    f"expected ({model.n},)")
 
     # ------------------------------------------------------------------
     # serialisation + identity

@@ -15,16 +15,19 @@ of a checkout-and-run:
     :class:`~repro.runs.WorkQueue` (idempotent per shard key, so
     concurrent duplicate submits collapse onto one set of rows).
 ``GET /v1/campaigns/{id}``
-    The ``pom queue``-style report restricted to the campaign:
-    pending/leased/done/quarantined counts, retry attempts, quarantine
-    tracebacks, and an overall ``status`` of ``running`` / ``done`` /
-    ``failed``.
+    The queue ledger (:meth:`~repro.runs.WorkQueue.describe`) scoped to
+    the campaign's shard keys: pending/leased/done/quarantined counts,
+    retry attempts, quarantine tracebacks, and an overall ``status`` of
+    ``running`` / ``done`` / ``failed``.  The service adds one rule:
+    a shard with no queue row counts as done when it is cached (the
+    submit-time short-circuit), else as pending.
 ``GET /v1/campaigns/{id}/result?format=npz|csv``
-    The assembled campaign artefact.  Built once from the cached shard
-    solves (bit-identical to ``pom run`` of the same spec, by the same
-    assembly path), then persisted in the content-addressed artifact
-    store — repeat fetches stream the stored bytes without touching the
-    cache or the queue.
+    The assembled campaign artefact.  Built once, from one load pass
+    over the cached shard solves (bit-identical to ``pom run`` of the
+    same spec, by the same assembly path; shards that do not load are
+    requeued), then persisted in the content-addressed artifact store
+    — repeat fetches stream the stored bytes without compiling the
+    plan or touching the cache or the queue.
 ``GET /v1/healthz`` / ``GET /v1/registry``
     Liveness + queue/cache/worker stats; the experiment registry.
 
@@ -61,10 +64,10 @@ from urllib.parse import parse_qs, urlparse
 
 from ..experiments.registry import REGISTRY, get_experiment
 from ..runs import ResultCache, ScenarioSpec, WorkQueue, compile_plan
-from ..runs.executor import WorkerPool, collect_cached
+from ..runs.executor import WorkerPool, assemble, load_done
 from ..runs.faults import ensure_shared_state_dir
 from ..runs.plan import Plan
-from ..runs.queue import default_queue_sibling
+from ..runs.queue import default_queue_sibling, ledger_status
 from ..runs.store import ArtifactStore
 from ..viz.export import csv_text
 
@@ -233,36 +236,29 @@ class CampaignService:
         return out
 
     def status(self, cid: str) -> dict:
-        """``GET /v1/campaigns/{id}`` — the campaign's queue-style report."""
+        """``GET /v1/campaigns/{id}`` — the campaign's queue ledger."""
         spec, plan = self._load_campaign(cid)
         return self._status_dict(cid, spec, plan)
 
+    def _ledger(self, plan: Plan) -> dict:
+        """The queue ledger of ``plan``'s shards, plus the service's rule.
+
+        A shard with no queue row was never enqueued: a cache
+        short-circuit (done) or a queue file deleted under a live
+        campaign (pending).  Only those shards are probed in the cache.
+        """
+        ledger = self.queue.describe([s.key for s in plan.shards])
+        if ledger["missing"]:
+            counts = ledger["counts"]
+            hits = sum(1 for k in ledger["missing"] if self.cache.has(k))
+            counts["done"] += hits
+            counts["pending"] += len(ledger["missing"]) - hits
+            ledger["status"] = ledger_status(counts, plan.n_shards)
+        return ledger
+
     def _status_dict(self, cid: str, spec: ScenarioSpec,
                      plan: Plan) -> dict:
-        rows = {r.key: r for r in self.queue.rows()}
-        counts = {"pending": 0, "leased": 0, "done": 0, "quarantined": 0}
-        retried: dict[int, int] = {}
-        quarantined: list[dict] = []
-        for s in plan.shards:
-            row = rows.get(s.key)
-            if row is None:
-                # Never enqueued: a cache short-circuit (done) or a
-                # queue file that was deleted under a live campaign.
-                counts["done" if self.cache.has(s.key) else "pending"] += 1
-                continue
-            counts[row.state] += 1
-            if row.state == "done" and row.attempts > 1:
-                retried[s.index] = row.attempts
-            elif row.state == "quarantined":
-                quarantined.append({"shard": s.index,
-                                    "attempts": row.attempts,
-                                    "error": row.error})
-        if quarantined:
-            state = "failed"
-        elif counts["done"] == plan.n_shards:
-            state = "done"
-        else:
-            state = "running"
+        ledger = self._ledger(plan)
         return {
             "id": cid,
             "name": spec.name,
@@ -270,46 +266,50 @@ class CampaignService:
             "shards": plan.n_shards,
             "metrics": list(spec.metrics),
             "trajectories": spec.trajectories,
-            "status": state,
-            "counts": counts,
-            "retried": retried,
-            "quarantined": quarantined,
+            "status": ledger["status"],
+            "counts": ledger["counts"],
+            "retried": ledger["retried"],
+            "quarantined": ledger["quarantined"],
             "queue": {"path": str(self.queue_path)},
         }
 
     def result(self, cid: str, fmt: str = "npz") -> tuple[bytes, bool]:
         """``GET /v1/campaigns/{id}/result`` — assembled campaign artefact.
 
-        Returns ``(bytes, from_store)``.  The artefact is assembled from
-        the cached shard solves exactly once (the same member-ordered
+        Returns ``(bytes, from_store)``.  A stored artefact is streamed
+        without compiling the plan or touching the cache or the queue.
+        Otherwise, once the campaign's status (:meth:`status`'s rule)
+        is ``done``, the artefact is assembled from one load
+        pass over the cached shard solves (the same member-ordered
         assembly ``pom run`` uses, so the bytes decode to bit-identical
-        arrays), stored content-addressed, and streamed straight from
-        the store on every later fetch.  A ``done``-looking campaign
-        whose cached shards fail verification is requeued (409) instead
-        of served wrong.
+        arrays) and stored content-addressed.  Shards whose cached
+        result does not load are requeued (409) instead of served wrong.
         """
         if fmt not in RESULT_FORMATS:
             raise ApiError(400, f"unknown result format {fmt!r}; "
                                 f"available: {', '.join(RESULT_FORMATS)}")
-        spec, plan = self._load_campaign(cid)
-        blob = self.artifacts.get_bytes(cid, ext="." + fmt)
+        try:
+            blob = self.artifacts.get_bytes(cid, ext="." + fmt)
+        except ValueError as exc:  # malformed id (not a hex hash)
+            raise ApiError(404, f"unknown campaign {cid!r}") from exc
         if blob is not None:
             return blob, True
-        missing = sum(1 for s in plan.shards if not self.cache.has(s.key))
-        if missing:
+        t0 = time.perf_counter()
+        spec, plan = self._load_campaign(cid)
+        ledger = self._ledger(plan)
+        if ledger["status"] != "done":
+            outstanding = plan.n_shards - ledger["counts"]["done"]
             raise ApiError(409, f"campaign {cid[:16]} is not complete "
-                                f"({missing} shard(s) outstanding)")
-        run = collect_cached(plan, self.cache)
-        if run is None:
-            # Entries exist but will not load (torn write, bit rot):
-            # put the bad shards back through the queue rather than
-            # serving a wrong or partial artefact.
-            bad = [s.key for s in plan.shards
-                   if self.cache.load(s.key) is None]
-            self.queue.enqueue_plan(plan, max_attempts=self.max_attempts)
-            self.queue.requeue(bad)
+                                f"({outstanding} shard(s) outstanding)")
+        outcomes, bad = load_done(plan.shards, self.cache, self.queue)
+        if bad:
+            # load_done requeued the bad shards that have a row; the
+            # ones without (a cache short-circuit) get one.
+            self.queue.enqueue_plan(Plan(plan.spec, bad),
+                                    max_attempts=self.max_attempts)
             raise ApiError(409, f"{len(bad)} cached shard(s) failed "
                                 "verification; requeued for recompute")
+        run = assemble(plan, outcomes, t0)
         if fmt == "npz":
             data = run.npz_bytes()
         else:

@@ -7,7 +7,7 @@ benchmarks and EXPERIMENTS.md.
 import numpy as np
 import pytest
 
-from repro.analysis import compare_scenario, measure_trace_wave
+from repro.analysis import measure_trace_wave
 from repro.core import (
     BottleneckPotential,
     CouplingSpec,
@@ -19,10 +19,10 @@ from repro.core import (
     ring,
     simulate,
 )
+from repro.experiments.fig2 import run_panel
 from repro.metrics import classify, measure_wave_speed, settle_time
 from repro.simulator import (
     PiSolverKernel,
-    StreamTriadKernel,
     paper_program,
     run_with_one_off_delay,
 )
@@ -150,24 +150,26 @@ class TestSection52ScalabilityAndPotential:
 
 class TestFig2CrossValidation:
     """The model and the DES agree on the sync/desync verdict for the
-    paper's four scenarios (reduced scale)."""
+    paper's four scenarios (reduced scale), and both sides give the
+    paper's verdict."""
 
-    @pytest.mark.parametrize("name,kernel,potential,distances", [
-        ("a", PiSolverKernel(1e6), TanhPotential(), (1, -1)),
-        ("b", StreamTriadKernel(2e6), BottleneckPotential(sigma=1.5),
-         (1, -1)),
-        ("c", PiSolverKernel(1e6), TanhPotential(), (1, -1, -2)),
-        ("d", StreamTriadKernel(2e6), BottleneckPotential(sigma=0.5),
-         (1, -1, -2)),
-    ])
-    def test_scenario_agreement(self, name, kernel, potential, distances):
-        res = compare_scenario(
-            f"fig2{name}", kernel=kernel, potential=potential,
+    @pytest.mark.parametrize("name,scalable,sigma,distances", [
+        ("a", True, None, (1, -1)),
+        ("b", False, 1.5, (1, -1)),
+        ("c", True, None, (1, -1, -2)),
+        ("d", False, 0.5, (1, -1, -2)),
+    ], ids=["a", "b", "c", "d"])
+    def test_scenario_agreement(self, name, scalable, sigma, distances):
+        panel = run_panel(
+            f"fig2{name}", scalable=scalable, sigma=sigma,
             distances=distances, n_ranks=20, n_iterations=30,
-            model_t_end=900.0, seed=0)
-        assert res.agree, (
-            f"panel {name}: model={res.model_state}, "
-            f"trace_desync={res.trace_desynchronized}")
+            t_end=900.0, array_elements=2e6, seed=0)
+        model_desync = panel.model_verdict.is_desynchronized
+        trace_desync = panel.trace_desync.is_desynchronized
+        assert model_desync == trace_desync, (
+            f"panel {name}: model={panel.model_verdict.state}, "
+            f"trace_desync={trace_desync}")
+        assert panel.agrees_with_paper
 
 
 class TestResyncTimescale:

@@ -177,6 +177,12 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown potential"):
             potential_from_name("spring-mass")
 
+    @pytest.mark.parametrize("name", ["kuramoto", "sin"])
+    def test_parameterless_kind_rejects_params(self, name):
+        # An ignored key would still change the spec hash and shard key.
+        with pytest.raises(ValueError, match="takes no parameters"):
+            potential_from_name(name, gain=5)
+
 
 # ----------------------------------------------------------------------
 # Property-based invariants

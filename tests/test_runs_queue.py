@@ -102,13 +102,59 @@ class TestWorkQueue:
             assert verdict == ("quarantined" if attempt == 3 else "retry")
         counts = queue.counts()
         assert counts["quarantined"] == 1 and counts["pending"] == 3
-        (row,) = queue.quarantined()
-        assert row.key == key and "boom 3" in row.error
-        assert queue.describe()["quarantined"][0]["attempts"] == 3
+        (row,) = queue.describe()["quarantined"]
+        assert row["shard"] == lease.index and "boom 3" in row["error"]
+        assert row["attempts"] == 3
 
         assert queue.requeue_quarantined() == 1
         fresh = queue.claim("w1", now=10000.0)
         assert fresh.key == key and fresh.attempts == 1
+
+    def test_reap_quarantines_like_fail(self, queue):
+        # One transition behind fail and reap: a lease lost on the last
+        # attempt quarantines, with the reaper's note as the error.
+        for attempt in (1, 2, 3):
+            lease = queue.claim("w1", lease_ttl=10, now=1000.0 * attempt)
+            assert queue.reap(now=1000.0 * attempt + 11) == [lease.key]
+        ledger = queue.describe()
+        (row,) = ledger["quarantined"]
+        assert row["shard"] == lease.index and row["attempts"] == 3
+        assert "lease expired after attempt 3" in row["error"]
+        assert ledger["status"] == "failed"
+
+    def test_describe_scopes_to_keys(self, queue, plan, tmp_path):
+        other = compile_plan(grid_spec(t_end=7.0), shard_members=2)
+        queue.enqueue_plan(other)
+        lease = queue.claim("w1", now=0.0)            # plan's shard 0
+        queue.complete(lease.key, lease.lease_id, now=1.0)
+        keys = [s.key for s in plan.shards]
+        mine = queue.describe(keys)
+        assert mine["counts"] == {"pending": 3, "leased": 0, "done": 1,
+                                  "quarantined": 0}
+        assert mine["missing"] == [] and mine["status"] == "running"
+        assert queue.describe()["counts"]["pending"] == 7
+        assert queue.describe([s.key for s in other.shards])["counts"] \
+            == {"pending": 4, "leased": 0, "done": 0, "quarantined": 0}
+        # keys with no row are listed, not counted
+        fresh = compile_plan(grid_spec(t_end=8.0), shard_members=2)
+        unseen = queue.describe([s.key for s in fresh.shards])
+        assert unseen["missing"] == [s.key for s in fresh.shards]
+        assert sum(unseen["counts"].values()) == 0
+        assert unseen["status"] == "running"
+
+    def test_describe_is_one_connection(self, queue, monkeypatch):
+        from repro.runs import queue as queue_mod
+
+        opened = []
+        real = queue_mod.sqlite3.connect
+
+        def counting(*args, **kwargs):
+            opened.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(queue_mod.sqlite3, "connect", counting)
+        queue.describe()
+        assert len(opened) == 1
 
     def test_fail_is_fenced(self, queue):
         lease = queue.claim("w1", lease_ttl=10, now=0.0)
@@ -170,6 +216,20 @@ class TestQueueExecutor:
             assert a.index == b.index
             np.testing.assert_array_equal(a.ts, b.ts)
             np.testing.assert_array_equal(a.thetas, b.thetas)
+
+    def test_two_campaigns_share_one_queue(self, tmp_path):
+        # Each run reports its own shards, not the whole queue file.
+        first = run_spec(grid_spec(), jobs=2, shard_members=2,
+                         queue=tmp_path / "q.db")
+        second = run_spec(grid_spec(t_end=7.0), jobs=2, shard_members=2,
+                          queue=tmp_path / "q.db")
+        for res in (first, second):
+            assert res.queue["counts"] == {"pending": 0, "leased": 0,
+                                           "done": 4, "quarantined": 0}
+            assert res.queue["status"] == "done"
+            assert res.n_executed == 4
+        assert WorkQueue(tmp_path / "q.db").describe()["counts"]["done"] \
+            == 8
 
     def test_queue_replay_is_pure_cache_hit(self, tmp_path):
         spec = grid_spec()
@@ -252,9 +312,9 @@ class TestQueueExecutor:
                      queue=tmp_path / "q.db",
                      lease_ttl=5.0, backoff=0.05, max_attempts=3)
         queue = WorkQueue(tmp_path / "q.db")
-        (row,) = queue.quarantined()
-        assert row.index == 0 and row.attempts == 3
-        assert "InjectedFault" in row.error
+        (row,) = queue.describe()["quarantined"]
+        assert row["shard"] == 0 and row["attempts"] == 3
+        assert "InjectedFault" in row["error"]
 
         # operator workflow: requeue and rerun clean
         monkeypatch.delenv("POM_FAULTS")
@@ -265,6 +325,38 @@ class TestQueueExecutor:
         ref = run_spec(grid_spec(), jobs=1, shard_members=2)
         for a, b in zip(ref.members, res.members):
             np.testing.assert_array_equal(a.thetas, b.thetas)
+
+    def test_torn_writes_on_several_shards_recover(self, tmp_path,
+                                                   monkeypatch):
+        # Four torn cache writes land on different shards, found on
+        # different ticks; each shard is recomputed once, not counted
+        # against one campaign-wide budget.
+        from repro.runs import executor
+
+        monkeypatch.setattr(executor, "POLL_S", 0.01)
+        monkeypatch.setenv("POM_FAULTS", "corrupt-cache:times=4")
+        monkeypatch.setenv("POM_FAULTS_STATE", str(tmp_path / "faults"))
+        plan = compile_plan(grid_spec(), shard_members=1)
+        assert plan.n_shards == 8
+        res = run_plan_queue(plan, tmp_path / "q.db", jobs=2,
+                             backoff=0.05)
+        monkeypatch.delenv("POM_FAULTS")
+        monkeypatch.delenv("POM_FAULTS_STATE")
+        ref = run_plan(plan)
+        for a, b in zip(ref.members, res.members):
+            np.testing.assert_array_equal(a.ts, b.ts)
+            np.testing.assert_array_equal(a.thetas, b.thetas)
+        assert res.queue["status"] == "done"
+
+    def test_persistently_torn_shard_raises(self, tmp_path, monkeypatch):
+        from repro.runs import executor
+
+        monkeypatch.setattr(executor, "POLL_S", 0.01)
+        monkeypatch.setenv("POM_FAULTS", "corrupt-cache:shard=0,times=99")
+        monkeypatch.setenv("POM_FAULTS_STATE", str(tmp_path / "faults"))
+        plan = compile_plan(grid_spec(), shard_members=2)
+        with pytest.raises(RuntimeError, match="shard 0's result remained"):
+            run_plan_queue(plan, tmp_path / "q.db", jobs=2, backoff=0.05)
 
 
 class TestKilledWorkerResume:

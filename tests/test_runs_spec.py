@@ -203,6 +203,41 @@ class TestExpansion:
         with pytest.raises(ValueError, match="refresh"):
             spec.validate()
 
+    @pytest.mark.parametrize("axis,error", [
+        (("local_noise", [{"kind": "none"},
+                          {"kind": "gaussian", "stdev": 0.1}]), ValueError),
+        (("potential", [{"kind": "tanh"}, {"kind": "tanh", "sigma": 1}]),
+         TypeError),
+    ])
+    def test_validate_builds_every_axis_value(self, axis, error):
+        # Member 0 builds; the bad value sits later on the axis.
+        spec = base_spec(solver={"method": "rk4", "dt": 0.01},
+                         axes=[("seed", [0, 1]), axis])
+        next(spec.iter_members()).build_model()
+        with pytest.raises(error):
+            spec.validate()
+
+    def test_validate_builds_once_per_axis_value(self, monkeypatch):
+        from repro.runs import spec as spec_mod
+
+        calls = []
+        real = spec_mod.model_from_spec
+
+        def counting(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(spec_mod, "model_from_spec", counting)
+        spec = base_spec(axes=[("potential.sigma", [0.5, 1.0, 1.5]),
+                               ("t_comp", [0.8, 0.9]),
+                               ("seed", list(range(50)))])
+        spec.validate()
+        # member 0, then one build per further value of each model axis
+        assert len(calls) == 1 + 2 + 1
+        assert [c["potential"]["sigma"] for c in calls] == [0.5, 1.0, 1.5,
+                                                           0.5]
+        assert [c["t_comp"] for c in calls] == [0.8, 0.8, 0.8, 0.9]
+
 
 class TestSerialisation:
     def test_json_roundtrip(self, tmp_path):

@@ -16,7 +16,12 @@ import pytest
 from repro.cli import main
 from repro.runs import ScenarioSpec, WorkQueue, compile_plan, run_spec
 from repro.runs.queue import default_queue_sibling
-from repro.service import CampaignServer, ServiceClient, ServiceError
+from repro.service import (
+    ApiError,
+    CampaignServer,
+    ServiceClient,
+    ServiceError,
+)
 from repro.viz.export import csv_text, read_csv, write_csv
 
 SPEC_DICT = {
@@ -215,6 +220,28 @@ class TestErrors:
         assert excinfo.value.status == 409
         assert "outstanding" in str(excinfo.value)
 
+    @pytest.mark.parametrize("path,values", [
+        ("local_noise", [{"kind": "none"},
+                         {"kind": "gaussian", "stdev": 0.1}]),
+        ("potential", [{"kind": "tanh"}, {"kind": "tanh", "sigma": 1}]),
+    ])
+    def test_bad_later_axis_value_400(self, idle_server, path, values):
+        bad = json.loads(json.dumps(SPEC_DICT))
+        bad["solver"] = {"method": "rk4", "dt": 0.01}
+        bad["axes"] = [["seed", [0, 1]], [path, values]]
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(idle_server.url).submit(spec=bad)
+        assert excinfo.value.status == 400
+        assert "invalid scenario spec" in str(excinfo.value)
+        assert WorkQueue(idle_server.service.queue_path).rows() == []
+
+    def test_unknown_campaign_result_404(self, server):
+        client = ServiceClient(server.url)
+        for cid in ("deadbeef" * 8, "not-a-hash"):
+            with pytest.raises(ServiceError) as excinfo:
+                client.result_bytes(cid)
+            assert excinfo.value.status == 404
+
     def test_unknown_result_format_400(self, server, spec):
         client = ServiceClient(server.url)
         out = client.submit(spec, shard_members=2)
@@ -222,6 +249,112 @@ class TestErrors:
         with pytest.raises(ServiceError) as excinfo:
             client.result_bytes(out["id"], fmt="parquet")
         assert excinfo.value.status == 400
+
+
+class TestLedger:
+    """The service reads campaign state from the queue ledger and loads
+    each cached shard once per assembled artefact."""
+
+    @pytest.fixture
+    def service(self, tmp_path):
+        from repro.service import CampaignService
+
+        return CampaignService(tmp_path / "q.db")
+
+    def test_cached_submit_opens_one_connection(self, service, spec,
+                                                monkeypatch):
+        from repro.runs import queue as queue_mod
+
+        run_spec(spec, shard_members=2, cache=service.cache)
+        opened = []
+        real = queue_mod.sqlite3.connect
+
+        def counting(*args, **kwargs):
+            opened.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(queue_mod.sqlite3, "connect", counting)
+        out = service.submit({"spec": SPEC_DICT, "shard_members": 2})
+        assert out["cached"] is True and out["status"] == "done"
+        assert out["counts"]["done"] == 2
+        assert len(opened) == 1
+
+    def test_first_fetch_is_one_load_pass(self, service, spec,
+                                          monkeypatch):
+        from repro.runs import ResultCache
+        from repro.service import server as server_mod
+
+        run_spec(spec, shard_members=2, cache=service.cache)
+        cid = service.submit({"spec": SPEC_DICT, "shard_members": 2})["id"]
+        loads, probes = [], []
+        real_load, real_has = ResultCache.load, ResultCache.has
+
+        def counting_load(self, key):
+            loads.append(key)
+            return real_load(self, key)
+
+        def counting_has(self, key):
+            probes.append(key)
+            return real_has(self, key)
+
+        monkeypatch.setattr(ResultCache, "load", counting_load)
+        monkeypatch.setattr(ResultCache, "has", counting_has)
+        data, from_store = service.result(cid)
+        assert not from_store
+        # The status rule probes only the shards with no queue row (all
+        # of them, for a cache short-circuit); then one load pass.
+        keys = sorted(s.key for s in compile_plan(spec,
+                                                  shard_members=2).shards)
+        assert sorted(loads) == keys
+        assert sorted(probes) == keys
+
+        # A stored artefact is served without compiling the plan.
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled the plan for a stored artefact")
+
+        monkeypatch.setattr(server_mod, "compile_plan", no_compile)
+        assert service.result(cid) == (data, True)
+
+    def test_corrupt_shard_is_requeued_not_served(self, service, spec):
+        plan = compile_plan(spec, shard_members=2)
+        run_spec(spec, shard_members=2, cache=service.cache)
+        cid = service.submit({"spec": SPEC_DICT, "shard_members": 2})["id"]
+        bad = plan.shards[1].key
+        path = service.cache.store.path_for(bad)
+        path.write_bytes(path.read_bytes()[:64])
+        with pytest.raises(ApiError) as excinfo:
+            service.result(cid)
+        assert excinfo.value.status == 409
+        assert "requeued" in str(excinfo.value)
+        # Only the bad shard gets a row; the loadable one stays a
+        # cache hit.
+        rows = {r.key: r.state for r in service.queue.rows()}
+        assert rows == {bad: "pending"}
+        assert service.status(cid)["status"] == "running"
+
+    def test_rowless_uncached_shards_are_outstanding(self, service, spec,
+                                                     monkeypatch):
+        # A queue emptied under a live campaign: its shards have no row
+        # and no cache entry, so the result is not complete (409) and no
+        # shard is loaded.
+        import sqlite3
+
+        from repro.runs import ResultCache
+
+        cid = service.submit({"spec": SPEC_DICT, "shard_members": 2})["id"]
+        with sqlite3.connect(service.queue_path) as con:
+            con.execute("DELETE FROM shards")
+        con.close()
+
+        def no_load(self, key):
+            raise AssertionError("loaded a shard of an incomplete campaign")
+
+        monkeypatch.setattr(ResultCache, "load", no_load)
+        with pytest.raises(ApiError) as excinfo:
+            service.result(cid)
+        assert excinfo.value.status == 409
+        assert "2 shard(s) outstanding" in str(excinfo.value)
+        assert service.status(cid)["status"] == "running"
 
 
 class TestConcurrency:
