@@ -22,7 +22,10 @@ Measures the two claims of the campaign layer (:mod:`repro.runs`):
 4. **Streaming metrics** — a metric-only campaign
    (``trajectories="none"``) vs the same campaign with full
    trajectory capture: cached bytes (gated ``speedup_cache_shrink``
-   >= 20x), warm replay, and fully cached service fetch latency.
+   >= 20x), warm replay, and fully cached service fetch latency, plus
+   the observer's per-call cost on an ``(8, 1e4)`` state under the
+   kernel ``auto`` resolves to and under ``numpy`` (plain keys, not
+   gated).
 
 The artefact records ``platform.cpu_count`` so the regression gate's
 hard floors (``check_regression.py --floor KEY:MIN[:MINCPUS]``) can
@@ -346,6 +349,33 @@ def streaming_campaign(n_ranks: int, n_seeds: int,
     )
 
 
+def bench_observer(repeats: int, shape=(8, 10_000),
+                   calls: int = 50) -> dict:
+    """Per-call microseconds of the streamed order parameter on one
+    ``shape`` state, for the kernel ``auto`` resolves to and for numpy
+    (both when ``auto`` is numpy)."""
+    from repro.core import BottleneckPotential, PhysicalOscillatorModel, ring
+    from repro.kernels import resolve_kernel
+    from repro.metrics import StreamingObserver
+
+    resolved = resolve_kernel("auto", has_coefficients=True)
+    y = np.random.default_rng(0).normal(0.0, 1.0, shape)
+    out = {"observer_kernel": resolved, "observer_shape": list(shape)}
+    for kernel in dict.fromkeys((resolved, "numpy")):
+        model = PhysicalOscillatorModel(
+            topology=ring(shape[1], (1, -1)),
+            potential=BottleneckPotential(1.0), t_comp=0.9, t_comm=0.1,
+            kernel=kernel)
+        obs = StreamingObserver([model] * shape[0], ["order_parameter"])
+
+        def observe():
+            for k in range(calls):
+                obs(float(k), y)
+
+        out[f"observer_us_{kernel}"] = _time(observe, repeats) / calls * 1e6
+    return out
+
+
 def bench_streaming(n_ranks: int, n_seeds: int, t_end: float,
                     repeats: int) -> dict:
     """Metric-only campaigns vs full-trajectory campaigns.
@@ -357,7 +387,10 @@ def bench_streaming(n_ranks: int, n_seeds: int, t_end: float,
     replays touch far fewer bytes, and a fully cached service fetch
     streams a small artefact.  Bit-identity of the streamed metric
     against the full-trajectory run is asserted before anything is
-    timed.
+    timed.  ``observer_us_<kernel>`` is one ``StreamingObserver`` call
+    (the order parameter) on an ``(8, 1e4)`` state, for the kernel
+    ``auto`` resolves to and for ``numpy``; informational, since the
+    ratio depends on the host's SIMD ``libmvec``.
     """
     from repro.service import CampaignServer, ServiceClient
 
@@ -369,7 +402,8 @@ def bench_streaming(n_ranks: int, n_seeds: int, t_end: float,
     metric_plan = compile_plan(metric_spec)
 
     out: dict = {"members": full_plan.n_members, "n_ranks": n_ranks,
-                 "t_end": t_end}
+                 "t_end": t_end, "cpu_count": os.cpu_count(),
+                 **bench_observer(max(repeats, 3))}
     with tempfile.TemporaryDirectory(prefix="pom-bench-stream-") as dtmp:
         full_cache = ResultCache(os.path.join(dtmp, "full"))
         metric_cache = ResultCache(os.path.join(dtmp, "metric"))
@@ -517,7 +551,12 @@ def main(argv: list[str] | None = None) -> int:
           f"=> {st['speedup_cache_shrink']:.0f}x shrink; warm replay "
           f"{st['warm_replay_full_s']:.4f} s vs "
           f"{st['warm_replay_metric_s']:.4f} s; service fetch "
-          f"{st['fetch_full_s']:.4f} s vs {st['fetch_metric_s']:.4f} s")
+          f"{st['fetch_full_s']:.4f} s vs {st['fetch_metric_s']:.4f} s; "
+          f"observer {st['observer_shape']} "
+          + ", ".join(f"{k[len('observer_us_'):]} {v:.0f} us"
+                      for k, v in st.items()
+                      if k.startswith("observer_us_"))
+          + f" per call ({st['cpu_count']} CPUs)")
     print(f"written: {args.out}")
     return 0
 

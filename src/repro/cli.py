@@ -546,9 +546,8 @@ def _cmd_queue(args: argparse.Namespace) -> int:
     if args.requeue_quarantined:
         n = queue.requeue_quarantined()
         print(f"requeued {n} quarantined shard(s)")
-    spec_hash = str(queue.spec_hash())[:16]
-    _print_ledger(f"queue {queue.path} (spec {spec_hash}):",
-                  queue.describe())
+    specs = ", ".join(h[:16] for h in queue.spec_hashes()) or "None"
+    _print_ledger(f"queue {queue.path} (spec {specs}):", queue.describe())
     return 0
 
 

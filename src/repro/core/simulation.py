@@ -294,6 +294,14 @@ def _as_seed(seed) -> int | None:
     return None if seed is None else int(seed)
 
 
+def grid_kernel(models: Sequence[PhysicalOscillatorModel]) -> str:
+    """The ``kernel=`` request :func:`simulate_grid` makes for ``models``
+    without an override: their declarative ``kernel`` field when they
+    agree, else ``"auto"`` for the stacked backend."""
+    requested = {m.kernel for m in models}
+    return requested.pop() if len(requested) == 1 else "auto"
+
+
 def simulate_grid(
     models: Sequence[PhysicalOscillatorModel],
     t_end: float,
@@ -389,11 +397,7 @@ def simulate_grid(
                 f"got {len(seed_list)} seeds for {len(models)} models")
 
     if kernel is None:
-        # Honour the models' declarative kernel field when they agree;
-        # disagreeing grids fall back to auto resolution for the stacked
-        # backend.
-        model_kernels = {m.kernel for m in models}
-        kernel = model_kernels.pop() if len(model_kernels) == 1 else "auto"
+        kernel = grid_kernel(models)
     members = [m.realize(t_end, rng=s, kernel=kernel)
                for m, s in zip(models, seed_list)]
     stacked = make_batched_backend(members, kernel=kernel, threads=threads)

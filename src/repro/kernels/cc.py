@@ -23,11 +23,18 @@ compiler or ``Python.h`` the module reports unavailability and the
 
 Entry points and prebound calls
 -------------------------------
-Two entries, both on a stacked ``(R, N)`` super-state with per-member
-coefficients: :func:`fused_batched` (any edge lists, a 2-D torus
-included: each row runs its own edge range of one concatenated list,
-so members may differ in topology) and :func:`ring_batched` (one shared
-distance ring).  A single state is the ``R = 1`` stack ``(1, N)``.
+Three entries.  Two couple a stacked ``(R, N)`` super-state with
+per-member coefficients: :func:`fused_batched` (any edge lists, a 2-D
+torus included: each row runs its own edge range of one concatenated
+list, so members may differ in topology) and :func:`ring_batched` (one
+shared distance ring).  A single state is the ``R = 1`` stack
+``(1, N)``.  The third, :func:`mean_cos_sin`, is the order-parameter
+reduction the streaming observer runs after every accepted step: the
+per-row means of ``cos`` and ``sin`` of a ``(rows, n)`` state.  It keeps
+``cos`` and ``sin`` in two separate flat loops, because GCC fuses one
+loop holding both into a scalar ``sincos`` call that libmvec does not
+vectorise (about 10x slower at N = 1e4).
+
 A backend evaluates the coupling thousands of times per solve with the
 same topology, coefficients and thread count, so :func:`bind` resolves
 all of those once into a :class:`KernelCall`, whose capsule holds the
@@ -41,11 +48,12 @@ Thread parallelism
 Every kernel takes a trailing ``threads`` argument.  With ``threads > 1``
 and an OpenMP-capable compiler the work is split over **disjoint output
 rows** (edge spans are row-aligned via binary search on the sorted row
-array; ring element ranges are contiguous), so no two threads ever
-write the same accumulator and no atomics are needed.  Because each
-row's contributions are accumulated in exactly the serial order, results
-are **bit-identical for any thread count** — the parallel path is a pure
-wall-clock knob, never a numerics knob.  When OpenMP is unavailable the
+array; ring element ranges are contiguous; the reduction hands each
+thread whole rows), so no two threads ever write the same accumulator
+and no atomics are needed.  Because each row's contributions are
+accumulated in exactly the serial order, results are **bit-identical
+for any thread count** — the parallel path is a pure wall-clock knob,
+never a numerics knob.  When OpenMP is unavailable the
 kernels quietly run serial (``openmp_available()`` reports which), and
 so does a process forked after its parent ran a parallel region, whose
 first own region would hang (libgomp is not fork-safe).
@@ -81,6 +89,7 @@ __all__ = [
     "ring_offsets",
     "fused_batched",
     "ring_batched",
+    "mean_cos_sin",
 ]
 
 _SOURCE = r"""
@@ -322,6 +331,85 @@ void pom_fused_ring_batched(const int64_t *offsets, int64_t n_offsets,
                    kinds[r], p0[r], p1[r], vp[r], sd, sv, block);
 }
 
+/* Sum of v[0, mp), mp a PAD_BLOCK multiple of at most BLOCK_EDGES:
+ * PAD_BLOCK-element partial sums, then their sum, so the rounding error
+ * grows with mp / PAD_BLOCK + PAD_BLOCK rather than with mp.  One running
+ * sum over a synchronised row of 1e4 cosines (each ~1) drifts ~1e-15
+ * from NumPy's pairwise sum; this stays within a few ulps of it. */
+static double padded_sum(const double *v, int64_t mp) {
+    double part[BLOCK_EDGES / PAD_BLOCK], sum = 0.0;
+    int64_t k, e, chunks = mp / PAD_BLOCK;
+    for (k = 0; k < chunks; ++k) {
+        double acc = 0.0;
+        for (e = 0; e < PAD_BLOCK; ++e)
+            acc += v[k * PAD_BLOCK + e];
+        part[k] = acc;
+    }
+    for (k = 0; k < chunks; ++k)
+        sum += part[k];
+    return sum;
+}
+
+/* Order-parameter reduction: the means of cos and sin over one row of
+ * n phases, summed block by block in a fixed order.  It keeps the
+ * determinism contract of potential_block: each block is copied into
+ * the 64-byte-aligned scratch and padded to PAD_BLOCK, so the vectorised
+ * libmvec cos/sin never meet a scalar epilogue, and the one noinline
+ * instance serves the serial and the parallel path.  cos and sin run as
+ * two flat loops: in one loop GCC fuses them into a scalar sincos call
+ * and vectorises neither. */
+#if defined(__GNUC__)
+__attribute__((noinline))
+#endif
+static void cos_sin_row(const double *x, int64_t n, double *sd, double *sv,
+                        int64_t block, double *c, double *s) {
+    int64_t b0, e;
+    double cs = 0.0, ss = 0.0;
+    for (b0 = 0; b0 < n; b0 += block) {
+        int64_t m = b0 + block < n ? block : n - b0;
+        int64_t mp = (m + (PAD_BLOCK - 1)) & ~(int64_t)(PAD_BLOCK - 1);
+        for (e = 0; e < m; ++e)
+            sd[e] = x[b0 + e];
+        for (e = m; e < mp; ++e)
+            sd[e] = 0.0;
+        for (e = 0; e < mp; ++e)
+            sv[e] = cos(sd[e]);
+        for (e = m; e < mp; ++e)
+            sv[e] = 0.0;
+        cs += padded_sum(sv, mp);
+        for (e = 0; e < mp; ++e)
+            sv[e] = sin(sd[e]);
+        for (e = m; e < mp; ++e)
+            sv[e] = 0.0;
+        ss += padded_sum(sv, mp);
+    }
+    *c = cs / (double)n;
+    *s = ss / (double)n;
+}
+
+/* Per-row cos and sin means of a (rows, n) state into out[0][r] and
+ * out[1][r].  Threads split rows only, so every row is one serial
+ * cos_sin_row call whatever the thread count. */
+void pom_mean_cos_sin(const double *theta, double *out, int64_t rows,
+                      int64_t n, double *sd, double *sv, int64_t block,
+                      int64_t threads) {
+    int64_t r;
+#ifdef _OPENMP
+    if (threads > 1) {
+#pragma omp parallel for schedule(static) num_threads((int)threads)
+        for (r = 0; r < rows; ++r) {
+            int64_t tid = (int64_t)omp_get_thread_num();
+            cos_sin_row(theta + r * n, n, sd + tid * block, sv + tid * block,
+                        block, out + r, out + rows + r);
+        }
+        return;
+    }
+#endif
+    (void)threads;
+    for (r = 0; r < rows; ++r)
+        cos_sin_row(theta + r * n, n, sd, sv, block, out + r, out + rows + r);
+}
+
 /* ---- CPython binding: bind() once per KernelCall, run() per call. ---- */
 static const char *const ENTRIES[] = {"fused_batched", "ring_batched"};
 
@@ -379,16 +467,35 @@ static PyObject *py_bind(PyObject *self, PyObject *args) {
     return NULL;
 }
 
-/* Export `obj` into `v` if it is a C-contiguous float64 (R, N) array. */
-static int state_view(PyObject *obj, Py_buffer *v, const pom_call *c, const char *arg) {
+/* Export `obj` into `v` if it is a C-contiguous float64 (r, n) array; a
+ * negative r or n matches any extent. */
+static int float_view(PyObject *obj, Py_buffer *v, Py_ssize_t r, Py_ssize_t n) {
     if (!PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
-        if (v->ndim == 2 && v->shape[0] == c->r && v->shape[1] == c->n &&
-            !strcmp(v->format, "d"))
+        if (v->ndim == 2 && (r < 0 || v->shape[0] == r) &&
+            (n < 0 || v->shape[1] == n) && !strcmp(v->format, "d"))
             return 0;
         PyBuffer_Release(v);
     }
+    return -1;
+}
+
+static int state_view(PyObject *obj, Py_buffer *v, const pom_call *c, const char *arg) {
+    if (!float_view(obj, v, c->r, c->n))
+        return 0;
     PyErr_Format(PyExc_ValueError, "states must be C-contiguous float64 arrays of the "
                  "bound shape (%zd, %zd); %s is not", c->r, c->n, arg);
+    return -1;
+}
+
+/* 0 if `ou` may take a result computed from `th`, else a ValueError. */
+static int out_apart(const Py_buffer *th, const Py_buffer *ou) {
+    const char *t = th->buf, *o = ou->buf;
+    if (ou->readonly)
+        PyErr_SetString(PyExc_ValueError, "out is read-only");
+    else if (o < t + th->len && t < o + ou->len)
+        PyErr_SetString(PyExc_ValueError, "out overlaps theta");
+    else
+        return 0;
     return -1;
 }
 
@@ -445,10 +552,7 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return PyBuffer_Release(&th), NULL;
     const void *const *a = c->arr;
     double *t = th.buf, *o = ou.buf, *sd = NULL;
-    if (ou.readonly || (o < t + th.len / 8 && t < o + ou.len / 8))
-        PyErr_SetString(PyExc_ValueError,
-                        ou.readonly ? "out is read-only" : "out overlaps theta");
-    else if (!(sd = scratch(c->threads)))
+    if (!out_apart(&th, &ou) && !(sd = scratch(c->threads)))
         PyErr_NoMemory();
     if (sd) {
         double *sv = sd + c->threads * BLOCK_EDGES;
@@ -470,6 +574,55 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return args[2];
 }
 
+/* mean_cos_sin(theta, out, threads) -> out: the per-row cos and sin
+ * means of a (rows, n) state into out of shape (2, rows).  The team never
+ * exceeds the row count, so a huge `threads` allocates no more scratch. */
+static PyObject *py_mean_cos_sin(PyObject *self, PyObject *const *args,
+                                 Py_ssize_t nargs) {
+    Py_buffer th, ou;
+    long long threads;
+    double *sd = NULL;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "mean_cos_sin() takes 3 arguments");
+    if ((threads = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred())
+        return NULL;
+    if (threads < 1)
+        return PyErr_Format(PyExc_ValueError, "threads must be positive");
+    if (float_view(args[0], &th, -1, -1))
+        return PyErr_Format(PyExc_ValueError, "theta must be a C-contiguous "
+                            "float64 (rows, n) array");
+    Py_ssize_t rows = th.shape[0], n = th.shape[1];
+    if (n < 1) {
+        PyBuffer_Release(&th);
+        return PyErr_Format(PyExc_ValueError, "theta has no phases to average");
+    }
+    if (float_view(args[1], &ou, 2, rows)) {
+        PyBuffer_Release(&th);
+        return PyErr_Format(PyExc_ValueError, "out must be a C-contiguous "
+                            "float64 array of shape (2, %zd)", rows);
+    }
+#ifndef _OPENMP
+    threads = 1;
+#endif
+    if (threads > rows)
+        threads = rows > 1 ? rows : 1;
+    if (!out_apart(&th, &ou) && !(sd = scratch(threads)))
+        PyErr_NoMemory();
+    if (sd) {
+        double *sv = sd + threads * BLOCK_EDGES;
+        long long team = usable_threads(threads);
+        Py_BEGIN_ALLOW_THREADS
+        pom_mean_cos_sin(th.buf, ou.buf, rows, n, sd, sv, BLOCK_EDGES, team);
+        Py_END_ALLOW_THREADS
+    }
+    PyBuffer_Release(&th);
+    PyBuffer_Release(&ou);
+    if (!sd)
+        return NULL;
+    Py_INCREF(args[1]);
+    return args[1];
+}
+
 /* Whether this binary has OpenMP (the flag-set chain may end serial). */
 static PyObject *py_openmp(PyObject *self, PyObject *unused) {
 #ifdef _OPENMP
@@ -481,6 +634,8 @@ static PyObject *py_openmp(PyObject *self, PyObject *unused) {
 static PyMethodDef methods[] = {
     {"bind", py_bind, METH_VARARGS, NULL},
     {"run", (PyCFunction)(void (*)(void))py_run, METH_FASTCALL, NULL},
+    {"mean_cos_sin", (PyCFunction)(void (*)(void))py_mean_cos_sin, METH_FASTCALL,
+     NULL},
     {"openmp_available", py_openmp, METH_NOARGS, NULL},
     {NULL, NULL, 0, NULL}};
 
@@ -838,3 +993,13 @@ def ring_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
     """Distance-ring coupling for an ``(R, N)`` super-state into ``out``."""
     return _lib.run(call._capsule, theta, out, 1)
 
+
+def mean_cos_sin(theta: np.ndarray, out: np.ndarray, threads: int = 1):
+    """Per-row means of ``cos`` and ``sin`` of a C-contiguous float64
+    ``(rows, n)`` state into ``out`` of shape ``(2, rows)``: ``out[0]``
+    holds the cosine means, ``out[1]`` the sine means.
+
+    Threads split rows, never a row, so the bits do not depend on
+    ``threads``; without OpenMP the call runs serially.
+    """
+    return load_library().mean_cos_sin(theta, out, int(threads))

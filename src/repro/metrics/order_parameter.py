@@ -10,6 +10,12 @@ observable for the onset of synchronisation (Strogatz 2000, paper
 ref. [22]) and serves here to classify the asymptotic state of the POM:
 scalable potentials drive ``r -> 1``; bottlenecked potentials settle at
 the ``r`` value of the splayed wavefront state.
+
+Every helper takes ``kernel=`` (default ``"auto"``, resolved by
+:func:`repro.kernels.resolve_kernel`) for the shared
+:func:`~repro.metrics.streaming.mean_cos_sin` reduction, so with the
+kernel a campaign's members ran on they reproduce its streamed
+``order_parameter`` bits.
 """
 
 from __future__ import annotations
@@ -26,36 +32,41 @@ __all__ = [
 ]
 
 
-def order_parameter(theta: np.ndarray) -> float:
+def order_parameter(theta: np.ndarray, kernel: str = "auto") -> float:
     """Magnitude ``r`` of the complex order parameter for one sample.
 
     Parameters
     ----------
     theta:
         Phases, shape ``(n,)``.
+    kernel:
+        Kernel of the ``cos``/``sin`` means (see the module docstring).
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] == 0:
         raise ValueError("theta must be a non-empty 1-D array")
-    return float(np.hypot(*mean_cos_sin(theta)))
+    return float(np.hypot(*mean_cos_sin(theta, kernel)))
 
 
-def mean_phase(theta: np.ndarray) -> float:
+def mean_phase(theta: np.ndarray, kernel: str = "auto") -> float:
     """Argument ``psi`` of the complex order parameter (circular mean)."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] == 0:
         raise ValueError("theta must be a non-empty 1-D array")
-    c, s = mean_cos_sin(theta)
+    c, s = mean_cos_sin(theta, kernel)
     return float(np.arctan2(s, c))
 
 
-def order_parameter_series(thetas: np.ndarray) -> np.ndarray:
+def order_parameter_series(thetas: np.ndarray,
+                           kernel: str = "auto") -> np.ndarray:
     """``r(t)`` for a whole trajectory.
 
     Parameters
     ----------
     thetas:
         Phases, shape ``(n_t, n)``.
+    kernel:
+        Kernel of the ``cos``/``sin`` means (see the module docstring).
 
     Returns
     -------
@@ -64,7 +75,7 @@ def order_parameter_series(thetas: np.ndarray) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:
         raise ValueError("thetas must be 2-D (n_t, n)")
-    return np.hypot(*mean_cos_sin(thetas))
+    return np.hypot(*mean_cos_sin(thetas, kernel))
 
 
 def splay_order_parameter(n: int, gap: float) -> float:

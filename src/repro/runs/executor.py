@@ -150,7 +150,8 @@ def execute_shard(payload: dict, threads: int | None = None) -> dict:
     solver = payload["solver"]
     metrics = tuple(payload.get("metrics") or ())
     trajectories = payload.get("trajectories", "full")
-    observer = StreamingObserver(models, metrics) if metrics else None
+    observer = (StreamingObserver(models, metrics, threads=threads)
+                if metrics else None)
     trajs = simulate_grid(
         models, payload["t_end"],
         seeds=[m.seed for m in members],

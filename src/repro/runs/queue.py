@@ -174,9 +174,9 @@ class WorkQueue:
                 "INSERT OR IGNORE INTO shards "
                 "(key, idx, payload, max_attempts, enqueued_at, updated_at) "
                 "VALUES (?, ?, ?, ?, ?, ?)", rows)
-            con.execute(
-                "INSERT OR REPLACE INTO meta (k, v) VALUES ('spec_hash', ?)",
-                (plan.spec.content_hash(),))
+            spec_hash = plan.spec.content_hash()
+            con.execute("INSERT OR IGNORE INTO meta (k, v) VALUES (?, ?)",
+                        ("spec_hash:" + spec_hash, spec_hash))
             after = con.execute("SELECT COUNT(*) FROM shards").fetchone()[0]
             con.execute("COMMIT")
         return after - before
@@ -371,12 +371,14 @@ class WorkQueue:
                          cached=bool(r["cached"]), seconds=r["seconds"],
                          error=r["error"]) for r in rows]
 
-    def spec_hash(self) -> str | None:
-        """Content hash of the most recently enqueued campaign, if any."""
+    def spec_hashes(self) -> list[str]:
+        """Content hashes of every campaign enqueued here, first-enqueued
+        first (a queue file written before one row per campaign holds
+        its last campaign's hash under the key ``spec_hash``)."""
         with self._db() as con:
-            row = con.execute(
-                "SELECT v FROM meta WHERE k='spec_hash'").fetchone()
-        return row["v"] if row is not None else None
+            rows = con.execute("SELECT v FROM meta WHERE k LIKE 'spec_hash%' "
+                               "ORDER BY rowid").fetchall()
+        return list(dict.fromkeys(r["v"] for r in rows))
 
     def describe(self, keys=None) -> dict:
         """The campaign ledger (:func:`summarise`) from one :meth:`rows` read.

@@ -230,7 +230,7 @@ class CampaignService:
         if not hit:
             new = self.queue.enqueue_plan(plan,
                                           max_attempts=self.max_attempts)
-        out = self._status_dict(cid, spec, plan)
+        out = self._status_dict(cid, spec, plan, cached=hit)
         out["cached"] = hit
         out["new_shards"] = new
         return out
@@ -240,25 +240,28 @@ class CampaignService:
         spec, plan = self._load_campaign(cid)
         return self._status_dict(cid, spec, plan)
 
-    def _ledger(self, plan: Plan) -> dict:
+    def _ledger(self, plan: Plan, cached: bool = False) -> dict:
         """The queue ledger of ``plan``'s shards, plus the service's rule.
 
         A shard with no queue row was never enqueued: a cache
         short-circuit (done) or a queue file deleted under a live
-        campaign (pending).  Only those shards are probed in the cache.
+        campaign (pending).  Only those shards are probed in the cache,
+        and none when ``cached`` says the caller has just found every
+        shard there.
         """
         ledger = self.queue.describe([s.key for s in plan.shards])
         if ledger["missing"]:
             counts = ledger["counts"]
-            hits = sum(1 for k in ledger["missing"] if self.cache.has(k))
+            hits = len(ledger["missing"]) if cached else sum(
+                1 for k in ledger["missing"] if self.cache.has(k))
             counts["done"] += hits
             counts["pending"] += len(ledger["missing"]) - hits
             ledger["status"] = ledger_status(counts, plan.n_shards)
         return ledger
 
-    def _status_dict(self, cid: str, spec: ScenarioSpec,
-                     plan: Plan) -> dict:
-        ledger = self._ledger(plan)
+    def _status_dict(self, cid: str, spec: ScenarioSpec, plan: Plan,
+                     cached: bool = False) -> dict:
+        ledger = self._ledger(plan, cached)
         return {
             "id": cid,
             "name": spec.name,

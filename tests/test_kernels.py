@@ -468,6 +468,93 @@ class TestPreboundCalls:
         assert np.float64(1e-310) * 0.5 != 0.0
 
 
+class TestMeanCosSin:
+    """The compiled order-parameter reduction against the numpy branch of
+    the one helper, ``repro.metrics.streaming.mean_cos_sin``."""
+
+    @needs_cc
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 10_000])
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_matches_numpy(self, n, rows):
+        from repro.metrics.streaming import mean_cos_sin
+
+        rng = np.random.default_rng(n + rows)
+        # Scattered phases, and a synchronised state (every cosine and
+        # sine near one value: the worst case for summation order).
+        states = [rng.uniform(-scale, scale, (rows, n))
+                  for scale in (np.pi, 1e3)]
+        states.append(rng.uniform(-1e3, 1e3, (rows, 1))
+                      + rng.normal(0.0, 1e-3, (rows, n)))
+        for theta in states:
+            got = mean_cos_sin(theta, kernel="cc")
+            want = mean_cos_sin(theta, kernel="numpy")
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (rows,)
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-15)
+
+    @needs_cc
+    @pytest.mark.parametrize("shape", [(65,), (3, 65), (2, 4, 65)])
+    def test_any_leading_shape(self, shape):
+        # Rows are reduced independently: each lands where the numpy
+        # branch puts it, with the bits it has alone.
+        from repro.metrics.streaming import mean_cos_sin
+
+        theta = np.random.default_rng(1).uniform(-10.0, 10.0, shape)
+        got = mean_cos_sin(theta, kernel="cc")
+        want = mean_cos_sin(theta, kernel="numpy")
+        flat = theta.reshape(-1, shape[-1])
+        for part, (g, w) in enumerate(zip(got, want)):
+            assert np.shape(g) == np.shape(w) == shape[:-1]
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-15)
+            alone = [mean_cos_sin(row, kernel="cc")[part] for row in flat]
+            np.testing.assert_array_equal(np.reshape(g, -1), alone)
+        if len(shape) == 1:
+            assert isinstance(got[0], np.float64)
+
+    @needs_cc
+    def test_rejects_bad_arguments(self):
+        theta = np.random.default_rng(2).normal(size=(3, 40))
+        for bad_out, match in ((np.empty((2, 4)), "shape \\(2, 3\\)"),
+                               (np.empty((3, 2)), "shape \\(2, 3\\)"),
+                               (np.empty(6), "shape \\(2, 3\\)"),
+                               (np.empty((2, 3), np.float32), "float64"),
+                               (np.empty((3, 2)).T, "C-contiguous")):
+            with pytest.raises(ValueError, match=match):
+                cc_kernels.mean_cos_sin(theta, bad_out)
+        for bad_theta in (theta.astype(np.float32), theta.T, theta[0],
+                          np.empty((3, 2, 4))):
+            with pytest.raises(ValueError, match="theta must be"):
+                cc_kernels.mean_cos_sin(bad_theta, np.empty((2, 3)))
+        with pytest.raises(ValueError, match="no phases"):
+            cc_kernels.mean_cos_sin(np.empty((3, 0)), np.empty((2, 3)))
+        with pytest.raises(ValueError, match="threads"):
+            cc_kernels.mean_cos_sin(theta, np.empty((2, 3)), 0)
+        out = np.empty((2, 3))
+        out.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            cc_kernels.mean_cos_sin(theta, out)
+
+    @needs_cc
+    def test_overlapping_out_rejected(self):
+        buf = np.random.default_rng(3).normal(size=(4, 2))
+        before = buf.copy()
+        for theta, out in ((buf[:2], buf[:2]), (buf[:2], buf[1:3]),
+                           (buf[2:], buf[1:3])):
+            with pytest.raises(ValueError, match="overlaps"):
+                cc_kernels.mean_cos_sin(theta, out)
+        np.testing.assert_array_equal(buf, before)
+        # adjacent, not overlapping
+        cc_kernels.mean_cos_sin(buf[:2], buf[2:])
+
+    def test_numpy_branch_is_the_reference_formula(self):
+        from repro.metrics.streaming import mean_cos_sin
+
+        theta = np.random.default_rng(4).normal(size=(5, 33))
+        c, s = mean_cos_sin(theta, kernel="numpy")
+        np.testing.assert_array_equal(c, np.cos(theta).mean(axis=-1))
+        np.testing.assert_array_equal(s, np.sin(theta).mean(axis=-1))
+
+
 class TestBuildCache:
     @pytest.fixture(autouse=True)
     def _private_tempdir(self, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.runs import (
     ResultCache,
     ScenarioSpec,
@@ -54,7 +55,7 @@ class TestWorkQueue:
         assert queue.counts()["pending"] == 4
         assert queue.enqueue_plan(plan) == 0
         assert queue.counts()["pending"] == 4
-        assert queue.spec_hash() == plan.spec.content_hash()
+        assert queue.spec_hashes() == [plan.spec.content_hash()]
 
     def test_claim_is_atomic_and_ordered(self, queue):
         a = queue.claim("w1", lease_ttl=60, now=100.0)
@@ -217,7 +218,7 @@ class TestQueueExecutor:
             np.testing.assert_array_equal(a.ts, b.ts)
             np.testing.assert_array_equal(a.thetas, b.thetas)
 
-    def test_two_campaigns_share_one_queue(self, tmp_path):
+    def test_two_campaigns_share_one_queue(self, tmp_path, capsys):
         # Each run reports its own shards, not the whole queue file.
         first = run_spec(grid_spec(), jobs=2, shard_members=2,
                          queue=tmp_path / "q.db")
@@ -228,8 +229,14 @@ class TestQueueExecutor:
                                            "done": 4, "quarantined": 0}
             assert res.queue["status"] == "done"
             assert res.n_executed == 4
-        assert WorkQueue(tmp_path / "q.db").describe()["counts"]["done"] \
-            == 8
+        shared = WorkQueue(tmp_path / "q.db")
+        assert shared.describe()["counts"]["done"] == 8
+        hashes = [res.spec.content_hash() for res in (first, second)]
+        assert shared.spec_hashes() == hashes
+        capsys.readouterr()
+        assert main(["queue", str(tmp_path / "q.db")]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert f"(spec {hashes[0][:16]}, {hashes[1][:16]}):" in header
 
     def test_queue_replay_is_pure_cache_hit(self, tmp_path):
         spec = grid_spec()

@@ -279,6 +279,26 @@ class TestLedger:
         assert out["counts"]["done"] == 2
         assert len(opened) == 1
 
+    def test_cached_submit_probes_each_shard_once(self, service, spec,
+                                                  monkeypatch):
+        from repro.runs import ResultCache
+
+        run_spec(spec, shard_members=2, cache=service.cache)
+        probes = []
+        real_has = ResultCache.has
+
+        def counting_has(self, key):
+            probes.append(key)
+            return real_has(self, key)
+
+        monkeypatch.setattr(ResultCache, "has", counting_has)
+        out = service.submit({"spec": SPEC_DICT, "shard_members": 2})
+        assert out["cached"] is True and out["status"] == "done"
+        assert out["counts"]["done"] == 2
+        keys = sorted(s.key for s in compile_plan(spec,
+                                                  shard_members=2).shards)
+        assert sorted(probes) == keys
+
     def test_first_fetch_is_one_load_pass(self, service, spec,
                                           monkeypatch):
         from repro.runs import ResultCache

@@ -40,13 +40,15 @@ ALL_METRICS = ["order_parameter", "phase_spread", "energy", "wavefront",
 
 def metric_spec(method="rk4", t_end=5.0, metrics=ALL_METRICS,
                 trajectories="full", n=8, name="stream-test", axes=None,
-                **extra):
+                kernel=None, **extra):
     model = {
         "topology": {"kind": "ring", "n": n, "distances": [1, -1]},
         "potential": {"kind": "bottleneck", "sigma": 1.0},
         "t_comp": 0.9,
         "t_comm": 0.1,
     }
+    if kernel is not None:
+        model["kernel"] = kernel
     if method == "em":
         model["local_noise"] = {"kind": "gaussian", "std": 0.02}
     solver = {"method": method}
@@ -128,11 +130,20 @@ class TestSpecValidation:
 
 
 class TestBitIdentity:
-    """Streamed == post-hoc == metric-only, for every solver."""
+    """Streamed == post-hoc == metric-only, for every solver.
+
+    ``KERNEL`` is the members' kernel field: ``"auto"`` here (``cc``
+    where it builds), ``"numpy"`` in :class:`TestBitIdentityNumpy`.
+    """
+
+    KERNEL = "auto"
+
+    def spec(self, **kw):
+        return metric_spec(kernel=self.KERNEL, **kw)
 
     @pytest.mark.parametrize("method", ["euler", "rk4", "dopri", "em"])
     def test_streamed_equals_posthoc_equals_metric_only(self, method):
-        full = metric_spec(method=method, name=f"bits-{method}")
+        full = self.spec(method=method, name=f"bits-{method}")
         rf = run_plan(compile_plan(full))
         ronly = run_plan(compile_plan(
             with_overrides(full, trajectories="none")))
@@ -155,17 +166,19 @@ class TestBitIdentity:
         # One order-parameter reduction: the post-hoc helper of
         # repro.metrics.order_parameter reproduces the streamed bits.
         from repro.metrics import order_parameter, order_parameter_series
-        spec = metric_spec(method=method, n=37, metrics=["order_parameter"],
-                           name=f"r-series-{method}")
+        spec = self.spec(method=method, n=37, metrics=["order_parameter"],
+                         name=f"r-series-{method}")
         run = run_plan(compile_plan(spec))
         for m in run.members:
             streamed = m.metrics["order_parameter"]
             np.testing.assert_array_equal(
-                order_parameter_series(m.thetas), streamed)
-            assert order_parameter(m.thetas[-1]) == streamed[-1]
+                order_parameter_series(m.thetas, kernel=self.KERNEL),
+                streamed)
+            assert order_parameter(m.thetas[-1],
+                                   kernel=self.KERNEL) == streamed[-1]
 
     def test_batched_vs_looped_shards(self):
-        spec = metric_spec(trajectories="none", name="bits-shards")
+        spec = self.spec(trajectories="none", name="bits-shards")
         fused = run_plan(compile_plan(spec))
         looped = run_plan(compile_plan(spec, shard_members=1))
         for a, b in zip(fused.members, looped.members):
@@ -174,15 +187,21 @@ class TestBitIdentity:
                                               b.metrics[name])
 
     def test_jobs_do_not_change_metric_bits(self):
-        spec = metric_spec(trajectories="none", name="bits-jobs")
+        spec = self.spec(trajectories="none", name="bits-jobs")
         r1 = run_spec(spec, jobs=1, shard_members=1)
         r2 = run_spec(spec, jobs=2, shard_members=1)
+        assert r1.npz_bytes() == r2.npz_bytes()
+
+    def test_threads_do_not_change_metric_bits(self):
+        spec = self.spec(trajectories="none", name="bits-threads")
+        r1 = run_spec(spec, threads=1)
+        r2 = run_spec(spec, threads=2)
         assert r1.npz_bytes() == r2.npz_bytes()
 
     def test_queue_with_faults_matches_inline(self, tmp_path, monkeypatch):
         """PR-6 chaos path: a SIGKILLed and a stalled worker shard still
         produce the bit-exact streamed metrics of an inline run."""
-        spec = metric_spec(trajectories="none", name="bits-chaos")
+        spec = self.spec(trajectories="none", name="bits-chaos")
         monkeypatch.setenv("POM_FAULTS",
                            "kill:shard=1;stall:shard=2,secs=1.5")
         monkeypatch.setenv("POM_FAULTS_STATE", str(tmp_path / "faults"))
@@ -198,6 +217,12 @@ class TestBitIdentity:
             for name in spec.metrics:
                 np.testing.assert_array_equal(a.metrics[name],
                                               b.metrics[name])
+
+
+class TestBitIdentityNumpy(TestBitIdentity):
+    """The same contract on members that name the numpy kernel."""
+
+    KERNEL = "numpy"
 
 
 class TestMetricOnlyResults:
@@ -323,6 +348,25 @@ class TestObserverUnit:
         assert out["metric_phase_histogram"].dtype == np.int64
         # every observed sample lands in exactly one bin
         assert out["metric_phase_histogram"].sum() == 2 * 6 * 4
+
+    @pytest.mark.parametrize("kernel", ["numpy", "cc"])
+    def test_order_parameter_runs_the_members_kernel(self, kernel):
+        from repro.kernels import cc_available
+        from repro.metrics.streaming import mean_cos_sin
+        from repro.runs.spec import model_from_spec
+
+        if kernel == "cc" and not cc_available():
+            pytest.skip("no working C compiler")
+        model = model_from_spec({
+            "topology": {"kind": "ring", "n": 65},
+            "potential": {"kind": "tanh"},
+            "t_comp": 0.9, "t_comm": 0.1, "kernel": kernel})
+        obs = StreamingObserver([model, model], ["order_parameter"])
+        y = np.random.default_rng(1).uniform(-1e3, 1e3, (2, 65))
+        obs(0.0, y)
+        np.testing.assert_array_equal(
+            obs.finalize()["metric_order_parameter"][:, 0],
+            np.hypot(*mean_cos_sin(y, kernel)))
 
     def test_no_metrics_finalizes_empty(self):
         obs = StreamingObserver([], ())

@@ -229,6 +229,44 @@ class TestThreadInvariance:
         assert mismatches == []
 
     @needs_cc
+    @pytest.mark.parametrize("shape", [(1, 65), (3, 10_000), (8, 10_000)])
+    def test_mean_cos_sin_bits(self, shape):
+        # The order-parameter reduction splits rows over threads, never
+        # a row: any team size, one larger than the row count included,
+        # gives the serial bits.
+        from repro.kernels.cc import mean_cos_sin
+
+        theta = np.random.default_rng(31).uniform(-50.0, 50.0, shape)
+        want = mean_cos_sin(theta, np.empty((2, shape[0])), 1)
+        for threads in (2, 3, 16):
+            got = mean_cos_sin(theta, np.empty((2, shape[0])), threads)
+            np.testing.assert_array_equal(got, want)
+
+    @needs_cc
+    def test_mean_cos_sin_after_fork(self):
+        # A child forked after a parallel reduction must still return
+        # from its own threads=2 call (run serially, same bits).
+        import multiprocessing
+        import os
+
+        from repro.kernels.cc import mean_cos_sin
+
+        theta = np.random.default_rng(37).uniform(-np.pi, np.pi, (4, 500))
+        want = mean_cos_sin(theta, np.empty((2, 4)), 2)
+
+        def child():
+            got = mean_cos_sin(theta, np.empty((2, 4)), 2)
+            os._exit(0 if np.array_equal(got, want) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(30)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
+
+    @needs_cc
     def test_simulate_end_to_end_bits(self):
         model = _model(ring(64, (1, -1)), TanhPotential())
         t1 = simulate(model, 5.0, seed=3, kernel="cc", threads=1)
