@@ -61,7 +61,13 @@ first own region would hang (libgomp is not fork-safe).
 The one topology specialisation is detected from the edge list, never
 from builder metadata: a distance ring (:func:`ring_offsets`) replaces
 the gather/scatter with contiguous shifted passes, unit-stride and
-row-partitionable.
+row-partitionable.  It evaluates each undirected pair once: every
+potential kind is odd, so for a *lead* offset ``d`` whose partner
+``n - d`` is present, the *mirror* term at element ``i`` is exactly
+``-V(theta[i] - theta[i - d])``, read back from the lead's buffer; a
+*direct* offset (no partner, ``d = n/2``, or a halo that does not fit
+the block) evaluates its own terms.  Every element still sums its terms
+in ascending offset order, so the bits match a per-offset evaluation.
 """
 
 from __future__ import annotations
@@ -103,11 +109,13 @@ _SOURCE = r"""
 #include <omp.h>
 #endif
 
-/* Potential kinds: keep in sync with repro/kernels/coeffs.py. */
+/* Potential kinds: keep in sync with repro/kernels/coeffs.py.  Every
+ * kind must be odd, V(-x) == -V(x) bit for bit: the ring entry evaluates
+ * each undirected pair once and negates it for the mirror offset. */
 enum { KIND_TANH = 0, KIND_BOTTLENECK = 1, KIND_KURAMOTO = 2, KIND_LINEAR = 3 };
 
-/* Edge-block length (doubles); two scratch blocks per thread stay
- * L2-resident. */
+/* Edge-block length (doubles); a thread's two scratch blocks (and a
+ * ring's lead buffers, LEAD_BUDGET at most) stay L2-resident. */
 #define BLOCK_EDGES 16384
 
 /* Evaluate one coefficient family on a block of phase differences.
@@ -126,13 +134,18 @@ enum { KIND_TANH = 0, KIND_BOTTLENECK = 1, KIND_KURAMOTO = 2, KIND_LINEAR = 3 };
  * machine code.  This is what makes threads=K bit-identical to
  * threads=1. */
 #define PAD_BLOCK 64
+
+static int64_t pad_up(int64_t m) {
+    return (m + (PAD_BLOCK - 1)) & ~(int64_t)(PAD_BLOCK - 1);
+}
+
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
 static void potential_block(int64_t kind, double p0, double p1,
                             double *d, double *v, int64_t m) {
     int64_t e;
-    int64_t mp = (m + (PAD_BLOCK - 1)) & ~(int64_t)(PAD_BLOCK - 1);
+    int64_t mp = pad_up(m);
     for (e = m; e < mp; ++e)
         d[e] = 0.0;
     switch (kind) {
@@ -248,64 +261,128 @@ void pom_fused_batched(const int32_t *rows, const int32_t *cols,
 
 /* Distance-ring specialisation: every row couples to i + d (mod n) for
  * each offset d — the paper's halo-exchange topologies.  The gather
- * becomes two contiguous shifted segments per offset and the scatter a
- * contiguous accumulate, so every pass auto-vectorises with unit
- * stride.  Accumulation runs offset-by-offset (not column order), which
- * changes the row sums only at the ulp level. */
-static void ring_segment(const double *shifted, const double *th, double *o,
-                         int64_t m, int64_t kind, double p0, double p1,
-                         double *sd, double *sv, int64_t block) {
-    int64_t b0, e;
-    /* Every kind goes through the blocked scratch form: the gather and
-     * the accumulate are exact IEEE ops (vectorisation-invariant), and
-     * the transcendental runs inside the one noinline potential_block
-     * instance — the determinism contract that keeps thread chunking
-     * bit-exact.  (A streaming pass with the transcendental inlined
-     * would re-tie element values to the segment trip count.) */
-    for (b0 = 0; b0 < m; b0 += block) {
-        int64_t b1 = b0 + block < m ? b0 + block : m;
-        int64_t len = b1 - b0;
-        for (e = 0; e < len; ++e)
-            sd[e] = shifted[b0 + e] - th[b0 + e];
-        potential_block(kind, p0, p1, sd, sv, len);
-        for (e = 0; e < len; ++e)
-            o[b0 + e] += sv[e];
+ * becomes contiguous shifted segments and the scatter a contiguous
+ * accumulate, so every pass runs at unit stride with no index arrays.
+ *
+ * Each undirected pair is evaluated once.  Every kind is odd,
+ * V(-x) == -V(x) bit for bit, and a - b == -(b - a) in IEEE
+ * arithmetic, so the term of offset n - d at element i is exactly
+ * -w_d(i - d), where w_d(j) = V(theta[j + d] - theta[j]).  ring_pairs
+ * sorts the ascending offsets into three classes:
+ *   lead   — d < n - d whose partner n - d is present and whose buffer
+ *            (the block plus a halo of d) fits LEAD_BUDGET, smallest d
+ *            first; it evaluates w_d over [b0 - d, b1) once per block,
+ *   mirror — the partner n - d of a lead; it reads the lead's buffer,
+ *   direct — every other offset (no partner, d = n/2, or a lead whose
+ *            halo does not fit); it evaluates its own block, as before.
+ * Each element is accumulated in ascending offset order,
+ * out[i] = ((0 + V_d1) + V_d2 + ...) * vp, so the sums do not depend on
+ * the classes.  Accumulating offset by offset (not column order)
+ * changes the row sums against the edge-list order at the ulp level. */
+
+/* Lead buffers per thread, in doubles: eight blocks with their halos. */
+#define LEAD_BUDGET (8 * BLOCK_EDGES)
+
+/* The classes of the strictly ascending offsets in [1, n - 1]: buf[k] is
+ * the offset of a lead's buffer in the lead scratch (its mirror holds the
+ * same value), -1 for a direct offset.  Returns the doubles the leads'
+ * buffers take. */
+static int64_t ring_pairs(const int64_t *offsets, int64_t count, int64_t n,
+                          int64_t *buf) {
+    int64_t k, hi = count - 1, used = 0;
+    for (k = 0; k < count; ++k)
+        buf[k] = -1;
+    for (k = 0; k < count && 2 * offsets[k] < n; ++k) {
+        int64_t d = offsets[k], size = pad_up(BLOCK_EDGES + d);
+        while (hi > k && offsets[hi] > n - d)
+            --hi;
+        if (offsets[hi] == n - d && d < BLOCK_EDGES &&
+            used + size <= LEAD_BUDGET) {
+            buf[k] = buf[hi] = used;
+            used += size;
+        }
+    }
+    return used;
+}
+
+/* sd[j - j0] = theta[(j + d) mod n] - theta[j mod n] for j in [j0, j1),
+ * -d <= j0 <= j1 <= n: a wrap-free contiguous middle [a, b) between the
+ * wrapped ends j < 0 and j + d >= n. */
+static void ring_gather(const double *th, int64_t n, int64_t d, int64_t j0,
+                        int64_t j1, double *sd) {
+    int64_t j;
+    int64_t a = j0 > 0 ? j0 : (j1 < 0 ? j1 : 0);
+    int64_t b = n - d > a ? (n - d < j1 ? n - d : j1) : a;
+    for (j = j0; j < a; ++j)
+        sd[j - j0] = th[j + d] - th[j + n];
+    for (j = a; j < b; ++j)
+        sd[j - j0] = th[j + d] - th[j];
+    for (j = b; j < j1; ++j)
+        sd[j - j0] = th[j + d - n] - th[j];
+}
+
+/* v[j - j0] = V(theta[j + d] - theta[j]) for j in [j0, j1), gathered
+ * block by block through the one noinline potential_block (the
+ * determinism contract: an element's value does not depend on the
+ * block it lands in).  v must hold pad_up(j1 - j0) doubles. */
+static void ring_eval(const double *th, int64_t n, int64_t d, int64_t j0,
+                      int64_t j1, int64_t kind, double p0, double p1,
+                      double *sd, double *v, int64_t block) {
+    int64_t s;
+    for (s = j0; s < j1; s += block) {
+        int64_t t = s + block < j1 ? s + block : j1;
+        ring_gather(th, n, d, s, t, sd);
+        potential_block(kind, p0, p1, sd, v + (s - j0), t - s);
     }
 }
 
-/* Ring coupling restricted to elements [i0, i1): per offset, the main
- * segment (partner i + d) and the wrapped segment (partner i + d - n)
- * are clipped against the chunk.  The full-range call (0, n) is the
- * pre-threading serial pass order. */
-static void ring_chunk(const int64_t *offsets, int64_t n_offsets,
-                       const double *theta, double *out, int64_t n,
-                       int64_t i0, int64_t i1, int64_t kind, double p0,
-                       double p1, double vp, double *sd, double *sv,
+/* Ring coupling restricted to elements [i0, i1), one element block at a
+ * time.  buf comes from ring_pairs; each thread's work area holds sd and
+ * sv (one block each), then the leads' buffers.  Any chunking gives the
+ * serial bits: every element sees the same terms in the same order. */
+static void ring_chunk(const int64_t *offsets, const int64_t *buf,
+                       int64_t n_offsets, const double *theta, double *out,
+                       int64_t n, int64_t i0, int64_t i1, int64_t kind,
+                       double p0, double p1, double vp, double *work,
                        int64_t block) {
-    int64_t i, k;
-    for (i = i0; i < i1; ++i)
-        out[i] = 0.0;
-    for (k = 0; k < n_offsets; ++k) {
-        int64_t d = offsets[k];      /* normalised to [1, n-1] */
-        int64_t a1 = (n - d) < i1 ? (n - d) : i1;
-        int64_t b0 = (n - d) > i0 ? (n - d) : i0;
-        if (a1 > i0)
-            ring_segment(theta + d + i0, theta + i0, out + i0, a1 - i0,
-                         kind, p0, p1, sd, sv, block);
-        if (i1 > b0)
-            ring_segment(theta + (d - n) + b0, theta + b0, out + b0,
-                         i1 - b0, kind, p0, p1, sd, sv, block);
+    double *sd = work, *sv = work + block, *lead = work + 2 * block;
+    int64_t b0, e, k;
+    for (b0 = i0; b0 < i1; b0 += block) {
+        int64_t b1 = b0 + block < i1 ? b0 + block : i1;
+        int64_t m = b1 - b0;
+        double *o = out + b0;
+        for (e = 0; e < m; ++e)
+            o[e] = 0.0;
+        for (k = 0; k < n_offsets; ++k) {
+            int64_t d = offsets[k];
+            const double *w;
+            if (buf[k] < 0) {               /* direct */
+                ring_eval(theta, n, d, b0, b1, kind, p0, p1, sd, sv, block);
+                w = sv;
+            } else if (2 * d < n) {         /* lead: w_d over [b0 - d, b1) */
+                ring_eval(theta, n, d, b0 - d, b1, kind, p0, p1, sd,
+                          lead + buf[k], block);
+                w = lead + buf[k] + d;
+            } else {                        /* mirror of the lead n - d */
+                w = lead + buf[k];
+                for (e = 0; e < m; ++e)
+                    o[e] += -w[e];
+                continue;
+            }
+            for (e = 0; e < m; ++e)
+                o[e] += w[e];
+        }
+        for (e = 0; e < m; ++e)
+            o[e] *= vp;
     }
-    for (i = i0; i < i1; ++i)
-        out[i] *= vp;
 }
 
-void pom_fused_ring_batched(const int64_t *offsets, int64_t n_offsets,
-                            const double *theta, double *out,
-                            int64_t r_count, int64_t n, const int64_t *kinds,
-                            const double *p0, const double *p1,
-                            const double *vp, double *sd, double *sv,
-                            int64_t block, int64_t threads) {
+void pom_fused_ring_batched(const int64_t *offsets, const int64_t *buf,
+                            int64_t n_offsets, const double *theta,
+                            double *out, int64_t r_count, int64_t n,
+                            const int64_t *kinds, const double *p0,
+                            const double *p1, const double *vp, double *work,
+                            int64_t stride, int64_t block, int64_t threads) {
     int64_t r;
 #ifdef _OPENMP
     if (threads > 1) {
@@ -317,18 +394,17 @@ void pom_fused_ring_batched(const int64_t *offsets, int64_t n_offsets,
             int64_t tid = (int64_t)omp_get_thread_num();
             int64_t rr = w / splits;
             int64_t c = w % splits;
-            ring_chunk(offsets, n_offsets, theta + rr * n, out + rr * n, n,
-                       n * c / splits, n * (c + 1) / splits, kinds[rr],
-                       p0[rr], p1[rr], vp[rr], sd + tid * block,
-                       sv + tid * block, block);
+            ring_chunk(offsets, buf, n_offsets, theta + rr * n, out + rr * n,
+                       n, n * c / splits, n * (c + 1) / splits, kinds[rr],
+                       p0[rr], p1[rr], vp[rr], work + tid * stride, block);
         }
         return;
     }
 #endif
     (void)threads;
     for (r = 0; r < r_count; ++r)
-        ring_chunk(offsets, n_offsets, theta + r * n, out + r * n, n, 0, n,
-                   kinds[r], p0[r], p1[r], vp[r], sd, sv, block);
+        ring_chunk(offsets, buf, n_offsets, theta + r * n, out + r * n, n, 0,
+                   n, kinds[r], p0[r], p1[r], vp[r], work, block);
 }
 
 /* Sum of v[0, mp), mp a PAD_BLOCK multiple of at most BLOCK_EDGES:
@@ -367,7 +443,7 @@ static void cos_sin_row(const double *x, int64_t n, double *sd, double *sv,
     double cs = 0.0, ss = 0.0;
     for (b0 = 0; b0 < n; b0 += block) {
         int64_t m = b0 + block < n ? block : n - b0;
-        int64_t mp = (m + (PAD_BLOCK - 1)) & ~(int64_t)(PAD_BLOCK - 1);
+        int64_t mp = pad_up(m);
         for (e = 0; e < m; ++e)
             sd[e] = x[b0 + e];
         for (e = m; e < mp; ++e)
@@ -417,6 +493,8 @@ typedef struct {
     int layout;          /* index into ENTRIES */
     const void *arr[8];  /* static index arrays (C order), then kind, p0, p1, vp */
     long long count;     /* the ring's offset count */
+    int64_t *buf;        /* the ring's offset classes (ring_pairs) */
+    long long stride;    /* scratch doubles per thread */
     Py_ssize_t r, n;
     long long threads;
     PyObject *owner;     /* bind()'s arguments: they own every array */
@@ -425,6 +503,7 @@ typedef struct {
 static void call_free(PyObject *cap) {
     pom_call *c = PyCapsule_GetPointer(cap, "pom_call");
     Py_XDECREF(c->owner);
+    PyMem_Free(c->buf);
     PyMem_Free(c);
 }
 
@@ -443,26 +522,36 @@ static int i32(PyObject *obj, void *p) { return data_of(obj, p, 4); }
 static int i64(PyObject *obj, void *p) { return data_of(obj, p, 8); }
 
 /* bind(layout, (R, N), threads, static, (kind, p0, p1, vp)) -> capsule;
- * the static index arrays take slots 0-3, the coefficients slots 4-7. */
+ * the static index arrays take slots 0-3, the coefficients slots 4-7.
+ * A ring's offsets must be strictly ascending in [1, N - 1]. */
 static PyObject *py_bind(PyObject *self, PyObject *args) {
     PyObject *st, *cap;
     pom_call *c = PyMem_Calloc(1, sizeof *c);
     const void **a = c ? c->arr : NULL;
     if (!c)
         return PyErr_NoMemory();
+    c->stride = 2 * BLOCK_EDGES;
     if (PyArg_ParseTuple(args, "i(nn)LO!(O&O&O&O&)", &c->layout, &c->r, &c->n,
                          &c->threads, &PyTuple_Type, &st, i64, &a[4], i64, &a[5],
                          i64, &a[6], i64, &a[7]) && c->threads > 0 &&
         (c->layout == 0 ? PyArg_ParseTuple(st, "O&O&O&O&", i32, a, i32, a + 1, i64,
                                            a + 2, i64, a + 3)
-         : c->layout == 1 && PyArg_ParseTuple(st, "O&L", i64, a, &c->count)) &&
-        (cap = PyCapsule_New(c, "pom_call", call_free))) {
-        Py_INCREF(args);
-        c->owner = args;
-        return cap;
+         : c->layout == 1 && PyArg_ParseTuple(st, "O&L", i64, a, &c->count) &&
+               c->count >= 0)) {
+        if (c->layout == 1 &&
+            !(c->buf = PyMem_Malloc((c->count + 1) * sizeof(int64_t))))
+            PyErr_NoMemory();
+        else if (c->layout == 1)
+            c->stride += ring_pairs(a[0], c->count, c->n, c->buf);
+        if (!PyErr_Occurred() && (cap = PyCapsule_New(c, "pom_call", call_free))) {
+            Py_INCREF(args);
+            c->owner = args;
+            return cap;
+        }
     }
     if (!PyErr_Occurred())
         PyErr_SetString(PyExc_ValueError, "malformed kernel call");
+    PyMem_Free(c->buf);
     PyMem_Free(c);
     return NULL;
 }
@@ -500,21 +589,22 @@ static int out_apart(const Py_buffer *th, const Py_buffer *ou) {
 }
 
 /* The calling OS thread's scratch (run() releases the GIL), freed at
- * thread exit: two threads * BLOCK_EDGES doubles behind a 64-byte
- * capacity header.  OpenMP thread tid works in slice tid of each block.
- * 64-byte alignment: a compiler that peels iterations until a pointer
- * is aligned peels the same count on every call. */
+ * thread exit: at least `doubles` doubles behind a 64-byte capacity
+ * header.  OpenMP thread tid works in its own slice.  64-byte alignment
+ * (every slice and lead buffer is a PAD_BLOCK multiple): a compiler
+ * that peels iterations until a pointer is aligned peels the same count
+ * on every call. */
 static pthread_key_t scratch_key;
 
-static double *scratch(long long threads) {
+static double *scratch(long long doubles) {
     long long *s = pthread_getspecific(scratch_key);
-    if (!s || s[0] < threads) {
+    if (!s || s[0] < doubles) {
         free(s);
-        s = aligned_alloc(64, 64 + threads * BLOCK_EDGES * 2 * sizeof(double));
+        s = aligned_alloc(64, 64 + doubles * sizeof(double));
         pthread_setspecific(scratch_key, s);
         if (!s)
             return NULL;
-        s[0] = threads;
+        s[0] = doubles;
     }
     return (double *)s + 8;
 }
@@ -552,7 +642,7 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return PyBuffer_Release(&th), NULL;
     const void *const *a = c->arr;
     double *t = th.buf, *o = ou.buf, *sd = NULL;
-    if (!out_apart(&th, &ou) && !(sd = scratch(c->threads)))
+    if (!out_apart(&th, &ou) && !(sd = scratch(c->threads * c->stride)))
         PyErr_NoMemory();
     if (sd) {
         double *sv = sd + c->threads * BLOCK_EDGES;
@@ -562,8 +652,9 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             pom_fused_batched(a[0], a[1], a[2], a[3], t, o, c->r, c->n, a[4], a[5],
                               a[6], a[7], sd, sv, BLOCK_EDGES, threads);
         else
-            pom_fused_ring_batched(a[0], c->count, t, o, c->r, c->n, a[4], a[5], a[6],
-                                   a[7], sd, sv, BLOCK_EDGES, threads);
+            pom_fused_ring_batched(a[0], c->buf, c->count, t, o, c->r, c->n, a[4],
+                                   a[5], a[6], a[7], sd, c->stride, BLOCK_EDGES,
+                                   threads);
         Py_END_ALLOW_THREADS
     }
     PyBuffer_Release(&th);
@@ -606,7 +697,7 @@ static PyObject *py_mean_cos_sin(PyObject *self, PyObject *const *args,
 #endif
     if (threads > rows)
         threads = rows > 1 ? rows : 1;
-    if (!out_apart(&th, &ou) && !(sd = scratch(threads)))
+    if (!out_apart(&th, &ou) && !(sd = scratch(threads * 2 * BLOCK_EDGES)))
         PyErr_NoMemory();
     if (sd) {
         double *sv = sd + threads * BLOCK_EDGES;
@@ -891,6 +982,19 @@ class KernelCall:
                 raise ValueError(
                     "edge ranges must be length-R arrays with "
                     "0 <= edge_lo <= edge_hi <= len(rows) == len(cols)"
+                )
+        else:
+            offsets, count = self.static
+            n = self.shape[1]
+            if (
+                offsets.shape != (count,)
+                or np.any(offsets < 1)
+                or np.any(offsets >= n)
+                or np.any(np.diff(offsets) <= 0)
+            ):
+                raise ValueError(
+                    "ring offsets must be n_offsets strictly ascending "
+                    "values in [1, N - 1]"
                 )
         threads = int(threads)  # serial unless the binary has OpenMP
         self.threads = threads if threads > 1 and openmp_available() else 1

@@ -16,6 +16,12 @@ kind        family                          p0                       p1
 3           linear                          k                        --
 ========== =============================== ======================== =====
 
+Every kind must be **odd**, ``V(-d) == -V(d)`` bit for bit (the
+formulas above are, and so are their compiled forms): the cc ring entry
+evaluates each undirected pair ``(i, i + d)`` once and reuses it,
+negated, for the mirror offset ``-d``.  A new kind that is not odd needs
+its own path there.
+
 ``CustomPotential`` (and any third-party subclass that does not override
 ``kernel_coefficients``) returns ``None``: the batch then runs the NumPy
 kernel, which calls each member's potential on its own edge row.

@@ -58,6 +58,20 @@ POTENTIALS = [
 ]
 
 
+#: (kind, p0, p1) of every coefficient kind; bottleneck at sigma 1 and 3
+KIND_COEFFS = [
+    pytest.param((0, 1.3, 0.0), id="tanh"),
+    pytest.param((1, 1.0, 1.5 * np.pi), id="bottleneck-s1"),
+    pytest.param((1, 3.0, 0.5 * np.pi), id="bottleneck-s3"),
+    pytest.param((2, 0.0, 0.0), id="kuramoto"),
+    pytest.param((3, 0.6, 0.0), id="linear"),
+]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 def _model(topo, pot, **kw):
     return PhysicalOscillatorModel(topology=topo, potential=pot,
                                    t_comp=0.9, t_comm=0.1, **kw)
@@ -140,6 +154,18 @@ class TestCoefficients:
         for r, pot in enumerate(pots):
             np.testing.assert_array_equal(got[r],
                                           np.asarray(pot(d[r]), dtype=float))
+
+    @pytest.mark.parametrize("coeffs", KIND_COEFFS)
+    def test_every_kind_is_odd(self, coeffs):
+        # The ring entry evaluates each undirected pair once and negates
+        # it for the mirror offset: that needs V(-d) == -V(d) bit for bit.
+        kind, p0, p1 = coeffs
+        d = np.random.default_rng(4).uniform(0.0, 1.0, 4096)
+        d *= 10.0 ** np.repeat(np.arange(-6, 7), 316)[:d.size]
+        d = np.concatenate([d, [0.0, p0, np.nextafter(p0, 0), 1e6]])
+        np.testing.assert_array_equal(
+            _bits(eval_coefficients(kind, p0, p1, -d)),
+            _bits(-eval_coefficients(kind, p0, p1, d)))
 
     def test_custom_potential_has_no_coefficients(self):
         pot = CustomPotential(lambda d: np.tanh(d), "wrapped-tanh")
@@ -292,6 +318,110 @@ class TestRingOffsets:
         topo = ring(24, (1, -1))
         r, c = topo.edge_list()
         assert cc_kernels.ring_offsets(r, c, topo.n).tolist() == [1, 23]
+
+
+# ----------------------------------------------------------------------
+# the ring entry evaluates each undirected pair once
+# ----------------------------------------------------------------------
+#: the element block the ring entry works in (BLOCK_EDGES in the C source)
+RING_BLOCK = 16384
+
+
+def _ring_call(offsets, n, coeffs, r=1):
+    """A ring-entry call on ``offsets`` with ``vp_over_n = 1`` (exact)."""
+    offsets = np.asarray(sorted(offsets), dtype=np.int64)
+    kind, p0, p1 = coeffs
+    return cc_kernels.KernelCall(
+        "ring_batched", (offsets, offsets.size),
+        ([kind] * r, [p0] * r, [p1] * r, [1.0] * r), (r, n))
+
+
+def _scattered_phases(rng, shape):
+    """Phases whose neighbour differences span the scales 1e-6 to 1e3."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 3.0, shape)
+
+
+class TestRingPairs:
+    """Lead, mirror and direct offsets all give the directed sums' bits.
+
+    Every coefficient kind is odd, so the ring entry evaluates the pair
+    (i, i + d) once and reuses it, negated, for the mirror offset n - d.
+    The reference is each offset's one-offset ring (always a direct
+    offset), summed in ascending offset order as the entry accumulates.
+    """
+
+    @staticmethod
+    def _directed_sum(offsets, n, coeffs, theta):
+        r = theta.shape[0]
+        acc = np.zeros((r, n))
+        for d in sorted(offsets):
+            acc += cc_kernels.ring_batched(
+                _ring_call([d], n, coeffs, r), theta, np.empty((r, n)))
+        return acc
+
+    @needs_cc
+    @pytest.mark.parametrize("coeffs", KIND_COEFFS)
+    @pytest.mark.parametrize("n, dists", [
+        pytest.param(5, (1, -1), id="pair-n5"),
+        pytest.param(64, (1, -1), id="pair-n64"),
+        pytest.param(RING_BLOCK + 1, (1, -1), id="pair-past-block"),
+        pytest.param(7, (1, 2, -2, -1), id="two-pairs-n7"),
+        pytest.param(RING_BLOCK - 1, (1, 2, -2, -1), id="two-pairs-in-block"),
+        pytest.param(64, (1, 2, 5, -2, -1), id="direct-n64"),
+        pytest.param(RING_BLOCK + 5, (1, 2, 5, -2, -1), id="direct-past-block"),
+        pytest.param(10, (1, 5, -1), id="half-n10"),
+        pytest.param(2 * RING_BLOCK + 2, (1, RING_BLOCK + 1, -1),
+                     id="half-past-block"),
+        pytest.param(2, (1, -1), id="ring2"),
+        pytest.param(40_000, (1, RING_BLOCK + 1, -(RING_BLOCK + 1), -1),
+                     id="lead-beyond-block"),
+        # every offset of 1..63: more pairs than the leads' buffer budget
+        pytest.param(64, tuple(range(1, 33)), id="pairs-beyond-budget"),
+    ])
+    def test_paired_equals_directed_sum(self, n, dists, coeffs):
+        rows, cols = ring(n, dists).edge_list()
+        offsets = sorted({d % n for d in dists} | {-d % n for d in dists})
+        rng = np.random.default_rng(n)
+        for r in (1, 3):
+            theta = _scattered_phases(rng, (r, n))
+            want = self._directed_sum(offsets, n, coeffs, theta)
+            for threads in (1, 2, 3):
+                call = cc_kernels.bind([rows] * r, [cols] * r, n,
+                                       tuple([c] * r for c in coeffs),
+                                       [1.0] * r, threads=threads)
+                assert call.entry == "ring_batched"
+                assert call.static[0].tolist() == offsets
+                got = cc_kernels.ring_batched(call, theta, np.empty((r, n)))
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @needs_cc
+    @pytest.mark.parametrize("coeffs", KIND_COEFFS)
+    @pytest.mark.parametrize("offsets", [[1], [1, 63]], ids=["direct", "pair"])
+    def test_coupling_is_odd(self, coeffs, offsets):
+        # coupling(-theta) == -coupling(theta) bit for bit at every scale,
+        # on the bottleneck's horizon |d| == sigma too.  Adding +0.0 maps
+        # only a zero sum's sign (a - a is +0 both ways round) onto +0.
+        n = 64
+        call = _ring_call(offsets, n, coeffs)
+        rng = np.random.default_rng(3)
+        for scale in 10.0 ** np.arange(-6, 7):
+            theta = rng.uniform(-1.0, 1.0, (1, n)) * scale
+            if coeffs[0] == 1:
+                theta[0, :8] = coeffs[1] * np.arange(8)  # |d| == sigma
+            up = cc_kernels.ring_batched(call, theta, np.empty((1, n)))
+            down = cc_kernels.ring_batched(call, -theta, np.empty((1, n)))
+            np.testing.assert_array_equal(_bits(down + 0.0), _bits(-up + 0.0))
+
+    @needs_cc
+    @pytest.mark.parametrize("offsets, count", [
+        ([0, 1], 2), ([1, 64], 2), ([2, 1], 2), ([1, 1], 2), ([-1, 1], 2),
+        ([1, 63], 3),
+    ])
+    def test_bad_offsets_rejected(self, offsets, count):
+        with pytest.raises(ValueError, match="ring offsets"):
+            cc_kernels.KernelCall(
+                "ring_batched", (np.asarray(offsets, dtype=np.int64), count),
+                ([0], [1.0], [0.0], [1.0]), (1, 64))
 
 
 # ----------------------------------------------------------------------

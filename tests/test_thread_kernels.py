@@ -163,6 +163,30 @@ class TestThreadInvariance:
             np.testing.assert_array_equal(ref, be[t].coupling_term(0.0, theta))
 
     @pytest.mark.parametrize("kernel", COMPILED)
+    @pytest.mark.parametrize("pot_f", POTENTIALS)
+    @pytest.mark.parametrize("n, dists", [
+        pytest.param(64, (1, -1, 2, -2, 5), id="lead-mirror-direct"),
+        pytest.param(16_390, (1, -1, 3, -3), id="past-block"),
+        pytest.param(40_000, (1, -1, 16_385, -16_385), id="lead-beyond-block"),
+    ])
+    def test_ring_pair_classes_bits(self, kernel, pot_f, n, dists):
+        # Thread chunks cut the leads' halos at any element: every chunk
+        # re-evaluates its own halo, so each team size gives serial bits.
+        topo, pot = ring(n, dists), pot_f()
+        members = [_realize(topo, pot, seed=i) for i in range(3)]
+        rng = np.random.default_rng(n)
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, (3, n))
+        for r in (1, 3):
+            serial = make_batched_backend(members[:r], kernel=kernel,
+                                          threads=1)
+            want = serial.coupling(0.0, theta[:r])
+            for threads in (2, 3, 7):
+                be = make_batched_backend(members[:r], kernel=kernel,
+                                          threads=threads)
+                np.testing.assert_array_equal(be.coupling(0.0, theta[:r]),
+                                              want)
+
+    @pytest.mark.parametrize("kernel", COMPILED)
     def test_torus_matches_numpy(self, kernel):
         # The edge-list entry on a torus against the reference segment sum.
         topo = torus2d(9, 6)
