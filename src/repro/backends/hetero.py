@@ -334,10 +334,20 @@ class HeteroBatchedBackend:
         return out
 
     def coupling(self, t: float, theta: np.ndarray,
-                 history: "HistoryBuffer | None" = None) -> np.ndarray:
-        """Stacked interaction terms for the super-state ``theta (R, N)``."""
+                 history: "HistoryBuffer | None" = None,
+                 base: np.ndarray | None = None) -> np.ndarray:
+        """Stacked interaction terms for the super-state ``theta (R, N)``.
+
+        With an ``(R, N)`` ``base``, returns ``base + coupling`` in the
+        bits of that NumPy sum (IEEE addition is commutative): the cc
+        kernel adds it in its final write, while the block is
+        cache-hot, and the NumPy path adds it in place.
+        """
         if self._zero_coupling:
-            return np.zeros((self._r, self._n))
+            out = np.zeros((self._r, self._n))
+            if base is not None:
+                out += base
+            return out
         delayed = bool(self._delayed) and history is not None
         call = self._cc_call
         if call is not None and not delayed:
@@ -345,7 +355,7 @@ class HeteroBatchedBackend:
             # call was bound for (ring_batched or fused_batched).
             return getattr(cc_kernels, call.entry)(
                 call, np.ascontiguousarray(theta, dtype=float),
-                np.empty((self._r, self._n)))
+                np.empty((self._r, self._n)), base)
         # One gather from the flattened (R*N,) super-state (delayed
         # edges patched in), one coefficient-row potential pass over
         # (R, Emax), one bincount whose overflow bin swallows every pad
@@ -365,12 +375,21 @@ class HeteroBatchedBackend:
                           minlength=rn + 1)
         out = acc[:rn].reshape(self._r, self._n)
         out *= self._vps
+        if base is not None:
+            out += base
         return out
 
     def rhs(self, t: float, theta: np.ndarray,
             history: "HistoryBuffer | None" = None) -> np.ndarray:
-        """Full stacked right-hand side, shape ``(R, N)``."""
-        return self.intrinsic_frequency(t) + self.coupling(t, theta, history)
+        """Full stacked right-hand side, shape ``(R, N)``.
+
+        ``intrinsic_frequency(t) + coupling(t, theta)``, with the memoised
+        frequency passed to :meth:`coupling` as its ``base``: the cc
+        kernel writes the sum in its coupling pass, so the add costs no
+        pass of its own over the state.
+        """
+        return self.coupling(t, theta, history,
+                             base=self.intrinsic_frequency(t))
 
     def make_ode_rhs(self):
         """Closure ``f(t, theta)`` for ODE solvers (requires no delays)."""

@@ -7,7 +7,11 @@ Euler-Maruyama treats the process-local noise ``zeta_i(t)`` as genuine
 white-noise forcing: for ``dy = f(t, y) dt + g(t, y) dW`` it steps
 ``y_{n+1} = y_n + f dt + g sqrt(dt) xi`` with ``xi ~ N(0, I)`` (strong
 order 1/2, weak order 1).  The three solvers share one march
-(:class:`_March`) and supply only their step update.
+(:class:`_March`) and supply only their step update.  RK4's stage
+arguments and update and Euler's step run through
+:func:`repro.kernels.rk4_stage` / :func:`repro.kernels.rk4_update`: one
+compiled memory pass each where cc loads, with the bits of the NumPy
+formula they fall back to.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..kernels import rk4_stage, rk4_update
 from .solution import Solution, SolverStats, record_stride
 
 __all__ = ["solve_rk4", "solve_euler", "solve_euler_maruyama"]
@@ -32,7 +37,11 @@ class _March:
     until the next step overwrites them; freeing them all at once on
     return from a step function let glibc trim and re-fault the heap
     every step (rk4 on an (8, 1e4) state, 2-core x86-64 host: ~8x the
-    page faults, ~20% slower).
+    page faults, ~20% slower).  At that size an (R, N) array outgrows
+    L2, so a step costs its number of passes over the state: each stage
+    argument and the update is one pass (:func:`rk4_stage`,
+    :func:`rk4_update`), where NumPy's operator chain takes two and
+    seven.
     """
 
     def __init__(self, t_span: Sequence[float], y: np.ndarray, dt: float,
@@ -95,6 +104,12 @@ def solve_rk4(
 ) -> Solution:
     """Integrate ``dy/dt = f(t, y)`` with the classic RK4 scheme.
 
+    Each stage argument ``y + c*k`` and the update ``y + (h/6)*(k1 +
+    2k2 + 2k3 + k4)`` is one elementwise pass
+    (:func:`repro.kernels.rk4_stage` / :func:`repro.kernels.rk4_update`)
+    with the bits of the NumPy formula, so the result does not depend on
+    whether cc loads.
+
     Parameters
     ----------
     f:
@@ -120,10 +135,12 @@ def solve_rk4(
     march = _March(t_span, y, dt, observer, step_callback, record)
     for t, h in march:
         k1 = np.asarray(f(t, y), dtype=float)
-        k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = np.asarray(f(t + 0.5 * h, rk4_stage(y, k1, 0.5 * h)),
+                        dtype=float)
+        k3 = np.asarray(f(t + 0.5 * h, rk4_stage(y, k2, 0.5 * h)),
+                        dtype=float)
+        k4 = np.asarray(f(t + h, rk4_stage(y, k3, h)), dtype=float)
+        y = rk4_update(y, k1, k2, k3, k4, h)
         march.advance(y, 4)
     return march.solution()
 
@@ -148,7 +165,7 @@ def solve_euler(
     y = np.asarray(y0, dtype=float).copy()
     march = _March(t_span, y, dt, observer, step_callback, record)
     for t, h in march:
-        y = y + h * np.asarray(f(t, y), dtype=float)
+        y = rk4_stage(y, np.asarray(f(t, y), dtype=float), h)
         march.advance(y, 1)
     return march.solution()
 

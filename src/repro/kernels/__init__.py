@@ -28,6 +28,11 @@ in-kernel thread count (the ``threads=`` knob on the backend /
 ``simulate*`` / CLI, defaulting to the ``POM_NUM_THREADS`` environment
 variable): the ``cc`` kernel splits its work over disjoint output rows,
 bit-identical to the serial pass for any count.
+
+The fixed-step march's elementwise passes, :func:`rk4_stage` and
+:func:`rk4_update`, are not a kernel choice: where ``cc`` loads they run
+its uncontracted C loops, one memory pass each, and otherwise the NumPy
+formula, with the same bits either way.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ import importlib.util
 import os
 import warnings
 
+import numpy as np
+
+from . import cc
 from .cc import cc_available, openmp_available
 from .coeffs import (
     KIND_BOTTLENECK,
@@ -56,6 +64,8 @@ __all__ = [
     "cc_available",
     "openmp_available",
     "numba_available",
+    "rk4_stage",
+    "rk4_update",
     "family_coefficients",
     "eval_coefficients",
     "KIND_TANH",
@@ -195,3 +205,38 @@ def resolve_kernel(
                 'kernel="numpy"'
             )
     return key
+
+
+def _compiled(y) -> bool:
+    """Whether cc's elementwise loops may take the march state ``y``: the
+    extension loads and ``y`` is an ``(R, N)`` ndarray.  The loop checks
+    the rest (every array C-contiguous float64 of one shape) and raises
+    ``ValueError`` otherwise, which sends the call to the NumPy formula."""
+    return (type(y) is np.ndarray and y.ndim == 2
+            and cc.load_library() is not None)
+
+
+def rk4_stage(y, k, c: float) -> np.ndarray:
+    """A fixed-step stage argument ``y + c*k`` as a new array.
+
+    One pass of cc's uncontracted loop where it applies
+    (:func:`_compiled`), else the NumPy expression: the same bits.
+    """
+    if _compiled(y):
+        try:
+            return cc.rk4_stage(y, k, c, np.empty(y.shape))
+        except ValueError:
+            pass
+    return y + c * k
+
+
+def rk4_update(y, k1, k2, k3, k4, h: float) -> np.ndarray:
+    """The classic RK4 update ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)`` as a
+    new array, summed left to right, as :func:`rk4_stage`."""
+    h6 = h / 6.0
+    if _compiled(y):
+        try:
+            return cc.rk4_update(y, k1, k2, k3, k4, h6, np.empty(y.shape))
+        except ValueError:
+            pass
+    return y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -23,17 +23,36 @@ compiler or ``Python.h`` the module reports unavailability and the
 
 Entry points and prebound calls
 -------------------------------
-Three entries.  Two couple a stacked ``(R, N)`` super-state with
+Five entries.  Two couple a stacked ``(R, N)`` super-state with
 per-member coefficients: :func:`fused_batched` (any edge lists, a 2-D
 torus included: each row runs its own edge range of one concatenated
 list, so members may differ in topology) and :func:`ring_batched` (one
 shared distance ring).  A single state is the ``R = 1`` stack
-``(1, N)``.  The third, :func:`mean_cos_sin`, is the order-parameter
+``(1, N)``.  Both take an optional ``(R, N)`` ``base`` and then write
+``base + acc*vp`` in their final pass over a block, while it is
+cache-hot: the backend's RHS adds the intrinsic frequency there.  The
+third, :func:`mean_cos_sin`, is the order-parameter
 reduction the streaming observer runs after every accepted step: the
 per-row means of ``cos`` and ``sin`` of a ``(rows, n)`` state.  It keeps
 ``cos`` and ``sin`` in two separate flat loops, because GCC fuses one
 loop holding both into a scalar ``sincos`` call that libmvec does not
-vectorise (about 10x slower at N = 1e4).
+vectorise (about 10x slower at N = 1e4).  The last two are the
+fixed-step march's elementwise passes over C-contiguous float64 arrays
+of one shape, serial: :func:`rk4_stage` (``y + c*k``) and
+:func:`rk4_update` (``y + h6*(((k1 + 2k2) + 2k3) + k4)``).
+
+Uncontracted arithmetic
+-----------------------
+The extension is compiled with ``-ffast-math``, which the libmvec loops
+need, but fast-math lets the compiler reassociate sums and contract
+``a*b + c`` into an FMA, and either changes the rounding.  The stage
+loops and the coupling entries' ``base`` tail are therefore compiled
+without fast-math and without FP contraction (GCC's ``optimize``
+function attribute, clang's ``fp`` pragma) and kept out of line: each
+element rounds exactly as NumPy's operator chain of the same formula,
+so their results are bit-identical to the NumPy expressions (a NaN's
+sign and payload aside).  That is a contract, not a numerics choice,
+so it enters no cache key.
 
 A backend evaluates the coupling thousands of times per solve with the
 same topology, coefficients and thread count, so :func:`bind` resolves
@@ -45,8 +64,9 @@ thread's scratch and runs the kernel with the GIL released.
 
 Thread parallelism
 ------------------
-Every kernel takes a trailing ``threads`` argument.  With ``threads > 1``
-and an OpenMP-capable compiler the work is split over **disjoint output
+The coupling and reduction entries take a trailing ``threads``
+argument (the stage loops have none).  With ``threads > 1`` and an
+OpenMP-capable compiler the work is split over **disjoint output
 rows** (edge spans are row-aligned via binary search on the sorted row
 array; ring element ranges are contiguous; the reduction hands each
 thread whole rows), so no two threads ever write the same accumulator
@@ -96,6 +116,8 @@ __all__ = [
     "fused_batched",
     "ring_batched",
     "mean_cos_sin",
+    "rk4_stage",
+    "rk4_update",
 ]
 
 _SOURCE = r"""
@@ -174,6 +196,61 @@ static void potential_block(int64_t kind, double p0, double p1,
     }
 }
 
+/* Exact elementwise arithmetic.  The TU is built with -ffast-math for the
+ * libmvec loops above, which lets the compiler reassociate sums and
+ * contract a*b + c into one FMA: both change the rounding.  The loops
+ * below must round every element exactly as NumPy's ufunc chain of the
+ * same formula does, so they are compiled without fast-math and without
+ * FP contraction (GCC: the optimize attribute; clang: the fp pragma at
+ * the start of each body), and kept out of line so no fast-math caller
+ * absorbs them.  Each parenthesis in a formula is one rounding. */
+#if defined(__clang__)
+#define EXACT_FN __attribute__((noinline))
+#define EXACT_BODY _Pragma("clang fp reassociate(off) contract(off)")
+#elif defined(__GNUC__)
+#define EXACT_FN __attribute__((noinline, optimize("no-fast-math", "fp-contract=off")))
+#define EXACT_BODY
+#else
+#define EXACT_FN
+#define EXACT_BODY
+#endif
+
+/* The coupling entries' tail over one block: o = base + o*vp, or o *= vp
+ * without a base.  Written while the block is cache-hot, it folds the
+ * intrinsic frequency into the coupling pass with freq + coupling's bits
+ * (IEEE addition is commutative). */
+EXACT_FN static void scale_block(double *o, const double *base, double vp,
+                                 int64_t m) {
+    EXACT_BODY
+    int64_t e;
+    if (base)
+        for (e = 0; e < m; ++e)
+            o[e] = base[e] + o[e] * vp;
+    else
+        for (e = 0; e < m; ++e)
+            o[e] *= vp;
+}
+
+/* A fixed-step stage argument, out = y + c*k (c = h/2 or h). */
+EXACT_FN static void stage_loop(const double *y, const double *k, double c,
+                                double *out, int64_t m) {
+    EXACT_BODY
+    int64_t e;
+    for (e = 0; e < m; ++e)
+        out[e] = y[e] + c * k[e];
+}
+
+/* The RK4 update, out = y + h6*(((k1 + 2k2) + 2k3) + k4) (h6 = h/6). */
+EXACT_FN static void update_loop(const double *y, const double *k1,
+                                 const double *k2, const double *k3,
+                                 const double *k4, double h6, double *out,
+                                 int64_t m) {
+    EXACT_BODY
+    int64_t e;
+    for (e = 0; e < m; ++e)
+        out[e] = y[e] + h6 * (((k1[e] + 2.0 * k2[e]) + 2.0 * k3[e]) + k4[e]);
+}
+
 /* First edge index whose row is >= value (rows are sorted row-major,
  * guaranteed by Topology.from_edge_arrays).  Row-aligned edge spans are
  * what make the parallel scatter race-free without atomics. */
@@ -191,15 +268,15 @@ static int64_t row_lower_bound(const int32_t *rows, int64_t n_edges,
 }
 
 /* Fused coupling restricted to output rows [r0, r1): zero, accumulate
- * the row-aligned edge span in row-major order, scale.  The full-range
- * call (0, n) is arithmetically identical to the pre-threading serial
- * kernel; chunked calls touch disjoint rows, so any row-aligned
- * decomposition reproduces the serial bits. */
+ * the row-aligned edge span in row-major order, scale (and add base,
+ * when given).  The full-range call (0, n) is arithmetically identical
+ * to the pre-threading serial kernel; chunked calls touch disjoint rows,
+ * so any row-aligned decomposition reproduces the serial bits. */
 static void fused_span(const int32_t *rows, const int32_t *cols,
                        int64_t n_edges, const double *theta, double *out,
-                       int64_t r0, int64_t r1, int64_t kind, double p0,
-                       double p1, double vp, double *sd, double *sv,
-                       int64_t block) {
+                       const double *base, int64_t r0, int64_t r1,
+                       int64_t kind, double p0, double p1, double vp,
+                       double *sd, double *sv, int64_t block) {
     int64_t i, e, b0;
     int64_t e0 = row_lower_bound(rows, n_edges, r0);
     int64_t e1 = row_lower_bound(rows, n_edges, r1);
@@ -216,8 +293,7 @@ static void fused_span(const int32_t *rows, const int32_t *cols,
         for (e = 0; e < m; ++e)
             out[rb[e]] += sv[e];
     }
-    for (i = r0; i < r1; ++i)
-        out[i] *= vp;
+    scale_block(out + r0, base ? base + r0 : NULL, vp, r1 - r0);
 }
 
 /* Fused coupling for a stacked (R, N) super-state with per-member
@@ -228,7 +304,8 @@ static void fused_span(const int32_t *rows, const int32_t *cols,
  * pool. */
 void pom_fused_batched(const int32_t *rows, const int32_t *cols,
                        const int64_t *edge_lo, const int64_t *edge_hi,
-                       const double *theta, double *out, int64_t r_count,
+                       const double *theta, double *out,
+                       const double *base, int64_t r_count,
                        int64_t n, const int64_t *kinds, const double *p0,
                        const double *p1, const double *vp, double *sd,
                        double *sv, int64_t block, int64_t threads) {
@@ -245,7 +322,8 @@ void pom_fused_batched(const int32_t *rows, const int32_t *cols,
             int64_t c = w % splits;
             fused_span(rows + edge_lo[rr], cols + edge_lo[rr],
                        edge_hi[rr] - edge_lo[rr], theta + rr * n,
-                       out + rr * n, n * c / splits, n * (c + 1) / splits,
+                       out + rr * n, base ? base + rr * n : NULL,
+                       n * c / splits, n * (c + 1) / splits,
                        kinds[rr], p0[rr], p1[rr], vp[rr], sd + tid * block,
                        sv + tid * block, block);
         }
@@ -255,8 +333,8 @@ void pom_fused_batched(const int32_t *rows, const int32_t *cols,
     (void)threads;
     for (r = 0; r < r_count; ++r)
         fused_span(rows + edge_lo[r], cols + edge_lo[r], edge_hi[r] - edge_lo[r],
-                   theta + r * n, out + r * n, 0, n, kinds[r], p0[r], p1[r],
-                   vp[r], sd, sv, block);
+                   theta + r * n, out + r * n, base ? base + r * n : NULL, 0,
+                   n, kinds[r], p0[r], p1[r], vp[r], sd, sv, block);
 }
 
 /* Distance-ring specialisation: every row couples to i + d (mod n) for
@@ -342,7 +420,8 @@ static void ring_eval(const double *th, int64_t n, int64_t d, int64_t j0,
  * serial bits: every element sees the same terms in the same order. */
 static void ring_chunk(const int64_t *offsets, const int64_t *buf,
                        int64_t n_offsets, const double *theta, double *out,
-                       int64_t n, int64_t i0, int64_t i1, int64_t kind,
+                       const double *base, int64_t n, int64_t i0,
+                       int64_t i1, int64_t kind,
                        double p0, double p1, double vp, double *work,
                        int64_t block) {
     double *sd = work, *sv = work + block, *lead = work + 2 * block;
@@ -372,14 +451,14 @@ static void ring_chunk(const int64_t *offsets, const int64_t *buf,
             for (e = 0; e < m; ++e)
                 o[e] += w[e];
         }
-        for (e = 0; e < m; ++e)
-            o[e] *= vp;
+        scale_block(o, base ? base + b0 : NULL, vp, m);
     }
 }
 
 void pom_fused_ring_batched(const int64_t *offsets, const int64_t *buf,
                             int64_t n_offsets, const double *theta,
-                            double *out, int64_t r_count, int64_t n,
+                            double *out, const double *base,
+                            int64_t r_count, int64_t n,
                             const int64_t *kinds, const double *p0,
                             const double *p1, const double *vp, double *work,
                             int64_t stride, int64_t block, int64_t threads) {
@@ -395,7 +474,8 @@ void pom_fused_ring_batched(const int64_t *offsets, const int64_t *buf,
             int64_t rr = w / splits;
             int64_t c = w % splits;
             ring_chunk(offsets, buf, n_offsets, theta + rr * n, out + rr * n,
-                       n, n * c / splits, n * (c + 1) / splits, kinds[rr],
+                       base ? base + rr * n : NULL, n, n * c / splits,
+                       n * (c + 1) / splits, kinds[rr],
                        p0[rr], p1[rr], vp[rr], work + tid * stride, block);
         }
         return;
@@ -403,8 +483,9 @@ void pom_fused_ring_batched(const int64_t *offsets, const int64_t *buf,
 #endif
     (void)threads;
     for (r = 0; r < r_count; ++r)
-        ring_chunk(offsets, buf, n_offsets, theta + r * n, out + r * n, n, 0,
-                   n, kinds[r], p0[r], p1[r], vp[r], work, block);
+        ring_chunk(offsets, buf, n_offsets, theta + r * n, out + r * n,
+                   base ? base + r * n : NULL, n, 0, n, kinds[r], p0[r], p1[r],
+                   vp[r], work, block);
 }
 
 /* Sum of v[0, mp), mp a PAD_BLOCK multiple of at most BLOCK_EDGES:
@@ -576,13 +657,14 @@ static int state_view(PyObject *obj, Py_buffer *v, const pom_call *c, const char
     return -1;
 }
 
-/* 0 if `ou` may take a result computed from `th`, else a ValueError. */
-static int out_apart(const Py_buffer *th, const Py_buffer *ou) {
+/* 0 if `ou` may take a result computed from the input `th` (called
+ * `name`), else a ValueError. */
+static int out_apart(const Py_buffer *th, const Py_buffer *ou, const char *name) {
     const char *t = th->buf, *o = ou->buf;
     if (ou->readonly)
         PyErr_SetString(PyExc_ValueError, "out is read-only");
     else if (o < t + th->len && t < o + ou->len)
-        PyErr_SetString(PyExc_ValueError, "out overlaps theta");
+        PyErr_Format(PyExc_ValueError, "out overlaps %s", name);
     else
         return 0;
     return -1;
@@ -622,13 +704,15 @@ static long long usable_threads(long long threads) {
     return threads > 1 && omp_pid == getpid() ? threads : 1;
 }
 
-/* run(call, theta, out, layout) -> out */
+/* run(call, theta, out, layout[, base]) -> out; a base (None: none) of
+ * the bound shape is added to every row's scaled sum: out = base + acc*vp. */
 static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     const pom_call *c;
-    Py_buffer th, ou;
+    Py_buffer th, ou, ba;
     long want;
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "run() takes 4 arguments");
+    int has_base = nargs == 5 && args[4] != Py_None;
+    if (nargs != 4 && nargs != 5)
+        return PyErr_Format(PyExc_TypeError, "run() takes 4 or 5 arguments");
     if (!(c = PyCapsule_GetPointer(args[0], "pom_call")) ||
         ((want = PyLong_AsLong(args[3])) == -1 && PyErr_Occurred()))
         return NULL;
@@ -640,25 +724,31 @@ static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     if (state_view(args[2], &ou, c, "out"))
         return PyBuffer_Release(&th), NULL;
+    if (has_base && state_view(args[4], &ba, c, "base"))
+        return PyBuffer_Release(&th), PyBuffer_Release(&ou), NULL;
     const void *const *a = c->arr;
+    const double *b = has_base ? ba.buf : NULL;
     double *t = th.buf, *o = ou.buf, *sd = NULL;
-    if (!out_apart(&th, &ou) && !(sd = scratch(c->threads * c->stride)))
+    if (!out_apart(&th, &ou, "theta") && !(has_base && out_apart(&ba, &ou, "base")) &&
+        !(sd = scratch(c->threads * c->stride)))
         PyErr_NoMemory();
     if (sd) {
         double *sv = sd + c->threads * BLOCK_EDGES;
         long long threads = usable_threads(c->threads);
         Py_BEGIN_ALLOW_THREADS
         if (c->layout == 0)
-            pom_fused_batched(a[0], a[1], a[2], a[3], t, o, c->r, c->n, a[4], a[5],
-                              a[6], a[7], sd, sv, BLOCK_EDGES, threads);
+            pom_fused_batched(a[0], a[1], a[2], a[3], t, o, b, c->r, c->n, a[4],
+                              a[5], a[6], a[7], sd, sv, BLOCK_EDGES, threads);
         else
-            pom_fused_ring_batched(a[0], c->buf, c->count, t, o, c->r, c->n, a[4],
-                                   a[5], a[6], a[7], sd, c->stride, BLOCK_EDGES,
-                                   threads);
+            pom_fused_ring_batched(a[0], c->buf, c->count, t, o, b, c->r, c->n,
+                                   a[4], a[5], a[6], a[7], sd, c->stride,
+                                   BLOCK_EDGES, threads);
         Py_END_ALLOW_THREADS
     }
     PyBuffer_Release(&th);
     PyBuffer_Release(&ou);
+    if (has_base)
+        PyBuffer_Release(&ba);
     if (!sd)
         return NULL;
     Py_INCREF(args[2]);
@@ -697,7 +787,7 @@ static PyObject *py_mean_cos_sin(PyObject *self, PyObject *const *args,
 #endif
     if (threads > rows)
         threads = rows > 1 ? rows : 1;
-    if (!out_apart(&th, &ou) && !(sd = scratch(threads * 2 * BLOCK_EDGES)))
+    if (!out_apart(&th, &ou, "theta") && !(sd = scratch(threads * 2 * BLOCK_EDGES)))
         PyErr_NoMemory();
     if (sd) {
         double *sv = sd + threads * BLOCK_EDGES;
@@ -714,6 +804,74 @@ static PyObject *py_mean_cos_sin(PyObject *self, PyObject *const *args,
     return args[1];
 }
 
+/* Export `obj` into `v` if it is a C-contiguous float64 array shaped like
+ * `ref` (any shape when `ref` is NULL). */
+static int like_view(PyObject *obj, Py_buffer *v, const Py_buffer *ref) {
+    if (!PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
+        if (!strcmp(v->format, "d") &&
+            (!ref || (v->ndim == ref->ndim &&
+                      !memcmp(v->shape, ref->shape, v->ndim * sizeof(Py_ssize_t)))))
+            return 0;
+        PyBuffer_Release(v);
+    }
+    PyErr_Clear();
+    return -1;
+}
+
+/* The fixed-step march's elementwise passes over C-contiguous float64
+ * arrays of one shape, serial, GIL released:
+ *   rk4_stage(y, k, c, out) -> out          out = y + c*k
+ *   rk4_update(y, k1, k2, k3, k4, h6, out)  out = y + h6*(((k1 + 2k2) + 2k3) + k4)
+ * `n_in` is the array-input count; the scalar follows them, out comes last. */
+static PyObject *elementwise(PyObject *const *args, Py_ssize_t nargs,
+                             Py_ssize_t n_in, const char *name) {
+    Py_buffer v[5], ou;
+    Py_ssize_t got = 0, i;
+    double s;
+    if (nargs != n_in + 2)
+        return PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments", name,
+                            n_in + 2);
+    if ((s = PyFloat_AsDouble(args[n_in])) == -1.0 && PyErr_Occurred())
+        return NULL;
+    while (got < n_in && !like_view(args[got], &v[got], got ? &v[0] : NULL))
+        ++got;
+    if (got < n_in || like_view(args[n_in + 1], &ou, &v[0])) {
+        PyErr_Format(PyExc_ValueError, "%s takes C-contiguous float64 arrays of "
+                     "one shape", name);
+    } else {
+        for (i = 0; i < n_in && !out_apart(&v[i], &ou, "an input"); ++i)
+            ;
+        if (i == n_in) {
+            int64_t m = v[0].len / (Py_ssize_t)sizeof(double);
+            double *o = ou.buf;
+            Py_BEGIN_ALLOW_THREADS
+            if (n_in == 2)
+                stage_loop(v[0].buf, v[1].buf, s, o, m);
+            else
+                update_loop(v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[4].buf, s, o,
+                            m);
+            Py_END_ALLOW_THREADS
+        }
+        PyBuffer_Release(&ou);
+    }
+    for (i = 0; i < got; ++i)
+        PyBuffer_Release(&v[i]);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_INCREF(args[n_in + 1]);
+    return args[n_in + 1];
+}
+
+static PyObject *py_rk4_stage(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs) {
+    return elementwise(args, nargs, 2, "rk4_stage");
+}
+
+static PyObject *py_rk4_update(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs) {
+    return elementwise(args, nargs, 5, "rk4_update");
+}
+
 /* Whether this binary has OpenMP (the flag-set chain may end serial). */
 static PyObject *py_openmp(PyObject *self, PyObject *unused) {
 #ifdef _OPENMP
@@ -727,6 +885,8 @@ static PyMethodDef methods[] = {
     {"run", (PyCFunction)(void (*)(void))py_run, METH_FASTCALL, NULL},
     {"mean_cos_sin", (PyCFunction)(void (*)(void))py_mean_cos_sin, METH_FASTCALL,
      NULL},
+    {"rk4_stage", (PyCFunction)(void (*)(void))py_rk4_stage, METH_FASTCALL, NULL},
+    {"rk4_update", (PyCFunction)(void (*)(void))py_rk4_update, METH_FASTCALL, NULL},
     {"openmp_available", py_openmp, METH_NOARGS, NULL},
     {NULL, NULL, 0, NULL}};
 
@@ -1088,14 +1248,19 @@ def bind(
     return KernelCall("fused_batched", static, coeffs, shape, threads)
 
 
-def fused_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
-    """Coupling terms for a contiguous ``(R, N)`` super-state into ``out``."""
-    return _lib.run(call._capsule, theta, out, 0)
+def fused_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray,
+                  base: np.ndarray | None = None):
+    """Coupling terms for a contiguous ``(R, N)`` super-state into ``out``;
+    with an ``(R, N)`` ``base``, ``out = base + coupling`` in the same
+    bits as that sum in NumPy."""
+    return _lib.run(call._capsule, theta, out, 0, base)
 
 
-def ring_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray):
-    """Distance-ring coupling for an ``(R, N)`` super-state into ``out``."""
-    return _lib.run(call._capsule, theta, out, 1)
+def ring_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray,
+                 base: np.ndarray | None = None):
+    """Distance-ring coupling for an ``(R, N)`` super-state into ``out``
+    (plus ``base``, as in :func:`fused_batched`)."""
+    return _lib.run(call._capsule, theta, out, 1, base)
 
 
 def mean_cos_sin(theta: np.ndarray, out: np.ndarray, threads: int = 1):
@@ -1107,3 +1272,17 @@ def mean_cos_sin(theta: np.ndarray, out: np.ndarray, threads: int = 1):
     ``threads``; without OpenMP the call runs serially.
     """
     return load_library().mean_cos_sin(theta, out, int(threads))
+
+
+def rk4_stage(y: np.ndarray, k: np.ndarray, c: float, out: np.ndarray):
+    """``out = y + c*k`` over C-contiguous float64 arrays of one shape,
+    with the bits of that NumPy expression (serial, GIL released)."""
+    return _lib.rk4_stage(y, k, c, out)
+
+
+def rk4_update(y: np.ndarray, k1: np.ndarray, k2: np.ndarray,
+               k3: np.ndarray, k4: np.ndarray, h6: float, out: np.ndarray):
+    """``out = y + h6*(k1 + 2.0*k2 + 2.0*k3 + k4)`` with the bits of that
+    NumPy expression (left to right; ``h6 = h / 6.0``), as
+    :func:`rk4_stage`."""
+    return _lib.rk4_update(y, k1, k2, k3, k4, h6, out)

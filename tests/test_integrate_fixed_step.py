@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import kernels
+from repro.core import (BottleneckPotential, ConstantInteractionNoise,
+                        GaussianJitter, PhysicalOscillatorModel, ring,
+                        simulate_grid)
 from repro.integrate import solve_euler, solve_euler_maruyama, solve_rk4
 
 
@@ -110,3 +114,43 @@ class TestEulerMaruyama:
                 rng=np.random.default_rng(seed))
             finals.append(sol.y_end[0])
         assert abs(np.mean(finals)) < 0.15
+
+
+class TestCompiledStagePasses:
+    """The march's stage helpers give the NumPy formulas' bits: a
+    campaign solved through cc's loops equals the same campaign with the
+    helpers forced to their NumPy branch."""
+
+    @staticmethod
+    def _campaign(method, **model_kw):
+        noise = GaussianJitter(std=0.05, refresh=0.5)
+        models = [PhysicalOscillatorModel(
+            topology=ring(300, (1, -1, 2, -2, 5)),
+            potential=BottleneckPotential(sigma), t_comp=0.9, t_comm=0.1,
+            local_noise=noise, **model_kw) for sigma in (0.5, 1.0, 2.0)]
+        trajs = simulate_grid(models, 3.0, seeds=[1, 2, 3], method=method,
+                              dt=0.01)
+        return np.stack([tr.thetas for tr in trajs])
+
+    @pytest.mark.parametrize("method, model_kw", [
+        pytest.param("rk4", {}, id="rk4"),
+        pytest.param("euler", {}, id="euler"),
+        pytest.param("rk4", {"interaction_noise":
+                             ConstantInteractionNoise(tau=0.05)}, id="dde"),
+    ])
+    def test_campaign_bits_match_numpy_branch(self, monkeypatch, method,
+                                              model_kw):
+        calls = []
+        stage = kernels.cc.rk4_stage
+
+        def counted(*args):
+            calls.append(1)
+            return stage(*args)
+
+        monkeypatch.setattr(kernels.cc, "rk4_stage", counted)
+        compiled = self._campaign(method, **model_kw)
+        if kernels.cc_available():
+            assert calls, "the compiled stage loop never ran"
+        monkeypatch.setattr(kernels, "_compiled", lambda y: False)
+        np.testing.assert_array_equal(compiled,
+                                      self._campaign(method, **model_kw))

@@ -685,6 +685,209 @@ class TestMeanCosSin:
         np.testing.assert_array_equal(s, np.sin(theta).mean(axis=-1))
 
 
+#: every special double the elementwise loops must round as NumPy does
+SPECIAL_VALUES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+    1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf, np.nan, -np.nan,
+    1.0, -1.0, 0.1, 3.7])
+
+
+def _adversarial(rng, shape):
+    """Special values on about half the elements, ordinary doubles of
+    mixed scale (the elements where an FMA would round differently) on
+    the rest."""
+    ordinary = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, shape)
+    special = rng.choice(SPECIAL_VALUES, size=shape)
+    return np.where(rng.random(shape) < 0.5, special, ordinary)
+
+
+def _assert_same_bits(got, want):
+    """Equal as arrays (NaN == NaN), and byte-equal on every non-NaN
+    element: a NaN's sign and payload are not part of the contract."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    keep = ~np.isnan(want)
+    np.testing.assert_array_equal(_bits(got)[keep], _bits(want)[keep])
+
+
+STEPS = [0.01, 1e-310, 3.7]
+STAGE_SHAPES = [(1, 257), (8, 10_000), (3, 5)]
+
+
+class TestStageLoops:
+    """cc's elementwise march passes are the NumPy formulas, bit for bit."""
+
+    @needs_cc
+    @pytest.mark.parametrize("shape", STAGE_SHAPES)
+    @pytest.mark.parametrize("h", STEPS)
+    def test_stage_matches_numpy(self, shape, h):
+        rng = np.random.default_rng(shape[1])
+        y, k = _adversarial(rng, shape), _adversarial(rng, shape)
+        with np.errstate(all="ignore"):
+            for c in (0.5 * h, h):
+                want = y + c * k
+                _assert_same_bits(
+                    cc_kernels.rk4_stage(y, k, c, np.empty(shape)), want)
+                _assert_same_bits(kernels.rk4_stage(y, k, c), want)
+
+    @needs_cc
+    @pytest.mark.parametrize("shape", STAGE_SHAPES)
+    @pytest.mark.parametrize("h", STEPS)
+    def test_update_matches_numpy(self, shape, h):
+        rng = np.random.default_rng(shape[1] + 1)
+        y, k1, k2, k3, k4 = (_adversarial(rng, shape) for _ in range(5))
+        with np.errstate(all="ignore"):
+            want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            _assert_same_bits(cc_kernels.rk4_update(
+                y, k1, k2, k3, k4, h / 6.0, np.empty(shape)), want)
+            _assert_same_bits(kernels.rk4_update(y, k1, k2, k3, k4, h),
+                              want)
+
+    def test_other_inputs_take_the_numpy_branch(self, monkeypatch):
+        ran = []   # compiled calls that returned a result
+
+        def counted(entry):
+            def call(*args):
+                out = entry(*args)
+                ran.append(1)
+                return out
+            return call
+
+        for name in ("rk4_stage", "rk4_update"):
+            monkeypatch.setattr(cc_kernels, name,
+                                counted(getattr(cc_kernels, name)))
+        rng = np.random.default_rng(9)
+        wide = rng.normal(size=(3, 10))
+        y, k = wide[:, ::2], rng.normal(size=(3, 5))        # non-contiguous
+        cases = [(y, k), (k[0], k[1]),                        # 1-D
+                 (k.tolist(), k),                             # list
+                 (k, k[:1]),                                  # broadcast
+                 (k, k.astype(np.float32)),                   # dtype
+                 (np.asfortranarray(rng.normal(size=(3, 5))), k)]
+        for a, b in cases:
+            h = 0.3
+            want = np.asarray(a) + h * np.asarray(b)
+            _assert_same_bits(kernels.rk4_stage(a, b, h), want)
+            bb = np.asarray(b)
+            want = np.asarray(a) + (h / 6.0) * (bb + 2.0 * bb + 2.0 * bb + bb)
+            _assert_same_bits(kernels.rk4_update(a, b, bb, bb, bb, h), want)
+        assert ran == []
+
+    @needs_cc
+    def test_bad_arguments_rejected(self):
+        rng = np.random.default_rng(10)
+        y, k = rng.normal(size=(2, 6)), rng.normal(size=(2, 6))
+        for bad in (k[:1], k.astype(np.float32), np.asfortranarray(k),
+                    k.ravel()):
+            with pytest.raises(ValueError, match="one shape"):
+                cc_kernels.rk4_stage(y, bad, 0.1, np.empty_like(y))
+            with pytest.raises(ValueError, match="one shape"):
+                cc_kernels.rk4_stage(y, k, 0.1, np.empty_like(bad))
+            with pytest.raises(ValueError, match="one shape"):
+                cc_kernels.rk4_update(y, k, k, bad, k, 0.1, np.empty_like(y))
+        out = np.empty_like(y)
+        out.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            cc_kernels.rk4_stage(y, k, 0.1, out)
+        buf = rng.normal(size=(3, 6))
+        before = buf.copy()
+        with pytest.raises(ValueError, match="overlaps"):
+            cc_kernels.rk4_stage(buf[:2], k, 0.1, buf[1:])
+        with pytest.raises(ValueError, match="overlaps"):
+            cc_kernels.rk4_update(y, k, buf[:2], k, k, 0.1, buf[1:])
+        np.testing.assert_array_equal(buf, before)
+        with pytest.raises(TypeError):
+            cc_kernels.rk4_stage(y, k, "0.1", np.empty_like(y))
+        with pytest.raises(TypeError):
+            cc_kernels.rk4_stage(y, k, 0.1)
+
+
+class TestCouplingBase:
+    """``coupling(base=freq)`` is ``freq + coupling`` bit for bit."""
+
+    @pytest.mark.parametrize("kernel", _kernel_params())
+    @pytest.mark.parametrize("make_topo", TOPOLOGIES)
+    @pytest.mark.parametrize("make_pot", POTENTIALS)
+    def test_rhs_is_frequency_plus_coupling(self, make_topo, make_pot,
+                                            kernel):
+        from repro.core import GaussianJitter
+
+        topo = make_topo()
+        model = _model(topo, make_pot(),
+                       local_noise=GaussianJitter(std=0.02, refresh=0.5))
+        backend = HeteroBatchedBackend(
+            [model.realize(5.0, rng=s) for s in range(3)], kernel=kernel)
+        rng = np.random.default_rng(12)
+        for t in (0.0, 1.3):
+            theta = rng.normal(0.0, 2.0, (3, topo.n))
+            want = (backend.intrinsic_frequency(t)
+                    + backend.coupling(t, theta))
+            _assert_same_bits(backend.rhs(t, theta), want)
+
+    @needs_cc
+    @pytest.mark.parametrize("make_topo", TOPOLOGIES)
+    def test_entry_base_tail(self, make_topo):
+        # The entries' own tail on adversarial bases, all four kinds in
+        # one batch.
+        topo = make_topo()
+        pots = [TanhPotential(1.3), BottleneckPotential(0.8),
+                KuramotoPotential(), LinearPotential(0.6)]
+        backend = HeteroBatchedBackend(
+            [_model(topo, p).realize(5.0, rng=i) for i, p in enumerate(pots)],
+            kernel="cc")
+        call = backend._cc_call
+        run = getattr(cc_kernels, call.entry)
+        rng = np.random.default_rng(14)
+        theta = rng.normal(0.0, 2.0, (4, topo.n))
+        base = _adversarial(rng, (4, topo.n))
+        with np.errstate(all="ignore"):
+            want = base + run(call, theta, np.empty_like(theta))
+        _assert_same_bits(run(call, theta, np.empty_like(theta), base), want)
+        _assert_same_bits(run(call, theta, np.empty_like(theta), None),
+                          run(call, theta, np.empty_like(theta)))
+
+    @needs_cc
+    def test_base_rejected_unless_apart_and_shaped(self):
+        backend = HeteroBatchedBackend(
+            [_model(ring(40, (1, -1)), TanhPotential()).realize(5.0, rng=0)],
+            kernel="cc")
+        call = backend._cc_call
+        theta = np.zeros((1, 40))
+        for bad in (np.zeros((1, 41)), np.zeros((2, 40)), np.zeros(40),
+                    np.zeros((1, 40), np.float32)):
+            with pytest.raises(ValueError, match="base is not"):
+                cc_kernels.ring_batched(call, theta, np.empty((1, 40)), bad)
+        out = np.zeros((1, 40))
+        with pytest.raises(ValueError, match="out overlaps base"):
+            cc_kernels.ring_batched(call, theta, out, out)
+
+    @pytest.mark.parametrize("kernel", _kernel_params())
+    def test_zero_coupling_and_delays_keep_the_sum(self, kernel):
+        from repro.core import ConstantInteractionNoise, GaussianJitter
+        from repro.integrate.history import HistoryBuffer
+
+        topo = ring(30, (1, -1))
+        noise = GaussianJitter(std=0.02, refresh=0.5)
+        rng = np.random.default_rng(15)
+        theta = rng.normal(0.0, 1.0, (2, 30))
+        zero = HeteroBatchedBackend(
+            [_model(topo, TanhPotential(), local_noise=noise,
+                    v_p_override=0.0).realize(5.0, rng=s) for s in range(2)],
+            kernel=kernel)
+        _assert_same_bits(zero.rhs(0.7, theta),
+                          zero.intrinsic_frequency(0.7)
+                          + zero.coupling(0.7, theta))
+        delayed = HeteroBatchedBackend(
+            [_model(topo, TanhPotential(), local_noise=noise,
+                    interaction_noise=ConstantInteractionNoise(tau=0.05))
+             .realize(5.0, rng=s) for s in range(2)], kernel=kernel)
+        history = HistoryBuffer(0.0, theta)
+        history._fs[0] = np.zeros_like(theta)
+        _assert_same_bits(delayed.rhs(0.7, theta, history),
+                          delayed.intrinsic_frequency(0.7)
+                          + delayed.coupling(0.7, theta, history))
+
+
 class TestBuildCache:
     @pytest.fixture(autouse=True)
     def _private_tempdir(self, tmp_path, monkeypatch):

@@ -406,13 +406,17 @@ class TestKilledWorkerResume:
         """End-to-end chaos through run_plan_queue itself: the injected
         kill takes a spawned worker down and the orchestrator recovers
         without outside help."""
-        monkeypatch.setenv("POM_FAULTS", "kill:shard=1")
+        # A replacement is spawned only while unfinished shards outnumber
+        # the live workers at the orchestrator's next tick (every POLL_S =
+        # 0.2 s).  Shards are claimed in index order, so when shard 1's
+        # kill fires, shards 2 and 3 are still unclaimed, and each stalls
+        # its worker for 0.3 s at its start (inside the 1 s lease): the
+        # survivor cannot drain them before that tick, however fast the
+        # solves are.
+        monkeypatch.setenv("POM_FAULTS", "kill:shard=1;stall:shard=2,secs=0.3;"
+                           "stall:shard=3,secs=0.3")
         monkeypatch.setenv("POM_FAULTS_STATE", str(tmp_path / "faults"))
-        # A replacement is spawned only while queued work outnumbers the
-        # live workers at the orchestrator's next tick (every POLL_S =
-        # 0.2 s), so the surviving worker's shards must take longer than
-        # that: ~0.2 s each on a 2-core host.
-        spec = grid_spec(t_end=24.0)
+        spec = grid_spec()
         res = run_spec(spec, jobs=2, shard_members=2,
                        queue=tmp_path / "q.db",
                        lease_ttl=1.0, backoff=0.05)

@@ -187,6 +187,35 @@ class TestThreadInvariance:
                                               want)
 
     @pytest.mark.parametrize("kernel", COMPILED)
+    @pytest.mark.parametrize("topos", [
+        pytest.param(lambda: [ring(64, (1, -1, 2, -2, 5))] * 4, id="ring"),
+        pytest.param(lambda: [torus2d(8, 7)] * 4, id="torus"),
+        pytest.param(lambda: [ring(56, (1, -1)), torus2d(8, 7),
+                              ring(56, (1, -1, 3)), torus2d(7, 8)],
+                     id="topology-axis"),
+    ])
+    def test_base_tail_bits(self, kernel, topos):
+        # The kernel's base tail (rhs) is the serial freq + coupling sum
+        # for every kind and team size.
+        noise = GaussianJitter(std=0.05, refresh=0.5)
+        pots = [TanhPotential(1.3), BottleneckPotential(0.8),
+                KuramotoPotential(), LinearPotential(0.6)]
+        members = [_model(topo, pot, local_noise=noise).realize(10.0, rng=i)
+                   for i, (topo, pot) in enumerate(zip(topos(), pots))]
+        n = members[0].model.n
+        serial = make_batched_backend(members, kernel=kernel, threads=1)
+        rng = np.random.default_rng(41)
+        cases = [(t, rng.uniform(-2 * np.pi, 2 * np.pi, (4, n)))
+                 for t in (0.0, 2.6)]
+        for threads in (1, 2, 3):
+            be = make_batched_backend(members, kernel=kernel,
+                                      threads=threads)
+            for t, theta in cases:
+                want = (serial.intrinsic_frequency(t)
+                        + serial.coupling(t, theta))
+                np.testing.assert_array_equal(be.rhs(t, theta), want)
+
+    @pytest.mark.parametrize("kernel", COMPILED)
     def test_torus_matches_numpy(self, kernel):
         # The edge-list entry on a torus against the reference segment sum.
         topo = torus2d(9, 6)
