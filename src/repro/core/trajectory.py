@@ -183,14 +183,11 @@ class OscillatorTrajectory:
         return (self.thetas[-1] - self.thetas[0]) / span
 
     def resample(self, n_points: int) -> "OscillatorTrajectory":
-        """Uniform-mesh resample via the solver's dense output."""
-        if self.solution is None or self.solution.dense is None:
-            ts = np.linspace(self.ts[0], self.ts[-1], n_points)
-            thetas = np.empty((n_points, self.n))
-            for k in range(self.n):
-                thetas[:, k] = np.interp(ts, self.ts, self.thetas[:, k])
-            return OscillatorTrajectory(ts=ts, thetas=thetas, model=self.model,
-                                        solution=self.solution, seed=self.seed)
-        sol = self.solution.resample(n_points)
+        """Uniform-mesh resample via the solver's dense output, or
+        piecewise-linear on the mesh when there is none."""
+        sol = self.solution
+        if sol is None or sol.dense is None:
+            sol = Solution(ts=self.ts, ys=self.thetas)
+        sol = sol.resample(n_points)
         return OscillatorTrajectory(ts=sol.ts, thetas=sol.ys, model=self.model,
                                     solution=self.solution, seed=self.seed)

@@ -24,16 +24,18 @@ compiler or ``Python.h`` the module reports unavailability and the
 Entry points and prebound calls
 -------------------------------
 Five entries.  Two couple a stacked ``(R, N)`` super-state with
-per-member coefficients: :func:`fused_batched` (any edge lists, a 2-D
-torus included: each row runs its own edge range of one concatenated
-list, so members may differ in topology) and :func:`ring_batched` (one
-shared distance ring).  A single state is the ``R = 1`` stack
-``(1, N)``.  Both take an optional ``(R, N)`` ``base`` and then write
-``base + acc*vp`` in their final pass over a block, while it is
-cache-hot: the backend's RHS adds the intrinsic frequency there.  The
-third, :func:`mean_cos_sin`, is the order-parameter
-reduction the streaming observer runs after every accepted step: the
-per-row means of ``cos`` and ``sin`` of a ``(rows, n)`` state.  It keeps
+per-member coefficients, and differ only in the span function that
+computes one member's block of output rows: :func:`fused_batched`
+(any edge lists, a 2-D torus included: each row runs its own edge
+range of one concatenated list, so members may differ in topology) and
+:func:`ring_batched` (one shared distance ring).  A single state is
+the ``R = 1`` stack ``(1, N)``.  Both take an optional ``(R, N)``
+``base`` and then write ``base + acc*vp`` in their final pass over a
+block, while it is cache-hot: the backend's RHS adds the intrinsic
+frequency there.  The third, :func:`mean_cos_sin`, is the
+order-parameter reduction the streaming observer runs after every
+accepted step: the per-row means of ``cos`` and ``sin`` of a ``(rows,
+n)`` state, a third span function of the same driver.  It keeps
 ``cos`` and ``sin`` in two separate flat loops, because GCC fuses one
 loop holding both into a scalar ``sincos`` call that libmvec does not
 vectorise (about 10x slower at N = 1e4).  The last two are the
@@ -58,19 +60,24 @@ A backend evaluates the coupling thousands of times per solve with the
 same topology, coefficients and thread count, so :func:`bind` resolves
 all of those once into a :class:`KernelCall`, whose capsule holds the
 kernel's static arguments as raw pointers together with the arrays
-that own them.  Each evaluation is then one C call: it checks
-``theta`` and ``out`` through the buffer protocol, takes the calling OS
-thread's scratch and runs the kernel with the GIL released.
+that own them.  Every entry is then one C call with one skeleton: it
+checks its arrays through one buffer validator (C-contiguous float64
+of the expected shape, ``out`` writable and apart from every input),
+takes the calling OS thread's scratch and runs with the GIL released.
 
 Thread parallelism
 ------------------
 The coupling and reduction entries take a trailing ``threads``
-argument (the stage loops have none).  With ``threads > 1`` and an
-OpenMP-capable compiler the work is split over **disjoint output
-rows** (edge spans are row-aligned via binary search on the sorted row
-array; ring element ranges are contiguous; the reduction hands each
-thread whole rows), so no two threads ever write the same accumulator
-and no atomics are needed.  Because each row's contributions are
+argument (the stage loops have none).  One driver runs them: with
+``threads > 1`` and an OpenMP-capable compiler it splits each member's
+output rows into ``ceil(threads / R)`` chunks and hands the (member,
+chunk) work items to the team under one dynamic schedule (the
+reduction never runs more threads than rows, so its items are whole
+rows).  Edge spans are row-aligned via binary search on the sorted row
+array and ring element ranges are contiguous, so no two threads ever
+write the same accumulator and no atomics are needed.  Each thread
+works in its own 64-byte-aligned scratch slice, ``[sd | sv | the
+ring's lead buffers]``.  Because each row's contributions are
 accumulated in exactly the serial order, results are **bit-identical
 for any thread count** — the parallel path is a pure wall-clock knob,
 never a numerics knob.  When OpenMP is unavailable the
@@ -267,74 +274,68 @@ static int64_t row_lower_bound(const int32_t *rows, int64_t n_edges,
     return lo;
 }
 
-/* Fused coupling restricted to output rows [r0, r1): zero, accumulate
- * the row-aligned edge span in row-major order, scale (and add base,
- * when given).  The full-range call (0, n) is arithmetically identical
- * to the pre-threading serial kernel; chunked calls touch disjoint rows,
- * so any row-aligned decomposition reproduces the serial bits. */
-static void fused_span(const int32_t *rows, const int32_t *cols,
-                       int64_t n_edges, const double *theta, double *out,
-                       const double *base, int64_t r0, int64_t r1,
-                       int64_t kind, double p0, double p1, double vp,
-                       double *sd, double *sv, int64_t block) {
-    int64_t i, e, b0;
+/* ---- Work items: one span function per layout, one driver. ---- */
+
+/* A bound kernel call: bind() resolves one per KernelCall, and run()
+ * reads it on every call; mean_cos_sin fills one on its stack. */
+typedef struct {
+    int layout;          /* index into SPANS (and ENTRIES) */
+    const void *arr[8];  /* static index arrays (C order), then kind, p0, p1, vp */
+    long long count;     /* the ring's offset count */
+    int64_t *buf;        /* the ring's offset classes (ring_pairs) */
+    long long stride;    /* scratch doubles per thread: sd | sv | lead buffers */
+    Py_ssize_t r, n;
+    long long threads;
+    PyObject *owner;     /* bind()'s arguments: they own every array */
+} pom_call;
+
+/* A span function writes member rr's output elements [i0, i1) of the
+ * (R, N) out, working in its thread's scratch slice (sd, sv, then the
+ * ring's lead buffers). */
+typedef void (*span_fn)(const pom_call *c, int64_t rr, int64_t i0, int64_t i1,
+                        const double *theta, double *out, const double *base,
+                        double *work);
+
+/* Member rr's potential kind; p gets its p0, p1 and vp (slots 4-7). */
+static int64_t coeffs(const pom_call *c, int64_t rr, double p[3]) {
+    int k;
+    for (k = 0; k < 3; ++k)
+        p[k] = ((const double *)c->arr[5 + k])[rr];
+    return ((const int64_t *)c->arr[4])[rr];
+}
+
+/* Edge-list coupling of member rr, restricted to output rows [r0, r1):
+ * zero, accumulate the row-aligned span of the member's edge range
+ * [edge_lo[rr], edge_hi[rr]) in row-major order, scale (and add base,
+ * when given).  Chunks touch disjoint rows, so any row-aligned
+ * decomposition reproduces the serial bits. */
+static void fused_span(const pom_call *c, int64_t rr, int64_t r0, int64_t r1,
+                       const double *theta, double *out, const double *base,
+                       double *work) {
+    int64_t lo = ((const int64_t *)c->arr[2])[rr];
+    int64_t n_edges = ((const int64_t *)c->arr[3])[rr] - lo;
+    const int32_t *rows = (const int32_t *)c->arr[0] + lo;
+    const int32_t *cols = (const int32_t *)c->arr[1] + lo;
+    double *sd = work, *sv = work + BLOCK_EDGES, p[3];
+    int64_t kind = coeffs(c, rr, p), i, e, b0;
     int64_t e0 = row_lower_bound(rows, n_edges, r0);
     int64_t e1 = row_lower_bound(rows, n_edges, r1);
+    theta += rr * c->n;
+    out += rr * c->n;
     for (i = r0; i < r1; ++i)
         out[i] = 0.0;
-    for (b0 = e0; b0 < e1; b0 += block) {
-        int64_t b1 = b0 + block < e1 ? b0 + block : e1;
+    for (b0 = e0; b0 < e1; b0 += BLOCK_EDGES) {
+        int64_t b1 = b0 + BLOCK_EDGES < e1 ? b0 + BLOCK_EDGES : e1;
         int64_t m = b1 - b0;
         const int32_t *rb = rows + b0;
         const int32_t *cb = cols + b0;
         for (e = 0; e < m; ++e)
             sd[e] = theta[cb[e]] - theta[rb[e]];
-        potential_block(kind, p0, p1, sd, sv, m);
+        potential_block(kind, p[0], p[1], sd, sv, m);
         for (e = 0; e < m; ++e)
             out[rb[e]] += sv[e];
     }
-    scale_block(out + r0, base ? base + r0 : NULL, vp, r1 - r0);
-}
-
-/* Fused coupling for a stacked (R, N) super-state with per-member
- * potential coefficients, coupling strengths and edge lists: row rr owns
- * the edge range [edge_lo[rr], edge_hi[rr]) of the concatenated lists (a
- * shared list is one range for every row).  The parallel path flattens
- * (member, row-chunk) work items so small-R stacks still fill the thread
- * pool. */
-void pom_fused_batched(const int32_t *rows, const int32_t *cols,
-                       const int64_t *edge_lo, const int64_t *edge_hi,
-                       const double *theta, double *out,
-                       const double *base, int64_t r_count,
-                       int64_t n, const int64_t *kinds, const double *p0,
-                       const double *p1, const double *vp, double *sd,
-                       double *sv, int64_t block, int64_t threads) {
-    int64_t r;
-#ifdef _OPENMP
-    if (threads > 1) {
-        int64_t splits = (threads + r_count - 1) / r_count;
-        int64_t total = r_count * splits;
-        int64_t w;
-#pragma omp parallel for schedule(dynamic, 1) num_threads((int)threads)
-        for (w = 0; w < total; ++w) {
-            int64_t tid = (int64_t)omp_get_thread_num();
-            int64_t rr = w / splits;
-            int64_t c = w % splits;
-            fused_span(rows + edge_lo[rr], cols + edge_lo[rr],
-                       edge_hi[rr] - edge_lo[rr], theta + rr * n,
-                       out + rr * n, base ? base + rr * n : NULL,
-                       n * c / splits, n * (c + 1) / splits,
-                       kinds[rr], p0[rr], p1[rr], vp[rr], sd + tid * block,
-                       sv + tid * block, block);
-        }
-        return;
-    }
-#endif
-    (void)threads;
-    for (r = 0; r < r_count; ++r)
-        fused_span(rows + edge_lo[r], cols + edge_lo[r], edge_hi[r] - edge_lo[r],
-                   theta + r * n, out + r * n, base ? base + r * n : NULL, 0,
-                   n, kinds[r], p0[r], p1[r], vp[r], sd, sv, block);
+    scale_block(out + r0, base ? base + rr * c->n + r0 : NULL, p[2], r1 - r0);
 }
 
 /* Distance-ring specialisation: every row couples to i + d (mod n) for
@@ -404,43 +405,42 @@ static void ring_gather(const double *th, int64_t n, int64_t d, int64_t j0,
  * determinism contract: an element's value does not depend on the
  * block it lands in).  v must hold pad_up(j1 - j0) doubles. */
 static void ring_eval(const double *th, int64_t n, int64_t d, int64_t j0,
-                      int64_t j1, int64_t kind, double p0, double p1,
-                      double *sd, double *v, int64_t block) {
+                      int64_t j1, int64_t kind, const double *p, double *sd,
+                      double *v) {
     int64_t s;
-    for (s = j0; s < j1; s += block) {
-        int64_t t = s + block < j1 ? s + block : j1;
+    for (s = j0; s < j1; s += BLOCK_EDGES) {
+        int64_t t = s + BLOCK_EDGES < j1 ? s + BLOCK_EDGES : j1;
         ring_gather(th, n, d, s, t, sd);
-        potential_block(kind, p0, p1, sd, v + (s - j0), t - s);
+        potential_block(kind, p[0], p[1], sd, v + (s - j0), t - s);
     }
 }
 
-/* Ring coupling restricted to elements [i0, i1), one element block at a
- * time.  buf comes from ring_pairs; each thread's work area holds sd and
- * sv (one block each), then the leads' buffers.  Any chunking gives the
- * serial bits: every element sees the same terms in the same order. */
-static void ring_chunk(const int64_t *offsets, const int64_t *buf,
-                       int64_t n_offsets, const double *theta, double *out,
-                       const double *base, int64_t n, int64_t i0,
-                       int64_t i1, int64_t kind,
-                       double p0, double p1, double vp, double *work,
-                       int64_t block) {
-    double *sd = work, *sv = work + block, *lead = work + 2 * block;
-    int64_t b0, e, k;
-    for (b0 = i0; b0 < i1; b0 += block) {
-        int64_t b1 = b0 + block < i1 ? b0 + block : i1;
+/* Ring coupling of member rr, restricted to elements [i0, i1), one
+ * element block at a time; the offset classes come from ring_pairs.  Any
+ * chunking gives the serial bits: every element sees the same terms in
+ * the same order. */
+static void ring_chunk(const pom_call *c, int64_t rr, int64_t i0, int64_t i1,
+                       const double *theta, double *out, const double *base,
+                       double *work) {
+    const int64_t *offsets = c->arr[0], *buf = c->buf;
+    double *sd = work, *sv = work + BLOCK_EDGES, *lead = sv + BLOCK_EDGES, p[3];
+    int64_t n = c->n, kind = coeffs(c, rr, p), b0, e, k;
+    theta += rr * n;
+    out += rr * n;
+    for (b0 = i0; b0 < i1; b0 += BLOCK_EDGES) {
+        int64_t b1 = b0 + BLOCK_EDGES < i1 ? b0 + BLOCK_EDGES : i1;
         int64_t m = b1 - b0;
         double *o = out + b0;
         for (e = 0; e < m; ++e)
             o[e] = 0.0;
-        for (k = 0; k < n_offsets; ++k) {
+        for (k = 0; k < c->count; ++k) {
             int64_t d = offsets[k];
             const double *w;
             if (buf[k] < 0) {               /* direct */
-                ring_eval(theta, n, d, b0, b1, kind, p0, p1, sd, sv, block);
+                ring_eval(theta, n, d, b0, b1, kind, p, sd, sv);
                 w = sv;
             } else if (2 * d < n) {         /* lead: w_d over [b0 - d, b1) */
-                ring_eval(theta, n, d, b0 - d, b1, kind, p0, p1, sd,
-                          lead + buf[k], block);
+                ring_eval(theta, n, d, b0 - d, b1, kind, p, sd, lead + buf[k]);
                 w = lead + buf[k] + d;
             } else {                        /* mirror of the lead n - d */
                 w = lead + buf[k];
@@ -451,41 +451,8 @@ static void ring_chunk(const int64_t *offsets, const int64_t *buf,
             for (e = 0; e < m; ++e)
                 o[e] += w[e];
         }
-        scale_block(o, base ? base + b0 : NULL, vp, m);
+        scale_block(o, base ? base + rr * n + b0 : NULL, p[2], m);
     }
-}
-
-void pom_fused_ring_batched(const int64_t *offsets, const int64_t *buf,
-                            int64_t n_offsets, const double *theta,
-                            double *out, const double *base,
-                            int64_t r_count, int64_t n,
-                            const int64_t *kinds, const double *p0,
-                            const double *p1, const double *vp, double *work,
-                            int64_t stride, int64_t block, int64_t threads) {
-    int64_t r;
-#ifdef _OPENMP
-    if (threads > 1) {
-        int64_t splits = (threads + r_count - 1) / r_count;
-        int64_t total = r_count * splits;
-        int64_t w;
-#pragma omp parallel for schedule(dynamic, 1) num_threads((int)threads)
-        for (w = 0; w < total; ++w) {
-            int64_t tid = (int64_t)omp_get_thread_num();
-            int64_t rr = w / splits;
-            int64_t c = w % splits;
-            ring_chunk(offsets, buf, n_offsets, theta + rr * n, out + rr * n,
-                       base ? base + rr * n : NULL, n, n * c / splits,
-                       n * (c + 1) / splits, kinds[rr],
-                       p0[rr], p1[rr], vp[rr], work + tid * stride, block);
-        }
-        return;
-    }
-#endif
-    (void)threads;
-    for (r = 0; r < r_count; ++r)
-        ring_chunk(offsets, buf, n_offsets, theta + r * n, out + r * n,
-                   base ? base + r * n : NULL, n, 0, n, kinds[r], p0[r], p1[r],
-                   vp[r], work, block);
 }
 
 /* Sum of v[0, mp), mp a PAD_BLOCK multiple of at most BLOCK_EDGES:
@@ -507,9 +474,11 @@ static double padded_sum(const double *v, int64_t mp) {
     return sum;
 }
 
-/* Order-parameter reduction: the means of cos and sin over one row of
- * n phases, summed block by block in a fixed order.  It keeps the
- * determinism contract of potential_block: each block is copied into
+/* Order-parameter reduction: the means of cos and sin over row rr's n
+ * phases into out[rr] and out[R + rr] of a (2, R) out, summed block by
+ * block in a fixed order.  mean_cos_sin never runs more threads than
+ * rows, so every work item is a whole row ([i0, i1) = [0, n)).  It keeps
+ * the determinism contract of potential_block: each block is copied into
  * the 64-byte-aligned scratch and padded to PAD_BLOCK, so the vectorised
  * libmvec cos/sin never meet a scalar epilogue, and the one noinline
  * instance serves the serial and the parallel path.  cos and sin run as
@@ -518,12 +487,14 @@ static double padded_sum(const double *v, int64_t mp) {
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
-static void cos_sin_row(const double *x, int64_t n, double *sd, double *sv,
-                        int64_t block, double *c, double *s) {
-    int64_t b0, e;
-    double cs = 0.0, ss = 0.0;
-    for (b0 = 0; b0 < n; b0 += block) {
-        int64_t m = b0 + block < n ? block : n - b0;
+static void cos_sin_row(const pom_call *c, int64_t rr, int64_t i0, int64_t i1,
+                        const double *theta, double *out, const double *base,
+                        double *work) {
+    const double *x = theta + rr * c->n;
+    double *sd = work, *sv = work + BLOCK_EDGES, cs = 0.0, ss = 0.0;
+    int64_t n = c->n, b0, e;
+    for (b0 = 0; b0 < n; b0 += BLOCK_EDGES) {
+        int64_t m = b0 + BLOCK_EDGES < n ? BLOCK_EDGES : n - b0;
         int64_t mp = pad_up(m);
         for (e = 0; e < m; ++e)
             sd[e] = x[b0 + e];
@@ -540,46 +511,40 @@ static void cos_sin_row(const double *x, int64_t n, double *sd, double *sv,
             sv[e] = 0.0;
         ss += padded_sum(sv, mp);
     }
-    *c = cs / (double)n;
-    *s = ss / (double)n;
+    out[rr] = cs / (double)n;
+    out[c->r + rr] = ss / (double)n;
 }
 
-/* Per-row cos and sin means of a (rows, n) state into out[0][r] and
- * out[1][r].  Threads split rows only, so every row is one serial
- * cos_sin_row call whatever the thread count. */
-void pom_mean_cos_sin(const double *theta, double *out, int64_t rows,
-                      int64_t n, double *sd, double *sv, int64_t block,
-                      int64_t threads) {
-    int64_t r;
+static const span_fn SPANS[] = {fused_span, ring_chunk, cos_sin_row};
+
+/* The one driver.  With threads > 1 the (member, row-chunk) work items
+ * of every member run under one dynamic schedule, so small-R stacks still
+ * fill the team, and OpenMP thread tid works in scratch slice tid;
+ * serially each member is one item.  Chunks split a member's output rows
+ * only, so each element is computed exactly as in the serial call. */
+static void pom_couple(const pom_call *c, const double *theta, double *out,
+                       const double *base, double *work, int64_t threads) {
+    span_fn span = SPANS[c->layout];
+    int64_t n = c->n, w;
 #ifdef _OPENMP
     if (threads > 1) {
-#pragma omp parallel for schedule(static) num_threads((int)threads)
-        for (r = 0; r < rows; ++r) {
-            int64_t tid = (int64_t)omp_get_thread_num();
-            cos_sin_row(theta + r * n, n, sd + tid * block, sv + tid * block,
-                        block, out + r, out + rows + r);
+        int64_t splits = (threads + c->r - 1) / c->r;
+#pragma omp parallel for schedule(dynamic, 1) num_threads((int)threads)
+        for (w = 0; w < c->r * splits; ++w) {
+            int64_t k = w % splits;
+            span(c, w / splits, n * k / splits, n * (k + 1) / splits, theta, out,
+                 base, work + omp_get_thread_num() * c->stride);
         }
         return;
     }
 #endif
     (void)threads;
-    for (r = 0; r < rows; ++r)
-        cos_sin_row(theta + r * n, n, sd, sv, block, out + r, out + rows + r);
+    for (w = 0; w < c->r; ++w)
+        span(c, w, 0, n, theta, out, base, work);
 }
 
 /* ---- CPython binding: bind() once per KernelCall, run() per call. ---- */
 static const char *const ENTRIES[] = {"fused_batched", "ring_batched"};
-
-typedef struct {
-    int layout;          /* index into ENTRIES */
-    const void *arr[8];  /* static index arrays (C order), then kind, p0, p1, vp */
-    long long count;     /* the ring's offset count */
-    int64_t *buf;        /* the ring's offset classes (ring_pairs) */
-    long long stride;    /* scratch doubles per thread */
-    Py_ssize_t r, n;
-    long long threads;
-    PyObject *owner;     /* bind()'s arguments: they own every array */
-} pom_call;
 
 static void call_free(PyObject *cap) {
     pom_call *c = PyCapsule_GetPointer(cap, "pom_call");
@@ -604,7 +569,7 @@ static int i64(PyObject *obj, void *p) { return data_of(obj, p, 8); }
 
 /* bind(layout, (R, N), threads, static, (kind, p0, p1, vp)) -> capsule;
  * the static index arrays take slots 0-3, the coefficients slots 4-7.
- * A ring's offsets must be strictly ascending in [1, N - 1]. */
+ * R must be positive; a ring's offsets strictly ascending in [1, N - 1]. */
 static PyObject *py_bind(PyObject *self, PyObject *args) {
     PyObject *st, *cap;
     pom_call *c = PyMem_Calloc(1, sizeof *c);
@@ -614,7 +579,7 @@ static PyObject *py_bind(PyObject *self, PyObject *args) {
     c->stride = 2 * BLOCK_EDGES;
     if (PyArg_ParseTuple(args, "i(nn)LO!(O&O&O&O&)", &c->layout, &c->r, &c->n,
                          &c->threads, &PyTuple_Type, &st, i64, &a[4], i64, &a[5],
-                         i64, &a[6], i64, &a[7]) && c->threads > 0 &&
+                         i64, &a[6], i64, &a[7]) && c->threads > 0 && c->r > 0 &&
         (c->layout == 0 ? PyArg_ParseTuple(st, "O&O&O&O&", i32, a, i32, a + 1, i64,
                                            a + 2, i64, a + 3)
          : c->layout == 1 && PyArg_ParseTuple(st, "O&L", i64, a, &c->count) &&
@@ -637,23 +602,41 @@ static PyObject *py_bind(PyObject *self, PyObject *args) {
     return NULL;
 }
 
-/* Export `obj` into `v` if it is a C-contiguous float64 (r, n) array; a
- * negative r or n matches any extent. */
-static int float_view(PyObject *obj, Py_buffer *v, Py_ssize_t r, Py_ssize_t n) {
-    if (!PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
-        if (v->ndim == 2 && (r < 0 || v->shape[0] == r) &&
-            (n < 0 || v->shape[1] == n) && !strcmp(v->format, "d"))
-            return 0;
-        PyBuffer_Release(v);
+/* The one buffer validator: export `obj` into `v` if it is a C-contiguous
+ * float64 array of `ndim` dimensions whose extents match `shape` (a
+ * negative extent matches any; a negative ndim, any shape).  It sets no
+ * error: the caller says what it expected. */
+static int view(PyObject *obj, Py_buffer *v, int ndim, const Py_ssize_t *shape) {
+    int k = 0;
+    if (PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
+        PyErr_Clear();
+        return -1;
     }
+    while (k < ndim && k < v->ndim && (shape[k] < 0 || v->shape[k] == shape[k]))
+        ++k;
+    if (!strcmp(v->format, "d") && (ndim < 0 || (v->ndim == ndim && k == ndim)))
+        return 0;
+    PyBuffer_Release(v);
     return -1;
 }
 
-static int state_view(PyObject *obj, Py_buffer *v, const pom_call *c, const char *arg) {
-    if (!float_view(obj, v, c->r, c->n))
-        return 0;
-    PyErr_Format(PyExc_ValueError, "states must be C-contiguous float64 arrays of the "
-                 "bound shape (%zd, %zd); %s is not", c->r, c->n, arg);
+/* Export objs[0, n) through view() with `ndim` and `shape` (a negative
+ * ndim: the first of any shape, the rest shaped like it).  Returns -1, or
+ * the index of the first that fails, with the ones before it released. */
+static int export_views(PyObject *const *objs, int n, Py_buffer *v, int ndim,
+                        const Py_ssize_t *shape) {
+    int i, bad;
+    for (i = 0; i < n; ++i) {
+        if (ndim < 0 && i)
+            bad = view(objs[i], &v[i], v[0].ndim, v[0].shape);
+        else
+            bad = view(objs[i], &v[i], ndim, shape);
+        if (bad) {
+            for (bad = i; i--;)
+                PyBuffer_Release(&v[i]);
+            return bad;
+        }
+    }
     return -1;
 }
 
@@ -670,12 +653,12 @@ static int out_apart(const Py_buffer *th, const Py_buffer *ou, const char *name)
     return -1;
 }
 
-/* The calling OS thread's scratch (run() releases the GIL), freed at
+/* The calling OS thread's scratch (calls release the GIL), freed at
  * thread exit: at least `doubles` doubles behind a 64-byte capacity
- * header.  OpenMP thread tid works in its own slice.  64-byte alignment
- * (every slice and lead buffer is a PAD_BLOCK multiple): a compiler
- * that peels iterations until a pointer is aligned peels the same count
- * on every call. */
+ * header, one slice of `stride` doubles per OpenMP thread.  64-byte
+ * alignment (every slice and lead buffer is a PAD_BLOCK multiple): a
+ * compiler that peels iterations until a pointer is aligned peels the
+ * same count on every call. */
 static pthread_key_t scratch_key;
 
 static double *scratch(long long doubles) {
@@ -704,172 +687,145 @@ static long long usable_threads(long long threads) {
     return threads > 1 && omp_pid == getpid() ? threads : 1;
 }
 
-/* run(call, theta, out, layout[, base]) -> out; a base (None: none) of
+typedef void (*body_fn)(const void *ctx, Py_buffer *v, int n, double *work,
+                        long long threads);
+
+/* The call skeleton every entry ends in, once its n arrays are exported
+ * into v (out, then the inputs, v[i] called names[i]): out must lie apart
+ * from every input; then `threads` scratch slices of `stride` doubles,
+ * the team this process may run, `body` with the GIL released, and the
+ * views released.  Returns `out`. */
+static PyObject *finish(PyObject *out, Py_buffer *v, int n, const char *const *names,
+                        long long threads, long long stride, body_fn body,
+                        const void *ctx) {
+    double *work = NULL;
+    int i = 1;
+    while (i < n && !out_apart(&v[i], &v[0], names[i]))
+        ++i;
+    if (i == n && !(work = scratch(threads * stride)))
+        PyErr_NoMemory();
+    if (work) {
+        threads = usable_threads(threads);
+        Py_BEGIN_ALLOW_THREADS
+        body(ctx, v, n, work, threads);
+        Py_END_ALLOW_THREADS
+    }
+    while (n--)
+        PyBuffer_Release(&v[n]);
+    if (!work)
+        return NULL;
+    Py_INCREF(out);
+    return out;
+}
+
+/* v = out, theta[, base] */
+static void couple_body(const void *c, Py_buffer *v, int n, double *work,
+                        long long threads) {
+    pom_couple(c, v[1].buf, v[0].buf, n == 3 ? v[2].buf : NULL, work, threads);
+}
+
+/* run(call, layout, out, theta[, base]) -> out; a base (None: none) of
  * the bound shape is added to every row's scaled sum: out = base + acc*vp. */
 static PyObject *py_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    static const char *const names[] = {"out", "theta", "base"};
+    Py_buffer v[3];
     const pom_call *c;
-    Py_buffer th, ou, ba;
     long want;
-    int has_base = nargs == 5 && args[4] != Py_None;
+    int n = nargs == 5 && args[4] != Py_None ? 3 : 2, bad;
     if (nargs != 4 && nargs != 5)
         return PyErr_Format(PyExc_TypeError, "run() takes 4 or 5 arguments");
     if (!(c = PyCapsule_GetPointer(args[0], "pom_call")) ||
-        ((want = PyLong_AsLong(args[3])) == -1 && PyErr_Occurred()))
+        ((want = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred()))
         return NULL;
     if (want != c->layout)
         return PyErr_Format(PyExc_ValueError, "%s got a call bound for %s",
                             (unsigned long)want < 2 ? ENTRIES[want] : "?",
                             ENTRIES[c->layout]);
-    if (state_view(args[1], &th, c, "theta"))
-        return NULL;
-    if (state_view(args[2], &ou, c, "out"))
-        return PyBuffer_Release(&th), NULL;
-    if (has_base && state_view(args[4], &ba, c, "base"))
-        return PyBuffer_Release(&th), PyBuffer_Release(&ou), NULL;
-    const void *const *a = c->arr;
-    const double *b = has_base ? ba.buf : NULL;
-    double *t = th.buf, *o = ou.buf, *sd = NULL;
-    if (!out_apart(&th, &ou, "theta") && !(has_base && out_apart(&ba, &ou, "base")) &&
-        !(sd = scratch(c->threads * c->stride)))
-        PyErr_NoMemory();
-    if (sd) {
-        double *sv = sd + c->threads * BLOCK_EDGES;
-        long long threads = usable_threads(c->threads);
-        Py_BEGIN_ALLOW_THREADS
-        if (c->layout == 0)
-            pom_fused_batched(a[0], a[1], a[2], a[3], t, o, b, c->r, c->n, a[4],
-                              a[5], a[6], a[7], sd, sv, BLOCK_EDGES, threads);
-        else
-            pom_fused_ring_batched(a[0], c->buf, c->count, t, o, b, c->r, c->n,
-                                   a[4], a[5], a[6], a[7], sd, c->stride,
-                                   BLOCK_EDGES, threads);
-        Py_END_ALLOW_THREADS
-    }
-    PyBuffer_Release(&th);
-    PyBuffer_Release(&ou);
-    if (has_base)
-        PyBuffer_Release(&ba);
-    if (!sd)
-        return NULL;
-    Py_INCREF(args[2]);
-    return args[2];
+    Py_ssize_t shape[2] = {c->r, c->n};
+    if ((bad = export_views(args + 2, n, v, 2, shape)) >= 0)
+        return PyErr_Format(PyExc_ValueError, "states must be C-contiguous float64 "
+                            "arrays of the bound shape (%zd, %zd); %s is not",
+                            c->r, c->n, names[bad]);
+    return finish(args[2], v, n, names, c->threads, c->stride, couple_body, c);
 }
 
 /* mean_cos_sin(theta, out, threads) -> out: the per-row cos and sin
- * means of a (rows, n) state into out of shape (2, rows).  The team never
- * exceeds the row count, so a huge `threads` allocates no more scratch. */
+ * means of a (rows, n) state into out of shape (2, rows), through the
+ * driver with cos_sin_row.  The team never exceeds the row count, so a
+ * huge `threads` allocates no more scratch. */
 static PyObject *py_mean_cos_sin(PyObject *self, PyObject *const *args,
                                  Py_ssize_t nargs) {
-    Py_buffer th, ou;
-    long long threads;
-    double *sd = NULL;
+    static const char *const names[] = {"out", "theta"};
+    static const Py_ssize_t any[2] = {-1, -1};
+    pom_call c = {.layout = 2, .stride = 2 * BLOCK_EDGES};
+    Py_buffer v[2];
     if (nargs != 3)
         return PyErr_Format(PyExc_TypeError, "mean_cos_sin() takes 3 arguments");
-    if ((threads = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred())
+    if ((c.threads = PyLong_AsLongLong(args[2])) == -1 && PyErr_Occurred())
         return NULL;
-    if (threads < 1)
+    if (c.threads < 1)
         return PyErr_Format(PyExc_ValueError, "threads must be positive");
-    if (float_view(args[0], &th, -1, -1))
+    if (view(args[0], &v[1], 2, any))
         return PyErr_Format(PyExc_ValueError, "theta must be a C-contiguous "
                             "float64 (rows, n) array");
-    Py_ssize_t rows = th.shape[0], n = th.shape[1];
-    if (n < 1) {
-        PyBuffer_Release(&th);
-        return PyErr_Format(PyExc_ValueError, "theta has no phases to average");
-    }
-    if (float_view(args[1], &ou, 2, rows)) {
-        PyBuffer_Release(&th);
+    c.r = v[1].shape[0];
+    c.n = v[1].shape[1];
+    Py_ssize_t shape[2] = {2, c.r};
+    if (c.n < 1 || view(args[1], &v[0], 2, shape)) {
+        PyBuffer_Release(&v[1]);
+        if (c.n < 1)
+            return PyErr_Format(PyExc_ValueError, "theta has no phases to average");
         return PyErr_Format(PyExc_ValueError, "out must be a C-contiguous "
-                            "float64 array of shape (2, %zd)", rows);
+                            "float64 array of shape (2, %zd)", c.r);
     }
 #ifndef _OPENMP
-    threads = 1;
+    c.threads = 1;
 #endif
-    if (threads > rows)
-        threads = rows > 1 ? rows : 1;
-    if (!out_apart(&th, &ou, "theta") && !(sd = scratch(threads * 2 * BLOCK_EDGES)))
-        PyErr_NoMemory();
-    if (sd) {
-        double *sv = sd + threads * BLOCK_EDGES;
-        long long team = usable_threads(threads);
-        Py_BEGIN_ALLOW_THREADS
-        pom_mean_cos_sin(th.buf, ou.buf, rows, n, sd, sv, BLOCK_EDGES, team);
-        Py_END_ALLOW_THREADS
-    }
-    PyBuffer_Release(&th);
-    PyBuffer_Release(&ou);
-    if (!sd)
-        return NULL;
-    Py_INCREF(args[1]);
-    return args[1];
+    if (c.threads > c.r)
+        c.threads = c.r > 1 ? c.r : 1;
+    return finish(args[1], v, 2, names, c.threads, c.stride, couple_body, &c);
 }
 
-/* Export `obj` into `v` if it is a C-contiguous float64 array shaped like
- * `ref` (any shape when `ref` is NULL). */
-static int like_view(PyObject *obj, Py_buffer *v, const Py_buffer *ref) {
-    if (!PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
-        if (!strcmp(v->format, "d") &&
-            (!ref || (v->ndim == ref->ndim &&
-                      !memcmp(v->shape, ref->shape, v->ndim * sizeof(Py_ssize_t)))))
-            return 0;
-        PyBuffer_Release(v);
-    }
-    PyErr_Clear();
-    return -1;
+/* v = out, y, k or out, y, k1, k2, k3, k4; *s is c or h6 */
+static void elementwise_body(const void *s, Py_buffer *v, int n, double *work,
+                             long long threads) {
+    int64_t m = v[0].len / (Py_ssize_t)sizeof(double);
+    double h = *(const double *)s;
+    if (n == 3)
+        stage_loop(v[1].buf, v[2].buf, h, v[0].buf, m);
+    else
+        update_loop(v[1].buf, v[2].buf, v[3].buf, v[4].buf, v[5].buf, h, v[0].buf, m);
 }
 
 /* The fixed-step march's elementwise passes over C-contiguous float64
  * arrays of one shape, serial, GIL released:
- *   rk4_stage(y, k, c, out) -> out          out = y + c*k
- *   rk4_update(y, k1, k2, k3, k4, h6, out)  out = y + h6*(((k1 + 2k2) + 2k3) + k4)
- * `n_in` is the array-input count; the scalar follows them, out comes last. */
-static PyObject *elementwise(PyObject *const *args, Py_ssize_t nargs,
-                             Py_ssize_t n_in, const char *name) {
-    Py_buffer v[5], ou;
-    Py_ssize_t got = 0, i;
+ *   rk4_stage(c, out, y, k) -> out          out = y + c*k
+ *   rk4_update(h6, out, y, k1, k2, k3, k4)  out = y + h6*(((k1 + 2k2) + 2k3) + k4)
+ * `n` counts out and the inputs. */
+static PyObject *elementwise(PyObject *const *args, Py_ssize_t nargs, int n,
+                             const char *name, const char *const *names) {
+    Py_buffer v[6];
     double s;
-    if (nargs != n_in + 2)
-        return PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments", name,
-                            n_in + 2);
-    if ((s = PyFloat_AsDouble(args[n_in])) == -1.0 && PyErr_Occurred())
+    if (nargs != n + 1)
+        return PyErr_Format(PyExc_TypeError, "%s() takes %d arguments", name, n + 1);
+    if ((s = PyFloat_AsDouble(args[0])) == -1.0 && PyErr_Occurred())
         return NULL;
-    while (got < n_in && !like_view(args[got], &v[got], got ? &v[0] : NULL))
-        ++got;
-    if (got < n_in || like_view(args[n_in + 1], &ou, &v[0])) {
-        PyErr_Format(PyExc_ValueError, "%s takes C-contiguous float64 arrays of "
-                     "one shape", name);
-    } else {
-        for (i = 0; i < n_in && !out_apart(&v[i], &ou, "an input"); ++i)
-            ;
-        if (i == n_in) {
-            int64_t m = v[0].len / (Py_ssize_t)sizeof(double);
-            double *o = ou.buf;
-            Py_BEGIN_ALLOW_THREADS
-            if (n_in == 2)
-                stage_loop(v[0].buf, v[1].buf, s, o, m);
-            else
-                update_loop(v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[4].buf, s, o,
-                            m);
-            Py_END_ALLOW_THREADS
-        }
-        PyBuffer_Release(&ou);
-    }
-    for (i = 0; i < got; ++i)
-        PyBuffer_Release(&v[i]);
-    if (PyErr_Occurred())
-        return NULL;
-    Py_INCREF(args[n_in + 1]);
-    return args[n_in + 1];
+    if (export_views(args + 1, n, v, -1, NULL) >= 0)
+        return PyErr_Format(PyExc_ValueError, "%s takes C-contiguous float64 "
+                            "arrays of one shape", name);
+    return finish(args[1], v, n, names, 1, 0, elementwise_body, &s);
 }
 
 static PyObject *py_rk4_stage(PyObject *self, PyObject *const *args,
                               Py_ssize_t nargs) {
-    return elementwise(args, nargs, 2, "rk4_stage");
+    static const char *const names[] = {"out", "y", "k"};
+    return elementwise(args, nargs, 3, "rk4_stage", names);
 }
 
 static PyObject *py_rk4_update(PyObject *self, PyObject *const *args,
                                Py_ssize_t nargs) {
-    return elementwise(args, nargs, 5, "rk4_update");
+    static const char *const names[] = {"out", "y", "k1", "k2", "k3", "k4"};
+    return elementwise(args, nargs, 6, "rk4_update", names);
 }
 
 /* Whether this binary has OpenMP (the flag-set chain may end serial). */
@@ -1253,14 +1209,14 @@ def fused_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray,
     """Coupling terms for a contiguous ``(R, N)`` super-state into ``out``;
     with an ``(R, N)`` ``base``, ``out = base + coupling`` in the same
     bits as that sum in NumPy."""
-    return _lib.run(call._capsule, theta, out, 0, base)
+    return _lib.run(call._capsule, 0, out, theta, base)
 
 
 def ring_batched(call: KernelCall, theta: np.ndarray, out: np.ndarray,
                  base: np.ndarray | None = None):
     """Distance-ring coupling for an ``(R, N)`` super-state into ``out``
     (plus ``base``, as in :func:`fused_batched`)."""
-    return _lib.run(call._capsule, theta, out, 1, base)
+    return _lib.run(call._capsule, 1, out, theta, base)
 
 
 def mean_cos_sin(theta: np.ndarray, out: np.ndarray, threads: int = 1):
@@ -1277,7 +1233,7 @@ def mean_cos_sin(theta: np.ndarray, out: np.ndarray, threads: int = 1):
 def rk4_stage(y: np.ndarray, k: np.ndarray, c: float, out: np.ndarray):
     """``out = y + c*k`` over C-contiguous float64 arrays of one shape,
     with the bits of that NumPy expression (serial, GIL released)."""
-    return _lib.rk4_stage(y, k, c, out)
+    return _lib.rk4_stage(c, out, y, k)
 
 
 def rk4_update(y: np.ndarray, k1: np.ndarray, k2: np.ndarray,
@@ -1285,4 +1241,4 @@ def rk4_update(y: np.ndarray, k1: np.ndarray, k2: np.ndarray,
     """``out = y + h6*(k1 + 2.0*k2 + 2.0*k3 + k4)`` with the bits of that
     NumPy expression (left to right; ``h6 = h / 6.0``), as
     :func:`rk4_stage`."""
-    return _lib.rk4_update(y, k1, k2, k3, k4, h6, out)
+    return _lib.rk4_update(h6, out, y, k1, k2, k3, k4)

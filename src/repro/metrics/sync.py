@@ -102,7 +102,6 @@ def classify(
     *,
     tail_fraction: float = 0.2,
     sync_spread_tol: float = 0.05,
-    gap_rel_tol: float = 0.25,
     drift_tol: float = 1e-2,
 ) -> SyncVerdict:
     """Classify the asymptotic state of a phase trajectory.
@@ -117,10 +116,6 @@ def classify(
         Portion of the run treated as "asymptotic".
     sync_spread_tol:
         Spread below which the state counts as synchronised (radians).
-    gap_rel_tol:
-        Unused threshold kept for API stability (uniformity is now
-        *reported*, not gating the verdict — ring wavefronts are domain
-        patterns whose gap signs alternate).
     drift_tol:
         Max |d(spread)/dt| for a state to count as settled (rad/s).
     """

@@ -66,7 +66,7 @@ from ..kernels import THREADS_ENV_VAR
 from ..metrics.streaming import StreamingObserver, parse_trajectories
 from .cache import ResultCache
 from .faults import FaultInjector, ensure_shared_state_dir, injector_from_env
-from .plan import Plan, compile_plan
+from .plan import Plan, _cc_build_tag, compile_plan
 from .spec import MemberSpec, ScenarioSpec
 
 __all__ = ["POLL_S", "MemberResult", "RunResult", "WorkerPool", "assemble",
@@ -141,7 +141,18 @@ def execute_shard(payload: dict, threads: int | None = None) -> dict:
     ``None`` and inherit the pinned ``POM_NUM_THREADS`` instead); it
     never changes the bits, so it stays out of the payload and the
     cache key.
+
+    A ``cc`` payload is refused (``RuntimeError``) unless its
+    ``cc_build`` is this process's :func:`repro.kernels.cc.build_tag`:
+    another build's bits must not land under the planner's key.  In a
+    queue the refusal takes the fail -> retry/quarantine path; no
+    worker falls back to another build.
     """
+    build = payload.get("cc_build")
+    if build is not None and build != _cc_build_tag():
+        raise RuntimeError(
+            f"shard planned for cc build {build}, but this process runs "
+            f"cc build {_cc_build_tag()}")
     t0 = time.perf_counter()
     members = [MemberSpec.from_dict(m) for m in payload["members"]]
     models = [m.build_model() for m in members]

@@ -79,19 +79,6 @@ _footprint_warned: set[str] = set()
 _cc_build_tag = functools.cache(cc_kernels.build_tag)
 
 
-def _topology_n(topo: dict) -> int:
-    """Oscillator count from a topology spec dict, without building it.
-
-    Delegates to the builder registry
-    (:func:`repro.core.topology.topology_n_from_spec`), which derives
-    ``N`` from structural params (``2**dim`` for hypercubes,
-    ``k**2 + (k//2)**2`` for fat-trees, ...) and **raises** on unknown
-    kinds or missing params — a silent misestimate here would skew
-    footprint warnings and break topology-fusion grouping.
-    """
-    return topology_n_from_spec(topo)
-
-
 def _warn_footprint(spec: ScenarioSpec, est_bytes: float) -> None:
     """One-time warning for full-trajectory campaigns that would drown
     the cache; points at the streaming-metrics opt-out."""
@@ -296,7 +283,7 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
             resolved["chunked_adaptive"] = True
         if spec.trajectories == "full":
             n_t = group[0].t_end / float(dt) + 1.0
-            n_osc = _topology_n(group[0].model["topology"])
+            n_osc = topology_n_from_spec(group[0].model["topology"])
             est_traj_bytes += len(group) * n_t * n_osc * 8.0
         resolved_groups.append((group, resolved))
 
@@ -312,7 +299,7 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
         merged: dict[str, tuple[list[MemberSpec], dict]] = {}
         for group, resolved in resolved_groups:
             mkey = json.dumps(
-                [_topology_n(group[0].model["topology"]), group[0].t_end,
+                [topology_n_from_spec(group[0].model["topology"]), group[0].t_end,
                  kernel_of[group[0].index], resolved],
                 sort_keys=True, separators=(",", ":"))
             if mkey in merged:

@@ -556,6 +556,14 @@ class TestPreboundCalls:
         assert out[1, 2] == 0.0 and out[2, 0] == 0.0
 
     @needs_cc
+    def test_empty_stack_rejected(self):
+        # The driver splits threads over R members: R = 0 has none.
+        offsets = np.array([1, 3], dtype=np.int64)
+        with pytest.raises(ValueError, match="malformed kernel call"):
+            cc_kernels.KernelCall("ring_batched", (offsets, 2),
+                                  ([], [], [], []), (0, 4), threads=2)
+
+    @needs_cc
     def test_read_only_out_rejected(self):
         _, batched = self._backends(ring(40, (1, -1)))
         theta = np.zeros((3, 40))

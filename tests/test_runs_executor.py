@@ -10,14 +10,17 @@ from repro.core import (
     ring,
     simulate_grid,
 )
+from repro import kernels
 from repro.runs import (
     ResultCache,
     ScenarioSpec,
     collect_cached,
     compile_plan,
+    execute_shard,
     run_plan,
     run_spec,
 )
+from repro.runs.plan import _cc_build_tag
 
 
 def grid_spec(method="rk4", t_end=6.0, axes=None, **model_extra):
@@ -78,6 +81,16 @@ class TestJobsEquivalence:
         for r, m in zip(ref, res.members):
             np.testing.assert_array_equal(r.ts, m.ts)
             np.testing.assert_array_equal(r.thetas, m.thetas)
+
+
+class TestBuildCheck:
+    def test_foreign_cc_build_refused(self, monkeypatch):
+        # A cc shard runs only on the build it was planned for.
+        monkeypatch.setattr(kernels, "cc_available", lambda: True)
+        payload = compile_plan(grid_spec(kernel="cc")).shards[0].payload
+        assert payload["cc_build"] == _cc_build_tag()
+        with pytest.raises(RuntimeError, match="cc build 0000000000000000"):
+            execute_shard(dict(payload, cc_build="0" * 16))
 
 
 class TestCache:

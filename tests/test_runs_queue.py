@@ -7,16 +7,20 @@ import signal
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.cli import main
 from repro.runs import (
+    Plan,
     ResultCache,
     ScenarioSpec,
+    Shard,
     WorkQueue,
     compile_plan,
     drain_queue,
     run_plan,
     run_plan_queue,
     run_spec,
+    shard_key,
 )
 from repro.runs.executor import _queue_worker_entry
 from repro.runs.queue import default_queue_sibling, writable_queue_path
@@ -202,6 +206,28 @@ class TestDrainQueue:
         queue.requeue([s.key for s in plan.shards])
         stats = drain_queue(queue, cache, worker="w1")
         assert stats["cache_hits"] == 4 and stats["solved"] == 0
+
+
+    def test_foreign_cc_build_quarantines(self, tmp_path, monkeypatch):
+        # A worker whose cc build differs from the planner's refuses the
+        # shard; with one attempt allowed the refusal quarantines it and
+        # nothing is cached under the planner's key.
+        monkeypatch.setattr(kernels, "cc_available", lambda: True)
+        spec = grid_spec()
+        spec.model["kernel"] = "cc"
+        shard = compile_plan(spec).shards[0]
+        forged = dict(shard.payload, cc_build="0" * 16)
+        key = shard_key(forged)
+        plan = Plan(spec=spec, shards=[Shard(index=0, payload=forged,
+                                             key=key)])
+        queue = WorkQueue(tmp_path / "q.db", backoff=0.05)
+        queue.enqueue_plan(plan, max_attempts=1)
+        cache = ResultCache(tmp_path / "cache")
+        stats = drain_queue(queue, cache, worker="w0")
+        assert stats["quarantined"] == 1 and stats["solved"] == 0
+        (row,) = queue.describe()["quarantined"]
+        assert "cc build 0000000000000000" in row["error"]
+        assert cache.load(key) is None
 
 
 class TestQueueExecutor:

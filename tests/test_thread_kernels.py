@@ -24,6 +24,7 @@ from repro.core import (
     LinearPotential,
     PhysicalOscillatorModel,
     TanhPotential,
+    chain,
     random_topology,
     ring,
     simulate,
@@ -214,6 +215,40 @@ class TestThreadInvariance:
                 want = (serial.intrinsic_frequency(t)
                         + serial.coupling(t, theta))
                 np.testing.assert_array_equal(be.rhs(t, theta), want)
+
+    @pytest.mark.parametrize("kernel", COMPILED)
+    @pytest.mark.parametrize("topos, entry", [
+        pytest.param(lambda: [ring(5)], "ring_batched", id="ring"),
+        pytest.param(lambda: [torus2d(2, 3)], "fused_batched", id="torus"),
+        pytest.param(lambda: [ring(3), chain(3)], "fused_batched",
+                     id="topology-axis"),
+    ])
+    def test_empty_row_chunks_bits(self, kernel, topos, entry):
+        # More work items than rows: threads=7 cuts each member's N < 7
+        # rows (N < 4 for R = 2) into chunks, some of them empty.  With
+        # and without a base, every team size writes the serial bytes
+        # over a NaN-filled out.
+        from repro.kernels import cc as cc_kernels
+
+        pots = [TanhPotential(1.3), BottleneckPotential(0.8)]
+        members = [_realize(topo, pot, seed=i)
+                   for i, (topo, pot) in enumerate(zip(topos(), pots))]
+        shape = (len(members), members[0].model.n)
+        rng = np.random.default_rng(43)
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
+        run = getattr(cc_kernels, entry)
+
+        def coupling(threads, base):
+            be = make_batched_backend(members, kernel=kernel,
+                                      threads=threads)
+            assert be._cc_call.entry == entry
+            return run(be._cc_call, theta, np.full(shape, np.nan), base)
+
+        for base in (None, rng.normal(size=shape)):
+            want = coupling(1, base)
+            assert np.all(np.isfinite(want))
+            for threads in (2, 7):
+                assert coupling(threads, base).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kernel", COMPILED)
     def test_torus_matches_numpy(self, kernel):
