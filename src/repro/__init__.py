@@ -12,9 +12,10 @@ Packages
     The paper's contribution: the coupled-oscillator model (Eq. 2) with
     scalable/bottlenecked interaction potentials, sparse communication
     topologies, the beta*kappa coupling rule, and both noise channels.
+    The plain Kuramoto model (Eq. 1) is one of its members.
 :mod:`repro.backends`
-    Pluggable RHS compute backends: dense-matrix reference, O(E)
-    sparse edge-list kernels, and batched ensemble evaluation.
+    The RHS backend every solve runs: the edge-list coupling over
+    stacked ``(R, N)`` member batches.
 :mod:`repro.integrate`
     From-scratch ODE/SDE/DDE solvers (Dormand-Prince 5(4), RK4, Euler,
     Euler-Maruyama, delay-history buffers); shape-agnostic, so whole
@@ -33,12 +34,16 @@ Packages
     Order parameters, phase spreads, sync/desync classification,
     idle-wave speed fits.
 :mod:`repro.analysis`
-    Trace phenomenology and model-vs-simulator comparison.
+    Trace phenomenology: idle waves, desynchronisation, bandwidth
+    curves, stability and calibration.
 :mod:`repro.experiments`
     One module per paper artefact (Fig. 1(a), Fig. 1(b), Fig. 2,
     parameter sweeps) — each regenerates the corresponding series.
 :mod:`repro.viz`
     ASCII renderers and CSV/JSON exporters.
+
+Subpackages load on first access (``repro.runs`` alone never imports
+the DES or analysis code).
 
 Quickstart
 ----------
@@ -53,9 +58,17 @@ Quickstart
 16
 """
 
-from . import analysis, backends, core, integrate, metrics, runs, simulator
+import importlib
 
 __version__ = "1.2.0"
 
 __all__ = ["analysis", "backends", "core", "integrate", "metrics", "runs",
            "simulator", "__version__"]
+
+
+def __getattr__(name: str):
+    # Subpackages load on first access, so a campaign worker importing
+    # ``repro.runs`` never pays for the DES or analysis code.
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -50,17 +50,10 @@ import argparse
 import sys
 
 from .kernels import available_kernels, resolve_kernel
-from .core import (
-    OneOffDelay,
-    PhysicalOscillatorModel,
-    initial_from_name,
-    potential_from_name,
-    ring,
-    simulate,
-)
-from .core.coupling import CouplingSpec, Protocol, WaitMode
+from .core import simulate
 from .experiments.registry import get_experiment, list_experiments
 from .metrics.sync import classify
+from .runs.spec import INITIAL_KINDS, initial_from_spec, model_from_spec
 from .simulator import (
     Injection,
     kernel_from_name,
@@ -307,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     model_p.add_argument("--waitall", action="store_true",
                          help="group waits in one MPI_Waitall (kappa = max)")
     model_p.add_argument("--initial", default="sync",
-                         help="sync | perturbed | random | splayed")
+                         help=" | ".join(INITIAL_KINDS) + " (random, "
+                              "normal and wavefront draw from --seed; "
+                              "splayed and wavefront gap 2*sigma/3)")
     model_p.add_argument("--delay-rank", type=int, default=None,
                          help="inject a one-off delay on this rank")
     model_p.add_argument("--delay", type=float, default=2.0,
@@ -693,6 +688,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
               f"{topo}method={row['method']}  kernel={row['kernel']}  "
               f"t_end={row['t_end']:g}  "
               f"key={row['key']}{state}")
+    for kernel, build in info["builds"].items():
+        print(f"{kernel} build: {build}")
     if cache is not None:
         c = info["cache"]
         print(f"cache {c['root']}: {c['entries']} entries, "
@@ -702,36 +699,39 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
-    distances = _parse_distances(args.distances)
-    potential = (potential_from_name(args.potential, sigma=args.sigma)
-                 if args.potential.startswith("bottle")
-                 else potential_from_name(args.potential))
-    delays = ()
-    if args.delay_rank is not None:
-        delays = (OneOffDelay(rank=args.delay_rank,
-                              t_start=0.1 * args.t_end, delay=args.delay),)
-    model = PhysicalOscillatorModel(
-        topology=ring(args.n, distances),
-        potential=potential,
-        t_comp=args.t_comp,
-        t_comm=args.t_comm,
-        coupling=CouplingSpec(
-            protocol=Protocol(args.protocol),
-            wait_mode=WaitMode.WAITALL if args.waitall else WaitMode.SEPARATE,
-        ),
-        delays=delays,
-    )
-    theta0 = initial_from_name(args.initial, args.n) \
-        if args.initial != "splayed" \
-        else initial_from_name("splayed", args.n, gap=2 * args.sigma / 3)
+    potential = {"kind": args.potential}
+    if args.potential.startswith("bottle"):
+        potential["sigma"] = args.sigma
+    model = model_from_spec({
+        "topology": {"kind": "ring", "n": args.n,
+                     "distances": list(_parse_distances(args.distances))},
+        "potential": potential,
+        "t_comp": args.t_comp,
+        "t_comm": args.t_comm,
+        "coupling": {"protocol": args.protocol,
+                     "wait_mode": "waitall" if args.waitall else "separate"},
+        "delays": ([] if args.delay_rank is None else
+                   [{"rank": args.delay_rank, "t_start": 0.1 * args.t_end,
+                     "delay": args.delay}]),
+        "kernel": args.kernel,
+    })
+    initial = {"kind": args.initial}
+    if args.initial in ("random", "normal", "wavefront"):
+        initial["seed"] = args.seed
+    if args.initial in ("splayed", "wavefront"):
+        initial["gap"] = 2 * args.sigma / 3
+    try:
+        theta0 = initial_from_spec(initial, args.n)
+    except ValueError as exc:
+        raise SystemExit(f"bad --initial: {exc}") from exc
     traj = simulate(model, args.t_end, theta0=theta0, seed=args.seed,
-                    kernel=args.kernel, threads=args.threads)
+                    threads=args.threads)
     verdict = classify(traj.ts, traj.thetas, model.omega)
 
     # Report the kernel that actually ran, not the "auto" request.
-    coeffs = potential.kernel_coefficients()
+    coeffs = model.potential.kernel_coefficients()
     kernel = resolve_kernel(args.kernel, has_coefficients=coeffs is not None)
-    print(f"N={args.n} potential={potential.name} beta*kappa="
+    print(f"N={args.n} potential={model.potential.name} beta*kappa="
           f"{model.beta_kappa:g} v_p={model.v_p:g} kernel={kernel}")
     if args.view == "circle":
         print(circle_diagram(traj.final_phases, title="asymptotic phases"))

@@ -14,21 +14,23 @@ Public surface:
 * coupling — :class:`CouplingSpec` with :class:`Protocol`
   (eager/rendezvous) and :class:`WaitMode` (separate/waitall);
 * noise — local jitter channels, one-off delays, interaction delays;
-* the models — :class:`PhysicalOscillatorModel`, :class:`KuramotoModel`;
+* the model — :class:`PhysicalOscillatorModel`: every model is an Eq. 2
+  member, and the plain Kuramoto model (Eq. 1) is
+  :class:`KuramotoPotential` on :func:`all_to_all` with
+  ``v_p_override = K``;
 * the driver — :func:`simulate` returning :class:`OscillatorTrajectory`.
 """
 
 from .coupling import CouplingSpec, Protocol, WaitMode
 from .ensemble import EnsembleResult, GridResult, grid_sweep, run_ensemble
 from .initial import (
-    initial_from_name,
     perturbed,
     random_phases,
     splayed,
     synchronized,
     wavefront,
 )
-from .model import KuramotoModel, PhysicalOscillatorModel, RealizedModel
+from .model import PhysicalOscillatorModel, RealizedModel
 from .noise import (
     CompositeNoise,
     ConstantInteractionNoise,
@@ -55,12 +57,7 @@ from .potentials import (
     TanhPotential,
     potential_from_name,
 )
-from .simulation import (
-    default_dt,
-    simulate,
-    simulate_grid,
-    simulate_kuramoto,
-)
+from .simulation import default_dt, simulate, simulate_grid
 from .topology import (
     Topology,
     TopologyKind,
@@ -88,10 +85,9 @@ __all__ = [
     # ensembles
     "EnsembleResult", "GridResult", "grid_sweep", "run_ensemble",
     # initial conditions
-    "initial_from_name", "perturbed", "random_phases", "splayed",
-    "synchronized", "wavefront",
+    "perturbed", "random_phases", "splayed", "synchronized", "wavefront",
     # models
-    "KuramotoModel", "PhysicalOscillatorModel", "RealizedModel",
+    "PhysicalOscillatorModel", "RealizedModel",
     # noise
     "CompositeNoise", "ConstantInteractionNoise", "DelaySchedule",
     "GaussianJitter", "InteractionNoise", "LocalNoise", "LognormalJitter",
@@ -101,7 +97,7 @@ __all__ = [
     "BottleneckPotential", "CustomPotential", "KuramotoPotential",
     "LinearPotential", "Potential", "TanhPotential", "potential_from_name",
     # simulation
-    "default_dt", "simulate", "simulate_grid", "simulate_kuramoto",
+    "default_dt", "simulate", "simulate_grid",
     # topology
     "Topology", "TopologyKind", "all_to_all", "chain", "dragonfly",
     "fat_tree", "from_edges", "from_networkx", "grid2d", "hypercube",

@@ -1,7 +1,9 @@
 """Initial phase configurations (paper Sec. 3.2: "different initial
 conditions (synchronized, desynchronized)").
 
-All helpers return an ``(n,)`` phase vector for ``t = 0``.
+All helpers return an ``(n,)`` phase vector for ``t = 0``; specs, the
+CLI and the experiments name them through
+:func:`repro.runs.spec.initial_from_spec`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ __all__ = [
     "random_phases",
     "splayed",
     "wavefront",
-    "initial_from_name",
 ]
 
 
@@ -73,16 +74,3 @@ def wavefront(n: int, gap: float, noise: float = 0.0,
         theta = theta + rng.normal(0.0, noise, size=n)
     return theta
 
-
-def initial_from_name(name: str, n: int, **kwargs) -> np.ndarray:
-    """Factory used by the CLI."""
-    key = name.strip().lower()
-    if key in ("sync", "synchronized", "synchronised"):
-        return synchronized(n, **kwargs)
-    if key in ("perturbed", "delayed"):
-        return perturbed(n, **kwargs)
-    if key in ("random", "desync", "desynchronized"):
-        return random_phases(n, **kwargs)
-    if key in ("splayed", "ramp", "wavefront"):
-        return splayed(n, **kwargs) if "gap" in kwargs else splayed(n, gap=0.1)
-    raise ValueError(f"unknown initial condition {name!r}")

@@ -1,4 +1,4 @@
-"""The physical oscillator model (paper Eq. 2) and the Kuramoto baseline.
+"""The physical oscillator model (paper Eq. 2).
 
 The POM describes ``N`` MPI processes as coupled oscillators:
 
@@ -24,8 +24,9 @@ with
 channels into a :class:`RealizedModel` whose ``rhs`` is a plain function
 of ``(t, theta)`` suitable for any explicit integrator.
 
-:class:`KuramotoModel` implements the unmodified Eq. 1 (all-to-all
-``sin`` coupling) as the comparison baseline the paper argues against.
+The plain Kuramoto model (paper Eq. 1), the baseline the paper argues
+against, is the member with :class:`~repro.core.KuramotoPotential` on
+:func:`~repro.core.all_to_all` and ``v_p_override = K``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .noise import (
 from .potentials import Potential
 from .topology import Topology
 
-__all__ = ["PhysicalOscillatorModel", "RealizedModel", "KuramotoModel"]
+__all__ = ["PhysicalOscillatorModel", "RealizedModel"]
 
 
 @dataclass
@@ -287,64 +288,3 @@ class RealizedModel:
         """Full right-hand side of Eq. 2."""
         return self.intrinsic_frequency(t) + self.coupling_term(t, theta, history)
 
-
-@dataclass
-class KuramotoModel:
-    """The plain Kuramoto model (paper Eq. 1) — baseline comparator.
-
-    .. math::
-
-        \\dot\\theta_i = \\omega_i + \\frac{K}{N} \\sum_j
-            \\sin(\\theta_j - \\theta_i)
-
-    All-to-all coupling, periodic sinusoidal potential, optionally
-    heterogeneous natural frequencies.  The paper lists three reasons it
-    cannot describe parallel programs (global coupling = per-cycle
-    barrier; no desynchronised equilibria; 2*pi phase slips); the
-    benchmark :mod:`benchmarks.bench_kuramoto_baseline` demonstrates all
-    three against the POM.
-    """
-
-    n: int
-    coupling_k: float
-    omega: Sequence[float] | float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("need at least two oscillators")
-        om = np.asarray(self.omega, dtype=float)
-        if om.ndim == 0:
-            om = np.full(self.n, float(om))
-        if om.shape != (self.n,):
-            raise ValueError(f"omega has shape {om.shape}, expected ({self.n},)")
-        self._omega_vec = om
-
-    @property
-    def omega_vec(self) -> np.ndarray:
-        """Natural frequencies, shape ``(n,)``."""
-        return self._omega_vec
-
-    def rhs(self, t: float, theta: np.ndarray) -> np.ndarray:
-        """Right-hand side of Eq. 1 (vectorised)."""
-        dmat = theta[None, :] - theta[:, None]
-        return self._omega_vec + (self.coupling_k / self.n) * np.sin(dmat).sum(axis=1)
-
-    def make_ode_rhs(self):
-        """Closure for the ODE solvers."""
-        return self.rhs
-
-    def critical_coupling(self, gamma: float) -> float:
-        """Onset of synchronisation ``K_c = 2*gamma`` for a Lorentzian
-        frequency distribution with half-width ``gamma`` (classic result,
-        Strogatz 2000) — used in baseline validation tests."""
-        return 2.0 * gamma
-
-    def describe(self) -> dict:
-        """Metadata dictionary used by exporters."""
-        return {
-            "model": "kuramoto",
-            "n": self.n,
-            "K": self.coupling_k,
-            "omega_mean": float(self._omega_vec.mean()),
-            "omega_std": float(self._omega_vec.std()),
-        }

@@ -40,11 +40,11 @@ from ..integrate import (
     solve_rk4,
 )
 from .initial import synchronized
-from .model import KuramotoModel, PhysicalOscillatorModel
+from .model import PhysicalOscillatorModel
 from .noise import GaussianJitter, NoNoise
 from .trajectory import OscillatorTrajectory
 
-__all__ = ["simulate", "simulate_grid", "simulate_kuramoto", "default_dt"]
+__all__ = ["simulate", "simulate_grid", "default_dt"]
 
 #: the ``method=`` values of :func:`simulate` / :func:`simulate_grid`
 METHODS = ("dopri", "rk4", "euler", "em")
@@ -423,33 +423,3 @@ def simulate_grid(
         raise RuntimeError(f"grid integration failed: {sol.message}")
     return _fan_out(sol, models, seed_list, n_samples)
 
-
-def simulate_kuramoto(
-    model: KuramotoModel,
-    t_end: float,
-    *,
-    theta0: Sequence[float] | np.ndarray | None = None,
-    method: str = "dopri",
-    dt: float | None = None,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-):
-    """Integrate the plain Kuramoto baseline; returns the raw Solution.
-
-    (The Kuramoto model has no notion of topology/potential metadata, so
-    no :class:`OscillatorTrajectory` wrapper — metrics operate on the
-    arrays directly.)
-    """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    theta0 = (np.zeros(model.n) if theta0 is None
-              else np.asarray(theta0, dtype=float).copy())
-    if theta0.shape != (model.n,):
-        raise ValueError(f"theta0 has shape {theta0.shape}, expected ({model.n},)")
-    if method == "dopri":
-        return solve_dopri45(model.rhs, (0.0, t_end), theta0, rtol=rtol, atol=atol)
-    if method == "rk4":
-        if dt is None:
-            dt = 0.02 / max(abs(model.coupling_k), float(np.max(np.abs(model.omega_vec))), 1.0)
-        return solve_rk4(model.rhs, (0.0, t_end), theta0, dt=dt)
-    raise ValueError(f"unknown method {method!r}")

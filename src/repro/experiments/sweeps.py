@@ -22,12 +22,12 @@ import numpy as np
 
 from ..core import (
     BottleneckPotential,
-    KuramotoModel,
+    KuramotoPotential,
     PhysicalOscillatorModel,
     TanhPotential,
+    all_to_all,
     ring,
     simulate,
-    simulate_kuramoto,
 )
 from ..metrics.order_parameter import order_parameter_series
 from ..metrics.sync import classify, settle_time
@@ -311,7 +311,7 @@ class KuramotoBaseline:
         (holds the 2*sigma/3 wavefront: it is a stable equilibrium).
     km_phase_slip_invariance:
         Max RHS difference when shifting one oscillator by 2*pi —
-        exactly 0 for Kuramoto (phase slips allowed), > 0 for the POM.
+        ulp-level for Kuramoto (phase slips allowed), > 0 for the POM.
     pom_phase_slip_invariance:
         Same probe for the POM potentials (tanh): non-zero.
     """
@@ -333,15 +333,22 @@ def kuramoto_baseline(
     seed: int = 0,
     out_dir: str | Path | None = None,
 ) -> KuramotoBaseline:
-    """Run the three CLAIM-KM probes."""
+    """Run the three CLAIM-KM probes.
+
+    The Kuramoto side is the Eq. 2 member that is Eq. 1: the ``sin``
+    potential on ``all_to_all(n)`` with ``v_p = K``, at the ring POM's
+    frequency ``2*pi/(t_comp + t_comm)``.
+    """
     rng = np.random.default_rng(seed)
     theta0 = rng.uniform(-0.5, 0.5, size=n)
 
     # 1. Sync speed: all-to-all KM vs sparse-ring POM (same frequency).
-    km = KuramotoModel(n=n, coupling_k=coupling_k, omega=2.0 * np.pi)
-    sol = simulate_kuramoto(km, t_end, theta0=theta0)
-    r = order_parameter_series(sol.ys)
-    km_sync = _first_crossing(sol.ts, r, 0.99)
+    km = PhysicalOscillatorModel(all_to_all(n), KuramotoPotential(),
+                                 t_comp=0.9, t_comm=0.1,
+                                 v_p_override=coupling_k)
+    traj_km = simulate(km, t_end, theta0=theta0, seed=seed)
+    r = order_parameter_series(traj_km.thetas)
+    km_sync = _first_crossing(traj_km.ts, r, 0.99)
 
     pom = PhysicalOscillatorModel(
         topology=ring(n, (1, -1)), potential=TanhPotential(),
@@ -355,10 +362,8 @@ def kuramoto_baseline(
     # wavefront (gaps alternating +-2*sigma/3) and watch the gap.
     gap0 = 2.0 * sigma / 3.0
     zigzag = np.tile([0.0, gap0], n // 2 + 1)[:n]
-    sol2 = simulate_kuramoto(KuramotoModel(n=n, coupling_k=coupling_k,
-                                           omega=2.0 * np.pi),
-                             t_end, theta0=zigzag)
-    km_gap = float(np.abs(np.diff(sol2.ys[-1])).mean())
+    traj_km2 = simulate(km, t_end, theta0=zigzag, seed=seed)
+    km_gap = float(np.abs(np.diff(traj_km2.final_phases)).mean())
     pom2 = PhysicalOscillatorModel(
         topology=ring(n, (1, -1)), potential=BottleneckPotential(sigma=sigma),
         t_comp=0.9, t_comm=0.1,
@@ -371,10 +376,9 @@ def kuramoto_baseline(
     theta = rng.uniform(0, 2 * np.pi, size=n)
     shifted = theta.copy()
     shifted[0] += 2.0 * np.pi
-    km_slip = float(np.abs(km.rhs(0.0, theta) - km.rhs(0.0, shifted)).max())
-    realized = pom.realize(1.0, rng=0)
-    pom_slip = float(np.abs(realized.rhs(0.0, theta)
-                            - realized.rhs(0.0, shifted)).max())
+    km_slip, pom_slip = (
+        float(np.abs(rhs(0.0, theta) - rhs(0.0, shifted)).max())
+        for rhs in (km.realize(1.0, rng=0).rhs, pom.realize(1.0, rng=0).rhs))
 
     result = KuramotoBaseline(
         km_sync_time=km_sync,

@@ -64,6 +64,7 @@ __all__ = [
     "cc_available",
     "openmp_available",
     "numba_available",
+    "numpy_build",
     "rk4_stage",
     "rk4_update",
     "family_coefficients",
@@ -128,6 +129,20 @@ def normalize_kernel_name(name: str | None) -> str:
     if key not in KERNELS:
         raise ValueError(f"unknown kernel {name!r}; available: {', '.join(KERNELS)}")
     return key
+
+
+def numpy_build() -> str:
+    """NumPy's version, compiled baseline and the SIMD dispatch targets
+    enabled at run time (``NPY_DISABLE_CPU_FEATURES`` turns targets
+    off).  NumPy's float64 ``tanh`` bits follow the dispatch target, so
+    this string enters every ``numpy`` shard's cache key, as
+    :func:`repro.kernels.cc.build_tag` enters every ``cc`` shard's."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return " ".join([np.__version__, *umath.__cpu_baseline__, *enabled])
 
 
 def numba_available() -> bool:

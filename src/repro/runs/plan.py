@@ -30,9 +30,11 @@ group), so how a group is later chunked can never change the step.
 
 So is the coupling kernel: each payload member names the kernel that
 runs it (``"auto"`` becomes ``"cc"`` or ``"numpy"``), and a payload with
-a ``cc`` member carries :func:`repro.kernels.cc.build_tag`.  The kernels
-differ in the last bits, so a shared cache never mixes them, and a
-worker that cannot build cc fails a cc shard instead of running numpy.
+a ``cc`` member carries :func:`repro.kernels.cc.build_tag` and one with
+a ``numpy`` member :func:`repro.kernels.numpy_build` (NumPy's version
+and SIMD dispatch).  The kernels and their builds differ in the last
+bits, so a shared cache never mixes them, and a worker that cannot
+build cc fails a cc shard instead of running numpy.
 
 Chunking (``shard_members=``) splits fused groups into bounded shards
 so the multiprocess executor has units to spread: for the fixed-step
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 from ..core.simulation import default_dt
 from ..core.topology import topology_n_from_spec
 from ..kernels import cc as cc_kernels
-from ..kernels import resolve_kernel
+from ..kernels import numpy_build, resolve_kernel
 from .cache import shard_key
 from .spec import (FIXED_STEP_METHODS, MemberSpec, ScenarioSpec,
                    potential_from_spec)
@@ -77,6 +79,10 @@ _footprint_warned: set[str] = set()
 #: process loaded never changes under it, and every plan (the service
 #: compiles one per request) would otherwise re-read the CPU flags
 _cc_build_tag = functools.cache(cc_kernels.build_tag)
+
+#: kernel -> this process's build of it, recorded in a payload as
+#: ``<kernel>_build``; NumPy's dispatch is read once per process too
+BUILD_TAGS = {"cc": _cc_build_tag, "numpy": functools.cache(numpy_build)}
 
 
 def _warn_footprint(spec: ScenarioSpec, est_bytes: float) -> None:
@@ -115,10 +121,10 @@ class Shard:
         JSON-able solve description handed to the worker process:
         ``{"members": [member dicts], "t_end": float, "solver": dict,
         "metrics": [names], "trajectories": mode}``, plus ``"cc_build"``
-        when a member runs the compiled kernel.  The metric set and
-        capture mode are part of the cache key — a metric-only shard and
-        a full-trajectory shard of the same members are distinct cached
-        artefacts.
+        or ``"numpy_build"`` naming the build of the kernel its members
+        run.  The metric set and capture mode are part of the cache key
+        — a metric-only shard and a full-trajectory shard of the same
+        members are distinct cached artefacts.
     key:
         Content-addressed cache key of the solve
         (:func:`repro.runs.cache.shard_key`).
@@ -184,6 +190,9 @@ class Plan:
             "spec_hash": self.spec.content_hash()[:16],
             "members": self.n_members,
             "shards": shards,
+            "builds": {kernel: s.payload[f"{kernel}_build"]
+                       for s in self.shards for kernel in BUILD_TAGS
+                       if f"{kernel}_build" in s.payload},
         }
         if cache is not None:
             out["cache"] = cache.describe()
@@ -319,9 +328,10 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
                 "metrics": list(spec.metrics),
                 "trajectories": spec.trajectories,
             }
-            if any(m["model"]["kernel"] == "cc"
-                   for m in payload["members"]):
-                payload["cc_build"] = _cc_build_tag()
+            for kernel, tag in BUILD_TAGS.items():
+                if any(m["model"]["kernel"] == kernel
+                       for m in payload["members"]):
+                    payload[f"{kernel}_build"] = tag()
             shards.append(Shard(index=len(shards), payload=payload,
                                 key=shard_key(payload)))
 

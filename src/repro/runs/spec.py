@@ -75,6 +75,10 @@ __all__ = [
     "model_from_spec",
 ]
 
+#: the ``kind`` values :func:`initial_from_spec` builds
+INITIAL_KINDS = ("sync", "perturbed", "random", "splayed", "wavefront",
+                 "normal")
+
 #: fixed-step integration methods — shard composition cannot change their
 #: results, so the planner may split their member groups freely
 FIXED_STEP_METHODS = ("rk4", "euler", "em")
@@ -217,7 +221,8 @@ def initial_from_spec(d: dict | None, n: int) -> np.ndarray:
         args = _take(d, "std", "seed")
         rng = np.random.default_rng(int(args.get("seed", 0)))
         return rng.normal(0.0, float(args.get("std", 1e-3)), size=n)
-    raise ValueError(f"unknown initial-condition kind {kind!r}")
+    raise ValueError(f"unknown initial-condition kind {kind!r}; "
+                     f"accepted: {', '.join(INITIAL_KINDS)}")
 
 
 def model_from_spec(d: dict) -> PhysicalOscillatorModel:

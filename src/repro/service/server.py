@@ -62,7 +62,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
-from ..experiments.registry import REGISTRY, get_experiment
 from ..runs import ResultCache, ScenarioSpec, WorkQueue, compile_plan
 from ..runs.executor import WorkerPool, assemble, load_done
 from ..runs.faults import ensure_shared_state_dir
@@ -162,6 +161,10 @@ class CampaignService:
             if "spec" in body:
                 spec = ScenarioSpec.from_dict(body["spec"])
             else:
+                # The registry pulls in every experiment module (DES and
+                # analysis included); only a by-name submission needs it.
+                from ..experiments.registry import get_experiment
+
                 try:
                     exp = get_experiment(str(body["scenario"]))
                 except KeyError as exc:
@@ -341,6 +344,7 @@ class CampaignService:
     def registry_info(self) -> dict:
         """``GET /v1/registry`` — submittable scenarios + topology kinds."""
         from ..core.topology import topology_kinds
+        from ..experiments.registry import REGISTRY
 
         return {"scenarios": [
             {"name": name, "id": exp.id, "description": exp.description,

@@ -12,8 +12,11 @@ import pytest
 
 from repro.core import (
     BottleneckPotential,
+    KuramotoPotential,
     PhysicalOscillatorModel,
+    StaticLoadImbalance,
     TanhPotential,
+    all_to_all,
     ring,
 )
 from repro.simulator import (
@@ -53,6 +56,22 @@ def small_bottleneck_model():
         t_comm=0.1,
         v_p_override=8.0,
     )
+
+
+@pytest.fixture
+def kuramoto_member():
+    """Factory for the plain Kuramoto model (paper Eq. 1) as an Eq. 2
+    member: ``sin`` on ``all_to_all(n)`` with ``v_p = K``.  The natural
+    frequencies ``omega`` (scalar or one per rank) enter as static
+    period offsets ``2*pi/omega_i - T`` on the cycle ``T = 1``."""
+    def build(n: int, coupling_k: float, omega=1.0) -> PhysicalOscillatorModel:
+        omega = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
+        return PhysicalOscillatorModel(
+            topology=all_to_all(n), potential=KuramotoPotential(),
+            t_comp=0.9, t_comm=0.1, v_p_override=coupling_k,
+            local_noise=StaticLoadImbalance(
+                offsets=tuple(2.0 * np.pi / omega - 1.0)))
+    return build
 
 
 @pytest.fixture

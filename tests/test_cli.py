@@ -85,6 +85,22 @@ class TestExecution:
         with pytest.raises(SystemExit, match="bad distance set"):
             main(["model", "--distances", "1,x"])
 
+    def test_model_random_initial_follows_seed(self, capsys):
+        argv = ["model", "--n", "8", "--t-end", "5", "--initial", "random",
+                "--view", "summary"]
+        outs = []
+        for seed in ("3", "3", "4"):
+            assert main(argv + ["--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0] != outs[2]
+
+    def test_unknown_initial_lists_spec_kinds(self):
+        with pytest.raises(SystemExit,
+                           match="unknown initial-condition kind 'desync'; "
+                                 "accepted: sync, perturbed, random"):
+            main(["model", "--initial", "desync"])
+
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             main(["run", "fig77"])

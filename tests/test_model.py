@@ -1,4 +1,4 @@
-"""Tests for the POM right-hand side (Eq. 2) and the Kuramoto baseline."""
+"""Tests for the POM right-hand side (Eq. 2) and its Kuramoto member (Eq. 1)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.core import (
     ConstantInteractionNoise,
     CouplingSpec,
     GaussianJitter,
-    KuramotoModel,
     LinearPotential,
     OneOffDelay,
     PhysicalOscillatorModel,
@@ -220,8 +219,10 @@ class TestLinearPotentialAnalytics:
 
 
 class TestKuramotoModel:
-    def test_rhs_matches_eq1(self):
-        km = KuramotoModel(n=3, coupling_k=1.5, omega=[1.0, 2.0, 3.0])
+    """Eq. 1 as the POM member ``sin`` on ``all_to_all`` with ``v_p = K``."""
+
+    def test_rhs_matches_eq1(self, kuramoto_member):
+        km = kuramoto_member(3, 1.5, [1.0, 2.0, 3.0]).realize(1.0, rng=0)
         theta = np.array([0.1, 0.5, -0.3])
         got = km.rhs(0.0, theta)
         expected = np.empty(3)
@@ -230,18 +231,10 @@ class TestKuramotoModel:
             expected[i] = [1.0, 2.0, 3.0][i] + 1.5 / 3 * s
         np.testing.assert_allclose(got, expected, atol=1e-14)
 
-    def test_scalar_omega_broadcast(self):
-        km = KuramotoModel(n=5, coupling_k=1.0, omega=2.0)
-        np.testing.assert_array_equal(km.omega_vec, np.full(5, 2.0))
-
-    def test_omega_shape_validated(self):
-        with pytest.raises(ValueError, match="omega"):
-            KuramotoModel(n=4, coupling_k=1.0, omega=[1.0, 2.0])
-
-    def test_phase_slip_invariance(self):
+    def test_phase_slip_invariance(self, kuramoto_member):
         """The paper's criticism: shifting one oscillator by 2*pi leaves
         the Kuramoto RHS unchanged — impossible for real MPI processes."""
-        km = KuramotoModel(n=6, coupling_k=2.0, omega=1.0)
+        km = kuramoto_member(6, 2.0, 1.0).realize(1.0, rng=0)
         theta = np.random.default_rng(3).uniform(0, 2 * np.pi, 6)
         shifted = theta.copy()
         shifted[2] += 2 * np.pi
@@ -257,11 +250,8 @@ class TestKuramotoModel:
         assert not np.allclose(realized.rhs(0.0, theta),
                                realized.rhs(0.0, shifted))
 
-    def test_critical_coupling_lorentzian(self):
-        km = KuramotoModel(n=10, coupling_k=1.0)
-        assert km.critical_coupling(gamma=0.5) == pytest.approx(1.0)
-
-    def test_describe(self):
-        d = KuramotoModel(n=4, coupling_k=2.0, omega=1.0).describe()
-        assert d["model"] == "kuramoto"
-        assert d["K"] == 2.0
+    def test_describe(self, kuramoto_member):
+        d = kuramoto_member(4, 2.0, 1.0).describe()
+        assert d["potential"]["name"] == "kuramoto"
+        assert d["topology"]["name"] == "all-to-all"
+        assert d["v_p"] == 2.0

@@ -1,5 +1,10 @@
 """Tests for the sharded executor and result cache (repro.runs)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -91,6 +96,31 @@ class TestBuildCheck:
         assert payload["cc_build"] == _cc_build_tag()
         with pytest.raises(RuntimeError, match="cc build 0000000000000000"):
             execute_shard(dict(payload, cc_build="0" * 16))
+
+    def test_foreign_numpy_build_refused(self):
+        # A numpy shard runs only on the NumPy build and dispatch it was
+        # planned for.
+        payload = compile_plan(grid_spec(kernel="numpy")).shards[0].payload
+        assert payload["numpy_build"] == kernels.numpy_build()
+        with pytest.raises(RuntimeError,
+                           match="numpy build 0.0 X86_V1 FORGED"):
+            execute_shard(dict(payload, numpy_build="0.0 X86_V1 FORGED"))
+
+
+def test_campaign_layers_skip_des_and_analysis_imports():
+    """A worker or service process loads the campaign layers only: the
+    DES simulator, the trace analysis and the experiment modules stay
+    unloaded until something asks for them."""
+    code = ("import sys, repro.runs, repro.service, repro.kernels; "
+            "print(' '.join(m for m in sys.modules if m.split('.')[:2] in "
+            "(['repro', 'simulator'], ['repro', 'analysis'], "
+            "['repro', 'experiments'])))")
+    src = str(pathlib.Path(kernels.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 class TestCache:

@@ -1,5 +1,11 @@
 """Tests for the campaign planner (repro.runs.plan)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro import kernels
@@ -150,6 +156,43 @@ class TestKernelResolution:
     def test_describe_reports_the_kernel(self, monkeypatch):
         info = self.plan_with(monkeypatch, False).describe()
         assert info["shards"][0]["kernel"] == "numpy"
+
+    def test_numpy_payload_carries_numpy_build(self, monkeypatch):
+        plan = self.plan_with(monkeypatch, False)
+        build = plan.shards[0].payload["numpy_build"]
+        assert build == kernels.numpy_build()
+        assert build.startswith(np.__version__ + " ")
+        assert plan.describe()["builds"] == {"numpy": build}
+        cc = self.plan_with(monkeypatch, True).shards[0]
+        assert "numpy_build" not in cc.payload
+
+    def test_numpy_dispatch_enters_the_key(self, monkeypatch):
+        # NumPy's tanh bits follow its SIMD dispatch target: a plan made
+        # with the host's highest target disabled must key differently.
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        enabled = [t for t in umath.__cpu_dispatch__
+                   if umath.__cpu_features__.get(t)]
+        if not enabled:
+            pytest.skip("baseline-only host: NumPy enables no dispatch "
+                        "target, so NPY_DISABLE_CPU_FEATURES has nothing "
+                        "to turn off")
+        spec = self.plan_with(monkeypatch, False, kernel="numpy").spec
+        here = compile_plan(spec).shards[0]
+        code = ("import sys; from repro.runs import ScenarioSpec, "
+                "compile_plan; shard = compile_plan(ScenarioSpec.from_json("
+                "sys.argv[1])).shards[0]; "
+                "print(shard.key); print(shard.payload['numpy_build'])")
+        src = str(pathlib.Path(kernels.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": src,
+               "NPY_DISABLE_CPU_FEATURES": enabled[-1]}
+        proc = subprocess.run([sys.executable, "-c", code, spec.to_json()],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        key, build = proc.stdout.splitlines()
+        assert enabled[-1] not in build.split()
+        assert build != here.payload["numpy_build"]
+        assert key != here.key
 
 
 class TestDescribe:

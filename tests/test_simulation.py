@@ -7,7 +7,6 @@ from repro.backends import DenseBackend
 from repro.core import (
     ConstantInteractionNoise,
     GaussianJitter,
-    KuramotoModel,
     OneOffDelay,
     PhysicalOscillatorModel,
     RandomInteractionNoise,
@@ -19,7 +18,6 @@ from repro.core import (
     ring,
     simulate,
     simulate_grid,
-    simulate_kuramoto,
     splayed,
     synchronized,
     torus2d,
@@ -312,39 +310,30 @@ class TestOneSolvePath:
 
 
 class TestKuramotoDriver:
-    def test_all_to_all_synchronizes(self):
-        km = KuramotoModel(n=10, coupling_k=5.0, omega=2 * np.pi)
+    """The Kuramoto member (Eq. 1) through the one solve path."""
+
+    def test_all_to_all_synchronizes(self, kuramoto_member):
+        km = kuramoto_member(10, 5.0, 2 * np.pi)
         theta0 = np.random.default_rng(0).uniform(-1.0, 1.0, 10)
-        sol = simulate_kuramoto(km, 20.0, theta0=theta0)
-        assert order_parameter(sol.y_end) > 0.999
+        traj = simulate(km, 20.0, theta0=theta0)
+        assert order_parameter(traj.final_phases) > 0.999
 
-    def test_below_critical_coupling_stays_incoherent(self):
-        rng = np.random.default_rng(1)
-        # Lorentzian-ish spread via Cauchy draws, K below K_c = 2*gamma.
-        gamma = 1.0
-        omega = rng.standard_cauchy(200) * gamma
-        km = KuramotoModel(n=200, coupling_k=0.5, omega=omega)
-        theta0 = rng.uniform(0, 2 * np.pi, 200)
-        sol = simulate_kuramoto(km, 30.0, theta0=theta0, method="rk4",
-                                dt=0.01)
-        # Finite-size fluctuations around r ~ 1/sqrt(N).
-        assert order_parameter(sol.y_end) < 0.3
-
-    def test_methods_match(self):
-        km = KuramotoModel(n=6, coupling_k=2.0, omega=1.0)
+    def test_methods_match(self, kuramoto_member):
+        km = kuramoto_member(6, 2.0, 1.0)
         theta0 = np.linspace(0, 1, 6)
-        a = simulate_kuramoto(km, 5.0, theta0=theta0, method="dopri")
-        b = simulate_kuramoto(km, 5.0, theta0=theta0, method="rk4", dt=1e-3)
-        np.testing.assert_allclose(a.y_end, b.y_end, atol=1e-5)
+        a = simulate(km, 5.0, theta0=theta0, method="dopri")
+        b = simulate(km, 5.0, theta0=theta0, method="rk4", dt=1e-3)
+        np.testing.assert_allclose(a.final_phases, b.final_phases,
+                                   atol=1e-5)
 
-    def test_invalid_args(self):
-        km = KuramotoModel(n=4, coupling_k=1.0)
+    def test_invalid_args(self, kuramoto_member):
+        km = kuramoto_member(4, 1.0)
         with pytest.raises(ValueError):
-            simulate_kuramoto(km, -1.0)
+            simulate(km, -1.0)
         with pytest.raises(ValueError):
-            simulate_kuramoto(km, 1.0, theta0=np.zeros(7))
+            simulate(km, 1.0, theta0=np.zeros(7))
         with pytest.raises(ValueError):
-            simulate_kuramoto(km, 1.0, method="verlet")
+            simulate(km, 1.0, method="verlet")
 
 
 class TestPaperDynamics:
